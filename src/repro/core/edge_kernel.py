@@ -12,19 +12,44 @@ the effect of earlier ones — the freshness that lets the paper's edge
 versions "converge in only a few iterations", §4.2), scatter-adds the
 log-message deltas into the destination accumulators (the atomic combine)
 and refreshes the beliefs of the touched destinations.
+
+A sweep costs O(active edges), not O(nodes + edges): destination sets are
+index sets built through the state's slot map
+(:class:`~repro.core.indexset.SlotMap`) and the scatter accumulates into
+compacted destinations, unless the chunk is large (about n/12 edges) or
+the graph small enough that one dense n-length pass is cheaper (see
+:mod:`repro.core.indexset`).  Both paths feed every destination the same edges in the same
+order and visit nodes in ascending id order, so the choice changes no
+bits (DESIGN.md §13.6).
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
 from repro.core.state import LoopyState
 from repro.core.sweepstats import SweepStats
 
-__all__ = ["edge_sweep"]
+__all__ = ["chunk_slices", "edge_sweep"]
 
 _FSIZE = 4
 _ISIZE = 8
+
+
+@lru_cache(maxsize=256)
+def chunk_slices(n_active: int, chunks: int) -> tuple[tuple[int, int], ...]:
+    """``(lo, hi)`` bounds of the chunks of an ``n_active``-edge sweep.
+
+    Memoized: a partial sweep's set-up must not cost more than its few
+    edges, and the small sizes recur sweep after sweep.
+    """
+    if n_active == 0:
+        return ()
+    chunks = max(1, min(chunks, n_active))
+    bounds = np.linspace(0, n_active, chunks + 1, dtype=np.int64).tolist()
+    return tuple(zip(bounds[:-1], bounds[1:]))
 
 
 def edge_sweep(
@@ -52,13 +77,11 @@ def edge_sweep(
         )
 
     b = state.b
-    chunks = max(1, min(chunks, n_active))
-    bounds = np.linspace(0, n_active, chunks + 1, dtype=np.int64)
     edge_deltas = np.empty(n_active, dtype=np.float32)
-    touched_mask = np.zeros(state.n, dtype=bool)
+    slots = state.node_slots
+    touched: list[np.ndarray] = []
 
-    for k in range(chunks):
-        lo, hi = int(bounds[k]), int(bounds[k + 1])
+    for lo, hi in chunk_slices(n_active, chunks):
         if lo == hi:
             continue
         chunk = active_edges[lo:hi]
@@ -72,16 +95,14 @@ def edge_sweep(
             msgs = (1.0 - damping) * msgs + damping * state.messages[chunk]
         edge_deltas[lo:hi] = state.store_messages(chunk, msgs)
 
-        chunk_mask = np.zeros(state.n, dtype=bool)
-        chunk_mask[state.dst[chunk]] = True
-        chunk_mask &= state.free_mask
-        dirty = np.flatnonzero(chunk_mask)
+        dirty = slots.unique(state.dst[chunk])
+        dirty = dirty[state.free_mask[dirty]]
         if len(dirty):
             state.beliefs[dirty] = state.combine_nodes(dirty)
-            touched_mask |= chunk_mask
+            touched.append(dirty)
         stats.kernel_launches += 2  # message kernel + combine kernel
 
-    touched_nodes = np.flatnonzero(touched_mask)
+    touched_nodes = slots.unique(*touched) if touched else np.empty(0, dtype=np.int64)
 
     # --- accounting (§3.3: atomics instead of gathers) --------------------
     n_touched = len(touched_nodes)

@@ -259,12 +259,7 @@ class _EdgePlan:
         state, cfg = self.state, self.cfg
         # Snapshot the beliefs this sweep can change, for the global
         # convergence reduction (Alg. 1 line 12).
-        if len(active):
-            cand_mask = np.zeros(state.n, dtype=bool)
-            cand_mask[state.dst[active]] = True
-            candidates = np.flatnonzero(cand_mask)
-        else:
-            candidates = np.empty(0, np.int64)
+        candidates = state.node_slots.unique(state.dst[active])
         before = state.beliefs[candidates].copy()
         edge_deltas, _touched, stats = self.executor.edge_sweep(
             state,

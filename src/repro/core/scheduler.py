@@ -58,6 +58,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.convergence import ConvergenceCriterion
+from repro.core.indexset import SlotMap, is_sparse
 from repro.core.sweepstats import SweepStats
 from repro.telemetry import get_tracer
 
@@ -137,7 +138,10 @@ class WorkQueue:
             raise ValueError("element_threshold must be positive")
         self.n_elements = n_elements
         self.element_threshold = float(element_threshold)
-        self._active = np.arange(n_elements, dtype=np.int64)
+        #: None until first read: a run that is seeded never builds the
+        #: every-element start
+        self._active: np.ndarray | None = None
+        self._slots = SlotMap(n_elements)
         #: cumulative count of queue push operations (cost accounting, §3.5)
         self.pushes = 0
         #: cumulative number of repopulation rounds
@@ -146,14 +150,16 @@ class WorkQueue:
     @property
     def active(self) -> np.ndarray:
         """Indices scheduled for the next sweep (sorted, unique)."""
+        if self._active is None:
+            self._active = np.arange(self.n_elements, dtype=np.int64)
         return self._active
 
     def __len__(self) -> int:
-        return len(self._active)
+        return len(self.active)
 
     @property
     def empty(self) -> bool:
-        return len(self._active) == 0
+        return len(self.active) == 0
 
     def repopulate(
         self,
@@ -168,17 +174,16 @@ class WorkQueue:
         ``neighbours_of_dirty`` optionally adds downstream elements that
         must be reconsidered because their inputs changed.
         """
-        if len(deltas) != len(self._active):
+        if len(deltas) != len(self.active):
             raise ValueError("deltas must align with the active set")
         with get_tracer().span("queue.repopulate", cat="schedule") as span:
             dirty = self._active[deltas >= self.element_threshold]
-            # Dedup via a membership mask: O(n) in C, far cheaper than sorting
-            # the (duplicate-heavy) neighbour list with np.unique.
-            mask = np.zeros(self.n_elements, dtype=bool)
-            mask[dirty] = True
+            # Dedup through the slot map: O(pushes) for a small queue, one
+            # membership mask over the elements for a large one.
             if neighbours_of_dirty is not None and len(neighbours_of_dirty):
-                mask[neighbours_of_dirty] = True
-            self._active = np.flatnonzero(mask).astype(np.int64)
+                self._active = self._slots.unique(dirty, neighbours_of_dirty)
+            else:
+                self._active = dirty
             self.pushes += len(self._active)
             self.rounds += 1
             if span:
@@ -192,11 +197,8 @@ class WorkQueue:
         if not len(elements):
             return 0
         with get_tracer().span("queue.merge", cat="schedule") as span:
-            mask = np.zeros(self.n_elements, dtype=bool)
-            mask[self._active] = True
-            before = len(self._active)
-            mask[elements] = True
-            self._active = np.flatnonzero(mask).astype(np.int64)
+            before = len(self.active)
+            self._active = self._slots.unique(self._active, elements)
             added = len(self._active) - before
             self.pushes += added
             if span:
@@ -211,14 +213,12 @@ class WorkQueue:
         the dirty region instead of every element.
         """
         elements = np.asarray(elements, dtype=np.int64).reshape(-1)
-        mask = np.zeros(self.n_elements, dtype=bool)
-        mask[elements] = True
-        self._active = np.flatnonzero(mask).astype(np.int64)
+        self._active = self._slots.unique(elements)
         self.pushes += len(self._active)
 
     def reset(self) -> None:
         """Re-enqueue every element (start of a run)."""
-        self._active = np.arange(self.n_elements, dtype=np.int64)
+        self._active = None
         self.pushes = 0
         self.rounds = 0
 
@@ -388,6 +388,13 @@ class ResidualSchedule(Schedule):
     each round processes the top ``batch_fraction`` of the eligible
     elements.  Unprocessed elements start at ``+inf`` so the first rounds
     establish true residuals.
+
+    The eligible set (``priority >= element_threshold``, ascending) is
+    kept incrementally while it is small: :meth:`update`,
+    :meth:`reactivate` and :meth:`restrict` re-examine only the indices
+    they write, so a round over a small frontier costs O(frontier), not
+    O(n_elements).  A large set (see :mod:`repro.core.indexset`) is kept
+    as a mask rebuilt in one pass.
     """
 
     name = "residual"
@@ -405,20 +412,66 @@ class ResidualSchedule(Schedule):
             raise ValueError("batch_fraction must lie in (0, 1]")
         self.batch_fraction = float(batch_fraction)
         self.priority = np.full(n_elements, np.inf)
+        #: ``priority >= element_threshold`` (None: the all-+inf start)
+        #: and, while the eligible set is small, its ascending indices
+        #: (None: scan the mask when asked)
+        self._is_eligible: np.ndarray | None = None
+        self._eligible: np.ndarray | None = None
+        self._n_eligible = n_elements
         self._last_processed = 0
         self._last_pushes = 0
         self._reactivated = 0
 
-    # -- selection -----------------------------------------------------
-    def _eligible(self) -> np.ndarray:
-        return np.flatnonzero(self.priority >= self.element_threshold)
+    # -- eligible set ----------------------------------------------------
+    def _eligible_set(self) -> np.ndarray:
+        """Ascending indices with ``priority >= element_threshold``."""
+        if self._eligible is not None:
+            return self._eligible
+        if self._is_eligible is None:
+            return np.arange(self.n_elements, dtype=np.int64)
+        return np.flatnonzero(self._is_eligible)
+
+    def _refresh(self, *written: np.ndarray) -> None:
+        """Bring the eligible set up to date after priority writes at the
+        indices in ``written`` (duplicates fine)."""
+        n_written = sum(len(part) for part in written)
+        if not n_written:
+            return
+        if self._eligible is None or not is_sparse(
+            n_written + len(self._eligible), self.n_elements
+        ):
+            # a large set keeps only the mask, rebuilt in one pass
+            self._is_eligible = np.greater_equal(
+                self.priority, self.element_threshold, out=self._is_eligible
+            )
+            self._n_eligible = int(np.count_nonzero(self._is_eligible))
+            self._eligible = (
+                np.flatnonzero(self._is_eligible)
+                if is_sparse(self._n_eligible, self.n_elements)
+                else None
+            )
+            return
+        written = np.concatenate(written) if len(written) > 1 else written[0]
+        now = self.priority[written] >= self.element_threshold
+        was = self._is_eligible[written]
+        self._is_eligible[written] = now
+        if (was & ~now).any():
+            self._eligible = self._eligible[self._is_eligible[self._eligible]]
+        gained = written[now & ~was]
+        if len(gained):
+            # the stable sort (a merge of presorted runs) keeps this
+            # O(eligible + gained log gained); duplicates can only come
+            # from repeats in ``written``, and sit side by side after it
+            merged = np.sort(np.concatenate((self._eligible, gained)), kind="stable")
+            self._eligible = merged[np.diff(merged, prepend=-1) != 0]
+        self._n_eligible = len(self._eligible)
 
     def _batch_size(self, n_eligible: int) -> int:
         return max(1, int(math.ceil(self.batch_fraction * n_eligible)))
 
     @property
     def active(self) -> np.ndarray:
-        eligible = self._eligible()
+        eligible = self._eligible_set()
         k = len(eligible)
         batch = self._batch_size(k)
         if k == 0 or batch >= k:
@@ -438,6 +491,9 @@ class ResidualSchedule(Schedule):
             # lazy-heap insert: keep the larger of the stale and new keys
             np.maximum.at(self.priority, downstream, downstream_priority)
             pushes += len(downstream)
+            self._refresh(processed, downstream)
+        else:
+            self._refresh(processed)
         self._last_pushes = pushes
 
     def reactivate(self, elements, priorities=None):
@@ -451,12 +507,16 @@ class ResidualSchedule(Schedule):
             # eligible, however small the upstream change that woke it
             keys = np.maximum(np.asarray(priorities, dtype=float), self.element_threshold)
         np.maximum.at(self.priority, elements, keys)
+        self._refresh(elements)
         self._reactivated += len(elements)
 
     def restrict(self, elements, priorities=None):
         # zero out the optimistic +inf start, then mark only the dirty
         # region eligible — the lazy-heap equivalent of seeding the queue
         self.priority[:] = 0.0
+        self._is_eligible = np.zeros(self.n_elements, dtype=bool)
+        self._eligible = np.empty(0, dtype=np.int64)
+        self._n_eligible = 0
         elements = np.asarray(elements, dtype=np.int64)
         if not len(elements):
             return
@@ -466,15 +526,16 @@ class ResidualSchedule(Schedule):
             self.priority[elements] = np.maximum(
                 np.asarray(priorities, dtype=float), self.element_threshold
             )
+        self._refresh(elements)
 
     @property
     def drained(self) -> bool:
-        return not bool(np.any(self.priority >= self.element_threshold))
+        return self._n_eligible == 0
 
     def pressure(self) -> float:
         # residual mass still eligible; +inf (never-processed) entries
         # are clamped so fresh shards rank high but finite
-        eligible = self.priority[self.priority >= self.element_threshold]
+        eligible = self.priority[self._eligible_set()]
         if not len(eligible):
             return 0.0
         return float(np.minimum(eligible, 1.0e6).sum())
@@ -518,7 +579,7 @@ class RelaxedPrioritySchedule(ResidualSchedule):
 
     @property
     def active(self) -> np.ndarray:
-        eligible = self._eligible()
+        eligible = self._eligible_set()
         k = len(eligible)
         batch = self._batch_size(k)
         if k == 0 or batch >= k:

@@ -40,6 +40,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.core.indexset import SlotMap
 from repro.core.sweepstats import RunStats, SweepStats
 from repro.telemetry import get_tracer
 
@@ -535,6 +536,8 @@ class AsyncShardPolicy(ShardPolicy):
         clone.messages = np.array(st.messages, copy=True, subok=False)
         clone.log_messages = np.array(st.log_messages, copy=True, subok=False)
         clone.log_msg_sum = np.array(st.log_msg_sum, copy=True, subok=False)
+        # slot-map scratch is per thread: clones sweep on other lanes
+        clone.node_slots = SlotMap(st.n)
         return clone
 
     @staticmethod

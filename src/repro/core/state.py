@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.graph import BeliefGraph
+from repro.core.indexset import SlotMap
 from repro.core.numeric import TINY32, safe_log
 
 __all__ = ["LoopyState", "TINY", "normalize_rows"]
@@ -60,6 +61,9 @@ class LoopyState:
         Shared matrix or per-edge stack.
     free_mask : (n,) bool
         Nodes whose beliefs BP may update (i.e. not observed).
+    node_slots : SlotMap
+        Scratch for deduplicating node sets in O(set size) — the
+        scatter's destinations, a partial sweep's dirty rows.
     """
 
     def __init__(self, graph: BeliefGraph):
@@ -92,6 +96,7 @@ class LoopyState:
         self.out_offsets = graph.out_offsets
         self.out_edge_ids = graph.out_edge_ids
         self.free_mask = ~observed
+        self.node_slots = SlotMap(self.n)
 
         if self.m == 0:
             self.potentials = np.eye(self.b, dtype=_FLOAT)
@@ -195,16 +200,34 @@ class LoopyState:
         kernel: each edge adds ``log m_new − log m_old`` into its
         destination row.  Returns the per-edge L1 message change (the
         quantity the edge-paradigm work queue filters on).
+
+        A small edge set scatters into its compacted destinations, so
+        the cost is O(len(edge_ids)) rather than O(n); either path feeds
+        each destination's float64 accumulation the same edges in the
+        same order, so the sums are bit-identical.
         """
         old = self.messages[edge_ids]
         deltas = np.abs(new_msgs - old).sum(axis=1)
         new_logs = safe_log(new_msgs, TINY)
         log_delta = new_logs - self.log_messages[edge_ids]
         dsts = self.dst[edge_ids]
-        for s in range(self.b):
-            self.log_msg_sum[:, s] += np.bincount(
-                dsts, weights=log_delta[:, s], minlength=self.n
-            ).astype(_FLOAT)
+        if self.node_slots.sparse(len(dsts)):
+            rows, inv = self.node_slots.compact(dsts)
+            if inv is None:
+                # one edge per destination: bincount's float64 sum of a
+                # single float32 weight is that weight, so a plain
+                # row add gives the same bits
+                self.log_msg_sum[rows] += log_delta
+            else:
+                for s in range(self.b):
+                    self.log_msg_sum[rows, s] += np.bincount(
+                        inv, weights=log_delta[:, s], minlength=len(rows)
+                    ).astype(_FLOAT)
+        else:
+            for s in range(self.b):
+                self.log_msg_sum[:, s] += np.bincount(
+                    dsts, weights=log_delta[:, s], minlength=self.n
+                ).astype(_FLOAT)
         self.messages[edge_ids] = new_msgs
         self.log_messages[edge_ids] = new_logs
         return deltas

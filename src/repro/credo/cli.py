@@ -488,9 +488,13 @@ def _cmd_update(args) -> int:
             print("error: --journal replaces the delta flags; use one or the other",
                   file=sys.stderr)
             return 2
-        from repro.stream.delta import DeltaJournal
+        from repro.stream.delta import DeltaJournal, JournalDecodeError
 
-        journal = DeltaJournal.load(args.journal)
+        try:
+            journal = DeltaJournal.load(args.journal)
+        except JournalDecodeError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         if not len(journal):
             print(f"error: journal {args.journal!r} is empty", file=sys.stderr)
             return 2

@@ -209,11 +209,14 @@ class CredoSelector:
         return "compiled"
 
     def select_layout(self, graph: BeliefGraph, *, seed: int = 0) -> str:
-        """Belief-store layout for ``graph``, by measured plan-time probe.
+        """Belief-store layout for ``graph``, by the cache-line cost model.
 
-        Delegates to :func:`repro.kernels.autotune.autotune_layout` — a
-        deterministic decision under the fixed measurement seed, recorded
-        on the :class:`~repro.credo.runner.ExecutionPlan` for audit.
+        Delegates to :func:`repro.kernels.autotune.autotune_layout`, which
+        scores each layout from the graph structure and a seeded sample
+        of edge locality — a deterministic decision under the fixed seed,
+        recorded on the :class:`~repro.credo.runner.ExecutionPlan` for
+        audit.  Its wall-clock probe timings are recorded but never
+        influence the choice.
         """
         from repro.kernels.autotune import autotune_layout
 

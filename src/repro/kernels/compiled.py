@@ -8,7 +8,8 @@ program in **natural edge order** with zero per-sweep index
 construction.  Partial sweeps (a shrunken work queue, a priority batch)
 fall back to the interpreted kernel functions, which share every
 numerical routine with the fast path — so the two executors are
-bit-exact across all schedules by construction.
+bit-exact across all schedules by construction — and whose cost tracks
+the active set, not the graph (DESIGN.md §13.6).
 
 Why natural order is bit-exact
 ------------------------------
@@ -54,11 +55,13 @@ _FLOAT = np.float32
 _FSIZE = 4
 _ISIZE = 8
 
-#: numpy's pairwise-summation block size: reductions over fewer than 8
-#: elements run sequentially in array order, so an explicit left-to-right
-#: column accumulation is *bitwise identical* to ``.sum(axis=1)`` for
-#: belief widths up to 8 — and an order of magnitude faster, because each
-#: column op is one contiguous strided pass instead of a per-row reduce
+#: numpy's pairwise summation adds fewer than 8 elements left to right and
+#: exactly 8 as the tree ((c0+c1)+(c2+c3))+((c4+c5)+(c6+c7)) (its eight
+#: unrolled accumulators folded pairwise), so explicit column adds in that
+#: order are *bitwise identical* to ``.sum(axis=1)`` for belief widths up
+#: to 8 — and an order of magnitude faster, because each column op is one
+#: contiguous strided pass instead of a per-row reduce.  Wider rows reduce
+#: through ``np.sum`` itself.
 _PAIRWISE_BLOCK = 8
 
 
@@ -73,6 +76,12 @@ def _row_sum(mat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         out[...] = mat[:, 0]
         return out
     acc = np.add(mat[:, 0], mat[:, 1], out=out)
+    if b == _PAIRWISE_BLOCK:
+        acc += mat[:, 2] + mat[:, 3]
+        high = np.add(mat[:, 4], mat[:, 5])
+        high += mat[:, 6] + mat[:, 7]
+        acc += high
+        return acc
     for s in range(2, b):
         np.add(acc, mat[:, s], out=acc)
     return acc

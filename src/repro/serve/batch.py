@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.convergence import ConvergenceCriterion
+from repro.core.edge_kernel import chunk_slices
 from repro.core.graph import BeliefGraph
 from repro.core.loopy import LoopyConfig, _element_threshold_floor
 from repro.core.observation import observe
@@ -97,15 +98,6 @@ def reset_union(union: BeliefGraph) -> None:
     union.observed[:] = False
     union.observed_state[:] = -1
     union.reset_beliefs()
-
-
-def _chunk_slices(n_active: int, chunks: int) -> list[tuple[int, int]]:
-    """The exact chunk boundaries :func:`edge_sweep` would use solo."""
-    if n_active == 0:
-        return []
-    chunks = max(1, min(chunks, n_active))
-    bounds = np.linspace(0, n_active, chunks + 1, dtype=np.int64)
-    return [(int(bounds[i]), int(bounds[i + 1])) for i in range(chunks)]
 
 
 def _gather_out(graph: BeliefGraph, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -332,17 +324,11 @@ def _edge_union_sweep(
     cand_by_q: dict[int, np.ndarray] = {}
     before_by_q: dict[int, np.ndarray] = {}
     for q in live:
-        active = actives[q]
-        if len(active):
-            mask = np.zeros(n, dtype=bool)
-            mask[graph.dst[active]] = True
-            candidates = np.flatnonzero(mask)
-        else:
-            candidates = np.empty(0, dtype=np.int64)
+        candidates = state.node_slots.unique(graph.dst[actives[q]])
         cand_by_q[q] = candidates
         before_by_q[q] = state.beliefs[candidates + q * n].copy()
 
-    slices_by_q = {q: _chunk_slices(len(actives[q]), config.edge_chunks) for q in live}
+    slices_by_q = {q: chunk_slices(len(actives[q]), config.edge_chunks) for q in live}
     deltas_by_q = {
         q: np.empty(len(actives[q]), dtype=np.float32) for q in live
     }

@@ -17,7 +17,13 @@ The serve layer exposes the same machinery through the ``update``
 request op (``repro.serve.protocol``) and ``credo update``.
 """
 
-from repro.stream.delta import DeltaJournal, DeltaResult, GraphDelta, apply_delta
+from repro.stream.delta import (
+    DeltaJournal,
+    DeltaResult,
+    GraphDelta,
+    JournalDecodeError,
+    apply_delta,
+)
 from repro.stream.incremental import IncrementalEngine, IncrementalResult
 from repro.stream.loader import GrowableArray, StreamingGraphBuilder, load_graph_stream
 
@@ -28,6 +34,7 @@ __all__ = [
     "GrowableArray",
     "IncrementalEngine",
     "IncrementalResult",
+    "JournalDecodeError",
     "StreamingGraphBuilder",
     "apply_delta",
     "load_graph_stream",

@@ -25,7 +25,13 @@ import numpy as np
 from repro.core.graph import BeliefGraph
 from repro.core.observation import observe
 
-__all__ = ["DeltaJournal", "DeltaResult", "GraphDelta", "apply_delta"]
+__all__ = [
+    "DeltaJournal",
+    "DeltaResult",
+    "GraphDelta",
+    "JournalDecodeError",
+    "apply_delta",
+]
 
 _FLOAT = np.float32
 
@@ -423,6 +429,21 @@ def _apply_structural(graph: BeliefGraph, delta: GraphDelta) -> DeltaResult:
 
 
 # ----------------------------------------------------------------------
+class JournalDecodeError(ValueError):
+    """A journal line is not a complete JSON delta — typically the tail
+    of a write that was cut off.  Names the file, the 1-based line and
+    how many complete deltas precede it (the recoverable prefix)."""
+
+    def __init__(self, path: str | Path, line: int, complete: int, reason: str):
+        self.path = str(path)
+        self.line = line
+        self.complete = complete
+        super().__init__(
+            f"{self.path}: line {line} is not a complete JSON delta ({reason}); "
+            f"{complete} complete delta(s) precede it"
+        )
+
+
 class DeltaJournal:
     """An append-only log of deltas, replayable onto a fresh graph.
 
@@ -450,12 +471,21 @@ class DeltaJournal:
 
     @classmethod
     def load(cls, path: str | Path) -> "DeltaJournal":
+        """Read a saved journal; a torn or garbled line raises
+        :class:`JournalDecodeError`."""
         journal = cls()
         with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
+            for lineno, line in enumerate(handle, start=1):
                 line = line.strip()
-                if line:
-                    journal.append(GraphDelta.from_payload(json.loads(line)))
+                if not line:
+                    continue
+                try:
+                    payload = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise JournalDecodeError(
+                        path, lineno, len(journal), exc.msg
+                    ) from exc
+                journal.append(GraphDelta.from_payload(payload))
         return journal
 
     def replay(self, graph: BeliefGraph) -> BeliefGraph:

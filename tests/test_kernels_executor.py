@@ -31,8 +31,8 @@ CRIT = ConvergenceCriterion(threshold=1e-6, max_iterations=60)
 SCHEDULES = ("sync", "work_queue", "residual", "relaxed")
 
 
-def _graph(evidence: bool = False, seed: int = 42):
-    g = make_loopy_graph(seed=seed, n_nodes=40, n_edges=90, n_states=3)
+def _graph(evidence: bool = False, seed: int = 42, n_states: int = 3):
+    g = make_loopy_graph(seed=seed, n_nodes=40, n_edges=90, n_states=n_states)
     if evidence:
         observe(g, 3, 1)
         observe(g, 17, 0)
@@ -54,6 +54,24 @@ class TestParityGrid:
         ).run(_graph(evidence))
         assert got.iterations == ref.iterations
         assert got.converged == ref.converged
+        np.testing.assert_array_equal(got.beliefs, ref.beliefs)
+
+    @pytest.mark.parametrize("n_states", [2, 8, 9])
+    @pytest.mark.parametrize("paradigm", ["node", "edge"])
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_state_widths_bitwise(self, schedule, paradigm, n_states):
+        # with the 3-state grid above this covers widths {2, 3, 8, 9}:
+        # below, at and above numpy's 8-wide pairwise-summation block,
+        # which the compiled row sums must reproduce bit for bit
+        runs = [
+            LoopyBP(
+                paradigm=paradigm, schedule=schedule, criterion=CRIT,
+                executor=executor,
+            ).run(_graph(True, n_states=n_states))
+            for executor in ("interpreted", "compiled")
+        ]
+        ref, got = runs
+        assert got.iterations == ref.iterations
         np.testing.assert_array_equal(got.beliefs, ref.beliefs)
 
     @pytest.mark.parametrize("evidence", [False, True], ids=["free", "evidence"])

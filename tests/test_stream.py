@@ -34,6 +34,7 @@ from repro.stream import (
     GraphDelta,
     GrowableArray,
     IncrementalEngine,
+    JournalDecodeError,
     StreamingGraphBuilder,
     apply_delta,
     load_graph_stream,
@@ -399,6 +400,23 @@ class TestDeltaJournal:
         path = tmp_path / "empty.jsonl"
         DeltaJournal().save(path)
         assert len(DeltaJournal.load(path)) == 0
+
+    def test_torn_tail_raises_typed_error(self, tmp_path):
+        journal = DeltaJournal()
+        for node in range(3):
+            journal.append(GraphDelta().observe_node(node, 1))
+        path = tmp_path / "torn.jsonl"
+        journal.save(path)
+        text = path.read_text(encoding="utf-8")
+        # cut the last write off mid-record
+        path.write_text(text[: len(text) - 6], encoding="utf-8")
+        with pytest.raises(JournalDecodeError) as info:
+            DeltaJournal.load(path)
+        err = info.value
+        assert isinstance(err, ValueError)
+        assert (err.path, err.line, err.complete) == (str(path), 3, 2)
+        assert str(path) in str(err) and "line 3" in str(err)
+        assert "2 complete delta(s)" in str(err)
 
 
 # ---------------------------------------------------------------------------
