@@ -122,8 +122,8 @@ class Backend:
         ``schedule`` is any name :func:`repro.core.scheduler.make_schedule`
         accepts; ``executor`` is any name
         :func:`repro.kernels.executor.normalize_executor` accepts
-        (``None`` → interpreted); ``work_queue`` is the deprecated
-        boolean shim.
+        (``None`` → the :class:`LoopyConfig` default, compiled);
+        ``work_queue`` is the deprecated boolean shim.
         """
         raise NotImplementedError
 
@@ -142,6 +142,7 @@ class Backend:
         executor: str | None = None,
     ) -> LoopyConfig:
         crit = criterion or ConvergenceCriterion()
+        pinned = {"executor": executor} if executor else {}
         if work_queue is not None:
             # legacy path: LoopyConfig owns the deprecation warning
             return LoopyConfig(  # noqa: RPR303
@@ -149,14 +150,14 @@ class Backend:
                 update_rule=update_rule,
                 criterion=crit,
                 work_queue=work_queue,
-                executor=executor or "interpreted",
+                **pinned,
             )
         return LoopyConfig(
             paradigm=paradigm,
             update_rule=update_rule,
             criterion=crit,
             schedule=schedule or self.default_schedule,
-            executor=executor or "interpreted",
+            **pinned,
         )
 
     @staticmethod

@@ -57,11 +57,12 @@ class LoopyConfig:
     max-product for MAP queries (extension).
 
     ``executor`` selects how each sweep is carried out (DESIGN.md §13):
-    ``"interpreted"`` (default) dispatches the historical kernel
-    functions per call; ``"compiled"`` lowers the state once into fused
-    gather–scatter programs (:mod:`repro.kernels`) and runs full sweeps
-    on a natural-order fast path — bit-exact with the interpreted
-    executor, validated in the parity grid.
+    ``"compiled"`` (default) runs every sweep, full or partial, as one
+    fused gather–scatter program over the active set's edges
+    (:mod:`repro.kernels`); ``"interpreted"`` dispatches the historical
+    kernel functions per call and is kept as the pinned reference the
+    parity tests and ``credo profile --verify-parity`` compare against.
+    The two are bit-exact.
 
     ``batch_fraction``, ``relaxation`` and ``schedule_seed`` parameterize
     the priority schedules; the others ignore them.
@@ -83,7 +84,7 @@ class LoopyConfig:
     paradigm: str = "node"
     update_rule: str = "sum_product"
     semiring: str = "sum"
-    executor: str = "interpreted"
+    executor: str = "compiled"
     verify_kernels: bool = False
     criterion: ConvergenceCriterion = field(default_factory=ConvergenceCriterion)
     schedule: str = "work_queue"

@@ -210,7 +210,18 @@ class LoopyState:
         deltas = np.abs(new_msgs - old).sum(axis=1)
         new_logs = safe_log(new_msgs, TINY)
         log_delta = new_logs - self.log_messages[edge_ids]
-        dsts = self.dst[edge_ids]
+        self.scatter_log_delta(self.dst[edge_ids], log_delta)
+        self.messages[edge_ids] = new_msgs
+        self.log_messages[edge_ids] = new_logs
+        return deltas
+
+    def scatter_log_delta(self, dsts: np.ndarray, log_delta: np.ndarray) -> None:
+        """``log_msg_sum[dsts[i]] += log_delta[i]`` for every row i.
+
+        Each destination's float64 accumulation sees its rows in the
+        order given, whichever path runs: compacted destinations for a
+        small set, one ``bincount(minlength=n)`` per state otherwise.
+        """
         if self.node_slots.sparse(len(dsts)):
             rows, inv = self.node_slots.compact(dsts)
             if inv is None:
@@ -228,9 +239,6 @@ class LoopyState:
                 self.log_msg_sum[:, s] += np.bincount(
                     dsts, weights=log_delta[:, s], minlength=self.n
                 ).astype(_FLOAT)
-        self.messages[edge_ids] = new_msgs
-        self.log_messages[edge_ids] = new_logs
-        return deltas
 
     def gather_in_edges(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Edge ids entering each node of ``nodes``, concatenated, plus the

@@ -45,11 +45,6 @@ class SweepStats:
     reduction_elems: int = 0
     #: number of distinct kernel launches this sweep maps onto (GPU model)
     kernel_launches: int = 0
-    #: launches after executor-level fusion (gather + product + scatter +
-    #: combine in one program); 0 means "not fused" — the interpreted
-    #: executor never sets it, so cost models fall back to
-    #: ``kernel_launches``
-    fused_launches: int = 0
 
     def __iadd__(self, other: "SweepStats") -> "SweepStats":
         self.nodes_processed += other.nodes_processed
@@ -62,7 +57,6 @@ class SweepStats:
         self.queue_ops += other.queue_ops
         self.reduction_elems += other.reduction_elems
         self.kernel_launches += other.kernel_launches
-        self.fused_launches += other.fused_launches
         return self
 
     def __add__(self, other: "SweepStats") -> "SweepStats":
@@ -89,7 +83,6 @@ class SweepStats:
             "queue_ops": self.queue_ops,
             "reduction_elems": self.reduction_elems,
             "kernel_launches": self.kernel_launches,
-            "fused_launches": self.fused_launches,
         }
 
 

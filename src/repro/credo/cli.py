@@ -65,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("interpreted", "compiled", "auto"),
         help="sweep executor: interpreted kernels, fused compiled "
              "programs (bit-exact), or the selector's cost call "
-             "(default: interpreted)",
+             "(default: the selector's cost call)",
     )
     run.add_argument(
         "--layout", default=None,
@@ -109,7 +109,9 @@ def _build_parser() -> argparse.ArgumentParser:
     prof.add_argument("--staleness", type=int, default=None, metavar="K")
     prof.add_argument("--executor", default=None,
                       choices=("interpreted", "compiled", "auto"),
-                      help="sweep executor (default: interpreted)")
+                      help="sweep executor (default: the selector's "
+                           "cost call; --verify-parity's baseline is "
+                           "always interpreted)")
     prof.add_argument("--layout", default=None,
                       choices=("aos", "soa", "blocked", "auto"),
                       help="belief-store layout; 'auto' autotunes")
@@ -304,14 +306,14 @@ def _cmd_profile(args) -> int:
 
     baseline = None
     if args.verify_parity:
-        # the baseline deliberately stays on the interpreted executor so
-        # --executor compiled is checked against the reference semantics,
-        # not against itself
+        # the baseline is pinned to the interpreted executor so the
+        # profiled run (compiled unless --executor says otherwise) is
+        # checked against the reference semantics, not against itself
         baseline = credo.run(
             graph.copy(), backend=args.backend,
             shards=args.shards, partitioner=args.partitioner,
             policy=args.shard_policy, staleness=args.staleness,
-            layout=args.layout,
+            executor="interpreted", layout=args.layout,
         )
 
     tracer = Tracer()
@@ -362,7 +364,11 @@ def _cmd_profile(args) -> int:
                 file=sys.stderr,
             )
             return 1
-        print("parity: traced == untraced", file=sys.stderr)
+        print(
+            "parity: traced == untraced (baseline executor "
+            f"{baseline.detail.get('executor', 'interpreted')})",
+            file=sys.stderr,
+        )
     return 0
 
 

@@ -91,11 +91,12 @@ class ExecutionPlan:
     rounds, ``"async"`` for stale-synchronous ticks that consume halo
     snapshots up to ``staleness`` rounds old.
 
-    ``executor`` freezes *how* sweeps run (DESIGN.md §13): interpreted
-    per-call kernel dispatch or the compiled fused programs — bit-exact
-    either way, so this axis is pure cost.  ``layout`` freezes the
-    belief-store arrangement the plan's runs convert the graph to; the
-    selector fills it from the plan-time layout autotuner.
+    ``executor`` freezes *how* sweeps run (DESIGN.md §13): the compiled
+    fused programs (the default) or interpreted per-call kernel dispatch,
+    the pinned reference — bit-exact either way, so this axis is pure
+    cost.  ``layout`` freezes the belief-store arrangement the plan's
+    runs convert the graph to; the selector fills it from the plan-time
+    layout autotuner.
     """
 
     backend: str
@@ -104,7 +105,7 @@ class ExecutionPlan:
     partitioner: str | None = None
     policy: str = "sync"
     staleness: int = 0
-    executor: str = "interpreted"
+    executor: str = "compiled"
     layout: str = "aos"
 
     def __post_init__(self) -> None:
@@ -146,7 +147,7 @@ class ExecutionPlan:
             base = f"{base}@{self.shards}x{self.partitioner or 'bfs'}"
             if self.policy != "sync":
                 base = f"{base}+{self.policy}~{self.staleness}"
-        if self.executor != "interpreted":
+        if self.executor != "compiled":
             base = f"{base}!{self.executor}"
         if self.layout != "aos":
             base = f"{base}%{self.layout}"
@@ -429,8 +430,8 @@ class Credo:
         path); it is mutually exclusive with the other two.
         ``shards``/``partitioner``/``policy``/``staleness`` request
         shard-parallel execution (equivalent to planning with the same
-        values).  ``executor=`` pins the sweep executor — ``"auto"``
-        asks the selector, ``None`` keeps the interpreted default (plans
+        values).  ``executor=`` pins the sweep executor; ``None`` and
+        ``"auto"`` ask the selector, exactly as :meth:`plan` does (plans
         carry their own recorded choice); ``layout=`` converts the
         graph's belief storage for the run (``"auto"`` invokes the
         plan-time autotuner), with posteriors written back to the
@@ -490,7 +491,7 @@ class Credo:
                 f"unknown backend {base_name!r}; Credo dispatches "
                 f"{sorted(self._backends)}"
             ) from None
-        if executor == "auto":
+        if executor is None or executor == "auto":
             executor = self.selector.select_executor(target, base_name)
         if self.work_queue is not None and schedule is None and not qualifier:
             # legacy boolean flows to the backend, which warns via LoopyConfig

@@ -79,12 +79,9 @@ def launch_cost(
     vector); when omitted it is inferred from the stats' random traffic.
     """
     n_items = max(stats.nodes_processed, stats.edges_processed)
-    # A fused executor collapses a sweep's gather / product / scatter /
-    # combine programs into fewer launches; the stat is 0 unless the
-    # compiled executor ran, so interpreted runs are priced as before.
-    launches = max(
-        stats.fused_launches if stats.fused_launches else stats.kernel_launches, 1
-    )
+    # launches are those of the modeled CUDA kernels, whichever host
+    # executor produced the counts, so modeled time never depends on it
+    launches = max(stats.kernel_launches, 1)
     launch = launches * device.kernel_launch_seconds
 
     if random_access_bytes is None or random_access_bytes <= 0:

@@ -2,22 +2,21 @@
 
 Historically every sweep dispatched through the per-sweep kernel
 functions (:func:`repro.core.node_kernel.node_sweep`,
-:func:`repro.core.edge_kernel.edge_sweep`), recomputing the gather
-indices, reverse-edge masks and scratch arrays on every call.  This
-package lowers a ``(graph, schedule, paradigm)`` triple **once** into a
-small set of fused gather–scatter NumPy programs — message gather,
-log-space product, normalize, residual — cached on the executor object
-and reused across sweeps:
+:func:`repro.core.edge_kernel.edge_sweep`), one NumPy call per step and
+a fresh temporary per intermediate.  This package runs each sweep, full
+or partial, as one fused gather–scatter NumPy program over the swept
+edges — message gather, log-space product, normalize, residual,
+scatter, combine:
 
 :mod:`repro.kernels.executor`
     The :class:`SweepExecutor` protocol, the ``EXECUTORS`` registry and
-    the interpreted fallback (bit-exact, the reference semantics).
+    the interpreted executor (bit-exact, the pinned reference).
 
 :mod:`repro.kernels.compiled`
-    The compiled executor: plan-time lowering, full-sweep fast paths in
-    natural edge order, preallocated scratch buffers.  Validated
-    bit-exact against the interpreted executor (posteriors ≤ 1e-12;
-    see ``tests/test_kernels_executor.py``).
+    The compiled executor, the default: fused sweeps over any active
+    set, scratch sized by the sweep.  Validated bit-exact against the
+    interpreted executor (``tests/test_kernels_executor.py``,
+    ``tests/test_property_active_set.py``).
 
 :mod:`repro.kernels.layout`
     Belief-store layout as a first-class measured choice — the

@@ -1,41 +1,58 @@
-"""The compiled sweep executor: plan-time lowering, fused full sweeps.
+"""The compiled sweep executor: fused sweeps over any active set.
 
-Lowering happens once per :class:`~repro.core.state.LoopyState`: the
-reverse-edge pairing masks, the per-chunk dirty-destination sets and the
-large scratch buffers are computed up front, and every *full* sweep then
-runs a fused gather → log-product → normalize → scatter → combine
-program in **natural edge order** with zero per-sweep index
-construction.  Partial sweeps (a shrunken work queue, a priority batch)
-fall back to the interpreted kernel functions, which share every
-numerical routine with the fast path — so the two executors are
-bit-exact across all schedules by construction — and whose cost tracks
-the active set, not the graph (DESIGN.md §13.6).
+Lowering happens once per :class:`~repro.core.state.LoopyState` and is
+cheap: it records the state's dimensions and whether every edge has a
+reverse pair, and attaches the sweep's buffer-op IR (emitted and
+statically verified once per program shape).  Every sweep — full or
+partial, node or edge paradigm — then runs one fused program over an
+*edge range*::
 
-Why natural order is bit-exact
-------------------------------
+    gather source beliefs → cavity divide → normalize → apply potential
+    → normalize → [damp] → [residual] → log → store → scatter the log
+    delta → combine the touched rows
+
+An edge range is a slice of natural edge order when the sweep covers
+every element (no index array is built at all), and an index array
+otherwise:
+
+* a partial node sweep takes the active nodes' in-edges as ascending
+  edge ids — ``flatnonzero(mask[dst])`` for a large active set, the
+  CSR gather for a small one (:func:`repro.core.indexset.is_sparse`);
+* a partial edge sweep takes each chunk of the active edges as given,
+  exactly the chunks the interpreted kernel walks.
+
+Scratch is sized by the range, not held at ``(m, b)`` for the life of
+the plan: two ``(k, b)`` blocks per range, each reused for dead values
+in turn.  The source gather becomes the cavity, then the residual, then
+the new log messages; the back-message gather becomes the message, then
+the log delta.  The scatter reuses the state's slot-map compaction
+(:meth:`LoopyState.scatter_log_delta`), so a 7-edge chunk costs O(7).
+
+Why the result is bit-exact
+---------------------------
 The interpreted node sweep processes edges in destination-CSR order
-(``gather_in_edges(arange(n))`` returns exactly ``in_edge_ids``).  The
-only order-sensitive operation in the whole sweep is the per-destination
-float accumulation inside ``np.bincount`` (messages, potentials,
-normalization and the combine are all row-independent).  ``in_edge_ids``
-is produced by a *stable* argsort of ``dst``, so within each destination
-bin the edge ids ascend — which is exactly the order a natural
-(ascending edge id) traversal feeds ``bincount``.  Identical per-bin
-addition order ⇒ identical float64 partial sums ⇒ identical float32
-results.  Everything else is elementwise or row-wise, so dropping the
-CSR permutation changes no bits while eliminating four permuted
-``(m, b)`` copies, the ragged index build and the per-edge delta pass
-the node paradigm discards anyway.
+(``gather_in_edges``).  The only order-sensitive operation in the whole
+sweep is the per-destination float accumulation inside ``np.bincount``
+(messages, potentials, normalization and the combine are all
+row-independent).  ``in_edge_ids`` is produced by a *stable* argsort of
+``dst``, so within each destination the CSR walk feeds edge ids in
+ascending order — and so do a natural-order slice, ``flatnonzero`` of a
+mask and the CSR gather itself.  Identical per-bin addition order ⇒
+identical float64 partial sums ⇒ identical float32 results.  Everything
+else runs the same ufuncs in the same order through scratch; the row
+reductions reproduce NumPy's pairwise summation (:func:`_row_sum`).
+The node paradigm discards per-edge deltas, so its program skips them.
 """
 
 from __future__ import annotations
 
 import time
+from functools import lru_cache
 
 import numpy as np
 
-from repro.core.edge_kernel import edge_sweep
-from repro.core.node_kernel import node_sweep
+from repro.core import indexset
+from repro.core.edge_kernel import chunk_slices
 from repro.core.state import TINY, LoopyState
 from repro.core.sweepstats import SweepStats
 from repro.kernels.executor import SweepExecutor
@@ -54,6 +71,9 @@ __all__ = ["CompiledExecutor"]
 _FLOAT = np.float32
 _FSIZE = 4
 _ISIZE = 8
+
+#: rows per max-product block: bounds the ``(rows, b, b)`` temporary
+_MAX_BLOCK = 1 << 16
 
 #: numpy's pairwise summation adds fewer than 8 elements left to right and
 #: exactly 8 as the tree ((c0+c1)+(c2+c3))+((c4+c5)+(c6+c7)) (its eight
@@ -87,33 +107,20 @@ def _row_sum(mat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return acc
 
 
-def _row_max(mat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _row_max(mat: np.ndarray) -> np.ndarray:
     """Row maxima of ``(k, b)`` — max is exactly associative, so the
     column pass matches ``mat.max(axis=1)`` for any width."""
     b = mat.shape[1]
     if b == 1:
-        if out is None:
-            return mat[:, 0].copy()
-        out[...] = mat[:, 0]
-        return out
-    acc = np.maximum(mat[:, 0], mat[:, 1], out=out)
+        return mat[:, 0].copy()
+    acc = np.maximum(mat[:, 0], mat[:, 1])
     for s in range(2, b):
         np.maximum(acc, mat[:, s], out=acc)
     return acc
 
 
-def _row_abs_diff_sum(
-    a: np.ndarray, b_: np.ndarray, diff: np.ndarray, total: np.ndarray
-) -> np.ndarray:
-    """``np.abs(a - b_).sum(axis=1)`` through scratch, bit-identical for
-    widths up to the pairwise block (wider falls back to the reduce)."""
-    np.subtract(a, b_, out=diff)
-    np.abs(diff, out=diff)
-    return _row_sum(diff, out=total)
-
-
-def _normalize_fast(mat: np.ndarray, total: np.ndarray) -> np.ndarray:
-    """In-place :func:`normalize_rows` with a scratch row-sum buffer.
+def _normalize_fast(mat: np.ndarray, total: np.ndarray | None = None) -> np.ndarray:
+    """In-place :func:`normalize_rows`, optionally through a row-sum buffer.
 
     Same semantics bit for bit: all-zero rows become uniform, everything
     divides by its row total.
@@ -127,263 +134,276 @@ def _normalize_fast(mat: np.ndarray, total: np.ndarray) -> np.ndarray:
     return mat
 
 
-class _EdgeChunk:
-    """One lowered chunk of the full-edge program (static per state)."""
+def _rows(arr: np.ndarray, sel, out: np.ndarray | None = None) -> np.ndarray:
+    """Rows ``sel`` of ``arr``: a view for a slice, else gathered (into
+    ``out`` when given).
 
-    __slots__ = ("lo", "hi", "all_paired", "paired_idx", "rev_ids", "dirty")
+    Gathers run ``ndarray.take(mode="wrap")``: the default mode
+    bounds-checks and buffers ``out=``, 4.2 vs 2.4 ms for 800k rows.
+    Every index reaching a gather is the state's own (edge ends, reverse
+    ids, in-edges) or an active set a fancy index has already checked,
+    and wrapping keeps a negative index's Python meaning.
+    """
+    if isinstance(sel, slice):
+        return arr[sel]
+    return arr.take(sel, axis=0, out=out, mode="wrap")
 
-    def __init__(self, state: LoopyState, lo: int, hi: int):
-        self.lo = lo
-        self.hi = hi
-        rev = state.rev[lo:hi]
-        paired = rev >= 0
-        self.all_paired = bool(paired.all())
-        self.paired_idx = None if self.all_paired else np.flatnonzero(paired)
-        self.rev_ids = rev if self.all_paired else rev[self.paired_idx]
-        mask = np.zeros(state.n, dtype=bool)
-        mask[state.dst[lo:hi]] = True
-        mask &= state.free_mask
-        self.dirty = np.flatnonzero(mask)
+
+def _set_rows(arr: np.ndarray, sel, rows: np.ndarray) -> None:
+    """``arr[sel] = rows`` for a C-contiguous ``(n, b)`` state array.
+
+    An index array stores each row as one opaque record, a 1-D fancy
+    store: 1.5 vs 13 ms for 700k rows at b = 2, about 2× at b = 8.
+    Subclasses (the race detector's tracked views) keep their own
+    ``__setitem__``.
+    """
+    if isinstance(sel, slice) or type(arr) is not np.ndarray:
+        arr[sel] = rows
+        return
+    record = np.dtype((np.void, arr.itemsize * arr.shape[1]))
+    arr.view(record).reshape(-1)[sel] = np.ascontiguousarray(rows).view(record).reshape(-1)
+
+
+#: a sweep reuses the previous sweep's blocks while they hold at most
+#: this many times the rows it needs, and reallocates otherwise.  Fresh
+#: blocks on every sweep cost a page fault per 4 KiB: 97,569 faults and
+#: 800 vs 570 ms for a 160×160×8-state c-node:sync solve (41 full
+#: sweeps; 2-core Xeon VM).  Dropping blocks once the active set shrinks
+#: keeps a converged run from holding (m, b) scratch.
+_SCRATCH_SLACK = 4
+
+
+def _range_scratch(k: int, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The buffers one edge range runs through: two ``(k, b)`` blocks and
+    a row-sum vector (see the module docstring for their roles)."""
+    return (
+        np.empty((k, b), dtype=_FLOAT),
+        np.empty((k, b), dtype=_FLOAT),
+        np.empty(k, dtype=_FLOAT),
+    )
+
+
+def _combine(state: LoopyState, nodes) -> np.ndarray:
+    """New beliefs of rows ``nodes`` (slice or index array), bitwise
+    :meth:`LoopyState.combine_nodes` with gathers and column passes."""
+    if isinstance(nodes, slice):
+        logits = np.add(state.log_priors[nodes], state.log_msg_sum[nodes])
+    else:
+        logits = _rows(state.log_priors, nodes)
+        logits += _rows(state.log_msg_sum, nodes)
+    logits -= _row_max(logits)[:, None]
+    np.exp(logits, out=logits)
+    return _normalize_fast(logits)
+
+
+def _covers(active: np.ndarray, total: int) -> bool:
+    """Is ``active`` exactly ``arange(total)``?"""
+    return (
+        len(active) == total
+        and bool(active[0] == 0)
+        and bool(active[-1] == total - 1)
+        and bool(np.array_equal(active, np.arange(total)))
+    )
+
+
+# ----------------------------------------------------------------------
+#: the edge-range program both paradigms share: ``source`` / ``diff`` /
+#: ``log_new`` are one block, ``back`` / ``raw`` / ``log_delta`` the other
+_RANGE_ALIASES = (("source", "diff", "log_new"), ("back", "raw", "log_delta"))
+
+
+@lru_cache(maxsize=64)
+def _lowered_program(paradigm: str, per_edge_potentials: bool, chunks: int) -> KernelProgram:
+    """The sweep as buffer-op IR (see :mod:`repro.kernels.ir`), verified.
+
+    One program per paradigm covers full and partial sweeps alike: the
+    first op selects the edge range (all edges, the active nodes'
+    in-edges, or one chunk of the active edges) and every later op runs
+    over it, mirroring the exact op order of the fast path below.
+    Memoized per program shape, so a plan pays for the static check
+    once per process, not once per lowering.
+    """
+    pot_shape = ("m", "b", "b") if per_edge_potentials else ("b", "b")
+    buffers = [
+        BufferSpec("beliefs", ("n", "b"), "float32", "state"),
+        BufferSpec("messages", ("m", "b"), "float32", "state"),
+        BufferSpec("log_messages", ("m", "b"), "float32", "state"),
+        BufferSpec("log_msg_sum", ("n", "b"), "float32", "state"),
+        BufferSpec("log_priors", ("n", "b"), "float32", "state"),
+        BufferSpec("potentials", pot_shape, "float32", "state"),
+        BufferSpec("src", ("m",), "int64", "state"),
+        BufferSpec("dst", ("m",), "int64", "state"),
+        BufferSpec("rev", ("m",), "int64", "state"),
+        BufferSpec("free_mask", ("n",), "bool", "state"),
+        # the schedule's active nodes or edges
+        BufferSpec("active", ("?",), "int64", "state"),
+        # k edges in the range (scratch blocks kept between sweeps that
+        # fit), r rows combined
+        BufferSpec("edge_ids", ("k",), "int64", "local"),
+        BufferSpec("source", ("k", "b"), "float32", "scratch"),
+        BufferSpec("back", ("k", "b"), "float32", "scratch"),
+        BufferSpec("raw", ("k", "b"), "float32", "scratch"),
+        BufferSpec("log_new", ("k", "b"), "float32", "scratch"),
+        BufferSpec("log_delta", ("k", "b"), "float32", "scratch"),
+        BufferSpec("edge_total", ("k",), "float32", "scratch"),
+        BufferSpec("logits", ("r", "b"), "float32", "local"),
+        BufferSpec("node_rowbuf", ("r",), "float32", "local"),
+        BufferSpec("node_total", ("r",), "float32", "local"),
+    ]
+    message_ops = [
+        BufferOp("gather_source", reads=("beliefs", "src", "edge_ids"), writes=("source",)),
+        BufferOp("gather_back", reads=("messages", "rev", "edge_ids"), writes=("back",)),
+        BufferOp("clamp_back", reads=("back",), writes=("back",), inplace_ok=True),
+        BufferOp(
+            "cavity_divide", reads=("source", "back"), writes=("source",), inplace_ok=True
+        ),
+        BufferOp(
+            "normalize_cavity",
+            reads=("source",),
+            writes=("source", "edge_total"),
+            inplace_ok=True,
+        ),
+        # the back messages are dead: the new messages take their block
+        BufferOp(
+            "apply_potential", reads=("source", "potentials", "edge_ids"), writes=("raw",)
+        ),
+        BufferOp(
+            "normalize_messages", reads=("raw",), writes=("raw", "edge_total"), inplace_ok=True
+        ),
+        BufferOp(
+            "damp", reads=("raw", "messages", "edge_ids"), writes=("raw",), inplace_ok=True
+        ),
+    ]
+    residual_ops = []
+    if paradigm == "edge":
+        # the cavity is dead: its block holds |new - old| per entry
+        buffers.append(BufferSpec("diff", ("k", "b"), "float32", "scratch"))
+        buffers.append(BufferSpec("edge_deltas", ("k",), "float32", "local"))
+        residual_ops.append(BufferOp(
+            "edge_residuals",
+            reads=("raw", "messages", "edge_ids"),
+            writes=("diff", "edge_deltas"),
+        ))
+    store_ops = [
+        BufferOp("log_messages_new", reads=("raw",), writes=("log_new",)),
+        BufferOp("store_messages", reads=("raw", "edge_ids"), writes=("messages",)),
+        # the new messages are stored: their block holds the log delta
+        BufferOp(
+            "log_delta", reads=("log_new", "log_messages", "edge_ids"), writes=("log_delta",)
+        ),
+        BufferOp(
+            "scatter_accumulate",
+            reads=("log_delta", "dst", "edge_ids", "log_msg_sum"),
+            writes=("log_msg_sum",),
+            inplace_ok=True,
+        ),
+        BufferOp("store_log_messages", reads=("log_new", "edge_ids"), writes=("log_messages",)),
+    ]
+    combine_ops = [
+        BufferOp(
+            "shift_rowmax", reads=("logits",), writes=("logits", "node_rowbuf"), inplace_ok=True
+        ),
+        BufferOp(
+            "exp_normalize", reads=("logits",), writes=("logits", "node_total"), inplace_ok=True
+        ),
+    ]
+    if paradigm == "node":
+        buffers += [
+            BufferSpec("in_offsets", ("?",), "int64", "state"),
+            BufferSpec("in_edge_ids", ("m",), "int64", "state"),
+            BufferSpec("old", ("r", "b"), "float32", "local"),
+            BufferSpec("node_deltas", ("r",), "float32", "local"),
+        ]
+        ops = (
+            # all edges (a slice), flatnonzero(mask[dst]) or the CSR gather
+            BufferOp(
+                "select_in_edges",
+                reads=("active", "in_offsets", "in_edge_ids", "dst"),
+                writes=("edge_ids",),
+            ),
+            *message_ops,
+            *store_ops,
+            BufferOp(
+                "gather_logits", reads=("log_priors", "log_msg_sum", "active"), writes=("logits",)
+            ),
+            *combine_ops,
+            BufferOp("gather_old", reads=("beliefs", "active"), writes=("old",)),
+            BufferOp(
+                "restore_observed", reads=("old", "free_mask", "active"), writes=("logits",)
+            ),
+            BufferOp("belief_delta", reads=("logits", "old"), writes=("old",), inplace_ok=True),
+            BufferOp("reduce_delta", reads=("old",), writes=("node_deltas",)),
+            BufferOp("writeback_beliefs", reads=("logits", "active"), writes=("beliefs",)),
+        )
+        name = "node_sweep"
+    else:
+        buffers.append(BufferSpec("dirty_nodes", ("r",), "int64", "local"))
+        ops = (
+            # one chunk of the active edges (a slice when they are all edges)
+            BufferOp("select_chunk", reads=("active",), writes=("edge_ids",)),
+            *message_ops,
+            *residual_ops,
+            *store_ops,
+            BufferOp(
+                "dirty_rows", reads=("dst", "edge_ids", "free_mask"), writes=("dirty_nodes",)
+            ),
+            BufferOp(
+                "gather_logits",
+                reads=("log_priors", "log_msg_sum", "dirty_nodes"),
+                writes=("logits",),
+            ),
+            *combine_ops,
+            BufferOp("scatter_beliefs", reads=("logits", "dirty_nodes"), writes=("beliefs",)),
+        )
+        name = "edge_chunked_sweep"
+    declared = {spec.name for spec in buffers}
+    aliases = tuple(
+        tuple(name for name in group if name in declared) for group in _RANGE_ALIASES
+    )
+    program = KernelProgram(
+        name=name,
+        buffers=tuple(buffers),
+        ops=ops,
+        aliases=aliases,
+        outputs=("beliefs", "messages", "log_messages", "log_msg_sum"),
+        meta={"paradigm": paradigm, "chunks": chunks if paradigm == "edge" else 1},
+    )
+    verify_program(program)
+    return program
 
 
 class CompiledExecutor(SweepExecutor):
-    """Fused gather–scatter executor, lowered once per state."""
+    """Fused gather–scatter executor over any active set."""
 
     name = "compiled"
 
     def __init__(self, state: LoopyState, *, paradigm: str = "node", chunks: int = 8):
         start = time.perf_counter()
-        self.paradigm = paradigm
-        n, m, b = state.n, state.m, state.b
-
-        # -- shared lowering ------------------------------------------------
-        rev = state.rev
-        paired = rev >= 0
-        self._all_paired = bool(paired.all()) if m else False
-        self._any_paired = bool(paired.any()) if m else False
-        self._paired_idx = (
-            None if self._all_paired else np.flatnonzero(paired)
-        )
-        self._rev_paired = (
-            rev if self._all_paired else rev[self._paired_idx]
-        )
-        self._not_free = np.flatnonzero(~state.free_mask)
-        self._has_observed = bool(len(self._not_free))
-        self._all_nodes = np.arange(n, dtype=np.int64)
-        self._all_edges = np.arange(m, dtype=np.int64)
-
-        # -- scratch buffers (the lowered program never allocates (m, b)
-        #    or (n, b) temporaries per sweep) --------------------------------
-        self._raw = np.empty((m, b), dtype=_FLOAT)
-        self._log_new = np.empty((m, b), dtype=_FLOAT)
-        self._log_delta = np.empty((m, b), dtype=_FLOAT)
-        self._logits = np.empty((n, b), dtype=_FLOAT)
-        self._logits2 = np.empty((n, b), dtype=_FLOAT)
-        self._source = np.empty((m, b), dtype=_FLOAT)
-        self._back = np.empty((m, b), dtype=_FLOAT)
-        self._edge_total = np.empty(m, dtype=_FLOAT)
-        self._node_total = np.empty(n, dtype=_FLOAT)
-        self._node_rowbuf = np.empty(n, dtype=_FLOAT)
-
-        # -- edge-paradigm lowering: chunk boundaries + dirty sets ---------
-        self._chunks = max(1, min(chunks, m)) if m else 1
-        self._edge_chunks: list[_EdgeChunk] = []
-        self._touched_full = np.empty(0, dtype=np.int64)
-        if paradigm == "edge" and m:
-            bounds = np.linspace(0, m, self._chunks + 1, dtype=np.int64)
-            touched = np.zeros(n, dtype=bool)
-            for k in range(self._chunks):
-                chunk = _EdgeChunk(state, int(bounds[k]), int(bounds[k + 1]))
-                self._edge_chunks.append(chunk)
-                if len(chunk.dirty):
-                    touched[chunk.dirty] = True
-            self._touched_full = np.flatnonzero(touched)
-
-        # -- buffer-op IR: describe the lowered program and verify it
-        #    statically before the first sweep runs --------------------------
-        self.programs = self._emit_programs(state)
-        for program in self.programs.values():
-            verify_program(program)
-
+        self._dims = (state.n, state.m, state.b)
+        self._blocks: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._all_paired = bool((state.rev >= 0).all()) if state.m else False
+        self.programs = {
+            paradigm: _lowered_program(
+                paradigm, not state.shared_potential, max(1, min(chunks, state.m))
+            )
+        }
         self.build_seconds = time.perf_counter() - start
         get_metrics().histogram("kernel.build_s").record(self.build_seconds)
-
-    # ------------------------------------------------------------------
-    def _emit_programs(self, state: LoopyState) -> dict[str, KernelProgram]:
-        """The lowered sweep as buffer-op IR (see :mod:`repro.kernels.ir`).
-
-        One program per lowered paradigm, mirroring the exact op order of
-        the fast path below; :func:`~repro.kernels.ir.verify_program`
-        checks it at plan time and :meth:`verify_buffers` re-checks the
-        live arrays on demand.
-        """
-        pot_shape = ("b", "b") if state.shared_potential else ("m", "b", "b")
-        buffers = [
-            BufferSpec("beliefs", ("n", "b"), "float32", "state"),
-            BufferSpec("messages", ("m", "b"), "float32", "state"),
-            BufferSpec("log_messages", ("m", "b"), "float32", "state"),
-            BufferSpec("log_msg_sum", ("n", "b"), "float32", "state"),
-            BufferSpec("log_priors", ("n", "b"), "float32", "state"),
-            BufferSpec("potentials", pot_shape, "float32", "state"),
-            BufferSpec("src", ("m",), "int64", "state"),
-            BufferSpec("dst", ("m",), "int64", "state"),
-            BufferSpec("rev", ("m",), "int64", "state"),
-            BufferSpec("raw", ("m", "b"), "float32", "scratch"),
-            BufferSpec("log_new", ("m", "b"), "float32", "scratch"),
-            BufferSpec("log_delta", ("m", "b"), "float32", "scratch"),
-            BufferSpec("logits", ("n", "b"), "float32", "scratch"),
-            BufferSpec("logits2", ("n", "b"), "float32", "scratch"),
-            BufferSpec("source", ("m", "b"), "float32", "scratch"),
-            BufferSpec("back", ("m", "b"), "float32", "scratch"),
-            BufferSpec("edge_total", ("m",), "float32", "scratch"),
-            BufferSpec("node_total", ("n",), "float32", "scratch"),
-            BufferSpec("node_rowbuf", ("n",), "float32", "scratch"),
-        ]
-        message_ops = [
-            BufferOp("gather_source", reads=("beliefs", "src"), writes=("source",)),
-            BufferOp("gather_back", reads=("messages", "rev"), writes=("back",)),
-            BufferOp("clamp_back", reads=("back",), writes=("back",), inplace_ok=True),
-            BufferOp(
-                "cavity_divide",
-                reads=("source", "back"),
-                writes=("source",),
-                inplace_ok=True,
-            ),
-            BufferOp(
-                "normalize_cavity",
-                reads=("source",),
-                writes=("source", "edge_total"),
-                inplace_ok=True,
-            ),
-            BufferOp(
-                "apply_potential", reads=("source", "potentials"), writes=("raw",)
-            ),
-            BufferOp(
-                "normalize_messages",
-                reads=("raw",),
-                writes=("raw", "edge_total"),
-                inplace_ok=True,
-            ),
-            BufferOp(
-                "damp", reads=("raw", "messages"), writes=("raw",), inplace_ok=True
-            ),
-        ]
-        scatter_ops = [
-            BufferOp("log_messages_new", reads=("raw",), writes=("log_new",)),
-            BufferOp(
-                "log_delta", reads=("log_new", "log_messages"), writes=("log_delta",)
-            ),
-            BufferOp(
-                "scatter_accumulate",
-                reads=("log_delta", "dst", "log_msg_sum"),
-                writes=("log_msg_sum",),
-                inplace_ok=True,
-            ),
-            BufferOp("store_messages", reads=("raw",), writes=("messages",)),
-            BufferOp("store_log_messages", reads=("log_new",), writes=("log_messages",)),
-        ]
-        if self.paradigm == "node":
-            ops = (
-                *message_ops,
-                *scatter_ops,
-                BufferOp(
-                    "combine_logits",
-                    reads=("log_priors", "log_msg_sum"),
-                    writes=("logits",),
-                ),
-                BufferOp(
-                    "shift_rowmax",
-                    reads=("logits",),
-                    writes=("logits", "node_rowbuf"),
-                    inplace_ok=True,
-                ),
-                BufferOp(
-                    "exp_normalize",
-                    reads=("logits",),
-                    writes=("logits", "node_total"),
-                    inplace_ok=True,
-                ),
-                BufferOp("restore_observed", reads=("beliefs",), writes=("logits",)),
-                # old beliefs double as the diff scratch: elementwise, so
-                # reading beliefs while writing beliefs is declared in-place
-                BufferOp(
-                    "belief_delta",
-                    reads=("logits", "beliefs"),
-                    writes=("beliefs",),
-                    inplace_ok=True,
-                ),
-                BufferOp("reduce_delta", reads=("beliefs",), writes=("node_deltas",)),
-                BufferOp("writeback_beliefs", reads=("logits",), writes=("beliefs",)),
-            )
-            buffers.append(BufferSpec("node_deltas", ("n",), "float32", "local"))
-            program = KernelProgram(
-                name="node_full_sweep",
-                buffers=tuple(buffers),
-                ops=ops,
-                outputs=("beliefs", "messages", "log_messages", "log_msg_sum"),
-                meta={"paradigm": "node", "chunks": 1},
-            )
-            return {"node": program}
-        # edge paradigm: per-chunk message + scatter, residuals through the
-        # dead back-gather scratch, then the dirty-row combine
-        ops = (
-            *message_ops,
-            BufferOp(
-                "edge_residuals",
-                reads=("raw", "messages"),
-                writes=("back", "edge_deltas"),
-            ),
-            *scatter_ops,
-            BufferOp(
-                "gather_priors", reads=("log_priors", "dirty_nodes"), writes=("logits",)
-            ),
-            BufferOp(
-                "gather_msg_sum",
-                reads=("log_msg_sum", "dirty_nodes"),
-                writes=("logits2",),
-            ),
-            BufferOp(
-                "add_logits",
-                reads=("logits", "logits2"),
-                writes=("logits",),
-                inplace_ok=True,
-            ),
-            BufferOp(
-                "shift_rowmax",
-                reads=("logits",),
-                writes=("logits", "node_rowbuf"),
-                inplace_ok=True,
-            ),
-            BufferOp(
-                "exp_normalize",
-                reads=("logits",),
-                writes=("logits", "node_total"),
-                inplace_ok=True,
-            ),
-            BufferOp(
-                "scatter_beliefs", reads=("logits", "dirty_nodes"), writes=("beliefs",)
-            ),
-        )
-        buffers.append(BufferSpec("edge_deltas", ("m",), "float32", "local"))
-        # chunk dirty sets are lowered at plan time, so the program reads
-        # them like state: initialized before the first op runs
-        buffers.append(BufferSpec("dirty_nodes", ("?",), "int64", "state"))
-        program = KernelProgram(
-            name="edge_chunked_sweep",
-            buffers=tuple(buffers),
-            ops=ops,
-            outputs=("beliefs", "messages", "log_messages", "log_msg_sum"),
-            meta={"paradigm": "edge", "chunks": self._chunks},
-        )
-        return {"edge": program}
 
     # ------------------------------------------------------------------
     def verify_buffers(self, state: LoopyState) -> int:
         """Runtime IR check: live arrays vs the declared programs.
 
-        Raises :class:`~repro.kernels.ir.KernelVerificationError` on any
-        shape/dtype/alias mismatch; returns the number of buffers checked.
+        The state's arrays are checked as they are; the per-range blocks
+        are allocated as a full sweep of the lowered state would
+        allocate them, role by role, so the declared alias structure is
+        checked against real memory.  Raises
+        :class:`~repro.kernels.ir.KernelVerificationError` on any
+        shape/dtype/alias mismatch; returns the number of buffers
+        checked.
         """
+        _, m, b = self._dims
+        block_a, block_b, total = _range_scratch(m, b)
         arrays = {
             "beliefs": state.beliefs,
             "messages": state.messages,
@@ -394,242 +414,198 @@ class CompiledExecutor(SweepExecutor):
             "src": state.src,
             "dst": state.dst,
             "rev": state.rev,
-            "raw": self._raw,
-            "log_new": self._log_new,
-            "log_delta": self._log_delta,
-            "logits": self._logits,
-            "logits2": self._logits2,
-            "source": self._source,
-            "back": self._back,
-            "edge_total": self._edge_total,
-            "node_total": self._node_total,
-            "node_rowbuf": self._node_rowbuf,
+            "free_mask": state.free_mask,
+            "in_offsets": state.in_offsets,
+            "in_edge_ids": state.in_edge_ids,
+            "source": block_a,
+            "diff": block_a,
+            "log_new": block_a,
+            "back": block_b,
+            "raw": block_b,
+            "log_delta": block_b,
+            "edge_total": total,
         }
-        dims = {"n": state.n, "m": state.m, "b": state.b}
+        dims = {"n": state.n, "m": state.m, "b": state.b, "k": state.m}
+        checked = 0
         for program in self.programs.values():
-            problems = check_buffers(program, arrays, dims)
+            live = {k: v for k, v in arrays.items() if program.spec(k) is not None}
+            problems = check_buffers(program, live, dims)
             if problems:
                 raise KernelVerificationError(program.name, problems)
-        return len(arrays)
+            checked += len(live)
+        return checked
 
     # ------------------------------------------------------------------
-    def _is_full_nodes(self, active: np.ndarray) -> bool:
-        n = len(self._all_nodes)
-        return (
-            n > 0
-            and len(active) == n
-            and bool(active[0] == 0)
-            and bool(active[-1] == n - 1)
-            and bool(np.array_equal(active, self._all_nodes))
-        )
+    def _scratch(self, k: int, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``_range_scratch(k, b)``, reusing the last blocks that fit."""
+        blocks = self._blocks
+        if blocks is None or blocks[0].shape[1] != b or not (
+            k <= len(blocks[2]) <= _SCRATCH_SLACK * k
+        ):
+            blocks = self._blocks = _range_scratch(k, b)
+        return blocks[0][:k], blocks[1][:k], blocks[2][:k]
 
-    def _is_full_edges(self, active: np.ndarray) -> bool:
-        m = len(self._all_edges)
-        return (
-            m > 0
-            and len(active) == m
-            and bool(active[0] == 0)
-            and bool(active[-1] == m - 1)
-            and bool(np.array_equal(active, self._all_edges))
-        )
-
-    # ------------------------------------------------------------------
-    def _messages_natural(
+    def _sweep_range(
         self,
         state: LoopyState,
-        lo: int,
-        hi: int,
+        edges,
         *,
         update_rule: str,
         semiring: str,
-        all_paired: bool,
-        paired_idx: np.ndarray | None,
-        rev_ids: np.ndarray,
-    ) -> np.ndarray:
-        """Messages for the contiguous edge range ``[lo, hi)`` in natural
-        order — the fused equivalent of ``cavity_messages`` /
-        ``propagate_messages`` on an ``arange`` slice."""
-        source = np.take(
-            state.beliefs, state.src[lo:hi], axis=0, out=self._source[lo:hi]
-        )
-        total = self._edge_total[lo:hi]
+        damping: float,
+        edge_deltas: np.ndarray | None = None,
+    ) -> None:
+        """Recompute and store the messages of the edge range ``edges``
+        (a slice or an index array): :meth:`LoopyState.cavity_messages`
+        / ``propagate_messages``, damping and
+        :meth:`LoopyState.store_messages` fused through two blocks.
+        Writes per-edge residuals into ``edge_deltas`` when given."""
+        k = (edges.stop - edges.start) if isinstance(edges, slice) else len(edges)
+        # two blocks, one name each, through every role they play:
+        # cav  — source beliefs → cavity → residual → new log messages
+        # msg  — back messages → new messages → log delta
+        cav, msg, total = self._scratch(k, state.b)
+        _rows(state.beliefs, state.src[edges], out=cav)
         if update_rule == "sum_product":
-            if all_paired:
-                back = np.take(
-                    state.messages, rev_ids, axis=0, out=self._back[lo:hi]
-                )
-                np.maximum(back, TINY, out=back)
-                np.divide(source, back, out=source)
-                source = _normalize_fast(source, total)
-            elif paired_idx is not None and len(paired_idx):
-                back = np.maximum(state.messages[rev_ids], TINY)
-                source[paired_idx] = source[paired_idx] / back
-                source = _normalize_fast(source, total)
+            rev = state.rev[edges]
+            if self._all_paired:
+                _rows(state.messages, rev, out=msg)
+                back = np.maximum(msg, TINY, out=msg)
+                np.divide(cav, back, out=cav)
+                _normalize_fast(cav, total)
+            else:
+                paired = np.flatnonzero(rev >= 0)
+                if len(paired):
+                    back = np.maximum(state.messages[rev[paired]], TINY)
+                    cav[paired] = cav[paired] / back
+                    _normalize_fast(cav, total)
         elif update_rule != "broadcast":
             raise ValueError(f"unknown update_rule {update_rule!r}")
-        raw = self._apply_potential(state, source, lo, hi, semiring)
-        return _normalize_fast(raw, total)
 
+        self._apply_potential(state, cav, edges, semiring, out=msg)
+        _normalize_fast(msg, total)
+        if damping > 0.0:
+            msg *= 1.0 - damping
+            msg += damping * _rows(state.messages, edges)
+        if edge_deltas is not None:
+            np.subtract(msg, _rows(state.messages, edges, out=cav), out=cav)
+            np.abs(cav, out=cav)
+            _row_sum(cav, out=edge_deltas)
+
+        np.log(np.maximum(msg, TINY, out=cav), out=cav)
+        _set_rows(state.messages, edges, msg)
+        np.subtract(cav, _rows(state.log_messages, edges, out=msg), out=msg)
+        state.scatter_log_delta(state.dst[edges], msg)
+        _set_rows(state.log_messages, edges, cav)
+
+    @staticmethod
     def _apply_potential(
-        self, state: LoopyState, source: np.ndarray, lo: int, hi: int, semiring: str
+        state: LoopyState, source: np.ndarray, edges, semiring: str, out: np.ndarray
     ) -> np.ndarray:
-        """``raw_e[c] = ⊕_b source_e[b] · J_e[b, c]`` over ``[lo, hi)``."""
-        out = self._raw[lo:hi]
+        """``out_e[c] = ⊕_b source_e[b] · J_e[b, c]`` over the range."""
         if semiring == "sum":
             if state.shared_potential:
-                np.matmul(source, state.potentials, out=out)
-            else:
-                np.einsum(
-                    "eb,ebc->ec", source, state.potentials[lo:hi], out=out
-                )
-            return out
+                return np.matmul(source, state.potentials, out=out)
+            return np.einsum("eb,ebc->ec", source, _rows(state.potentials, edges), out=out)
         if semiring != "max":
             raise ValueError(f"unknown semiring {semiring!r}")
-        step = max(1, 1 << 16)
-        for s in range(0, hi - lo, step):
-            e = min(s + step, hi - lo)
-            mats = (
-                state.potentials
-                if state.shared_potential
-                else state.potentials[lo + s : lo + e]
-            )
-            out[s:e] = (source[s:e, :, None] * mats).max(axis=1)
+        mats = state.potentials if state.shared_potential else _rows(state.potentials, edges)
+        for lo in range(0, len(source), _MAX_BLOCK):
+            hi = min(lo + _MAX_BLOCK, len(source))
+            block = mats if state.shared_potential else mats[lo:hi]
+            out[lo:hi] = (source[lo:hi, :, None] * block).max(axis=1)
         return out
-
-    def _scatter_log_delta(
-        self, state: LoopyState, lo: int, hi: int, msgs: np.ndarray
-    ) -> None:
-        """The fused ``store_messages`` scatter for ``[lo, hi)`` in natural
-        order: log, delta, per-destination accumulate, write-back."""
-        new_logs = self._log_new[lo:hi]
-        np.log(np.maximum(msgs, TINY, out=new_logs), out=new_logs)
-        log_delta = np.subtract(
-            new_logs, state.log_messages[lo:hi], out=self._log_delta[lo:hi]
-        )
-        dsts = state.dst[lo:hi]
-        for s in range(state.b):
-            state.log_msg_sum[:, s] += np.bincount(
-                dsts, weights=log_delta[:, s], minlength=state.n
-            ).astype(_FLOAT)
-        state.messages[lo:hi] = msgs
-        state.log_messages[lo:hi] = new_logs
-
-    def _combine_rows(self, state: LoopyState, nodes: np.ndarray) -> None:
-        """``state.beliefs[nodes] = state.combine_nodes(nodes)`` through
-        scratch — same op order as :meth:`LoopyState.combine_nodes`, so
-        bitwise identical, but with ``np.take`` gathers instead of fancy
-        indexing and column-loop reductions instead of axis-1 reduces."""
-        k = len(nodes)
-        logits = np.take(state.log_priors, nodes, axis=0, out=self._logits[:k])
-        logits += np.take(
-            state.log_msg_sum, nodes, axis=0, out=self._logits2[:k]
-        )
-        logits -= _row_max(logits, out=self._node_rowbuf[:k])[:, None]
-        out = np.exp(logits, out=logits)
-        _normalize_fast(out, self._node_total[:k])
-        state.beliefs[nodes] = out
 
     # ------------------------------------------------------------------
     def node_sweep(self, state, active_nodes, *, update_rule="sum_product",
                    semiring="sum", damping=0.0):
-        if self.paradigm != "node" or not self._is_full_nodes(active_nodes):
-            return node_sweep(
-                state, active_nodes,
+        stats = SweepStats()
+        n_active = len(active_nodes)
+        if n_active == 0:
+            return np.empty(0, dtype=np.float32), stats
+        n, b = state.n, state.b
+
+        if _covers(active_nodes, n):
+            nodes, edges, n_edges = slice(None), slice(0, state.m), state.m
+        else:
+            nodes = active_nodes
+            if indexset.is_sparse(n_active, n):
+                edges = state.gather_in_edges(active_nodes)[0]
+            else:
+                mask = np.zeros(n, dtype=bool)
+                mask[active_nodes] = True
+                edges = np.flatnonzero(mask[state.dst])
+            n_edges = len(edges)
+        if n_edges:
+            self._sweep_range(
+                state, edges,
                 update_rule=update_rule, semiring=semiring, damping=damping,
             )
-        stats = SweepStats()
-        n, m, b = state.n, state.m, state.b
 
-        if m:
-            msgs = self._messages_natural(
-                state, 0, m,
-                update_rule=update_rule, semiring=semiring,
-                all_paired=self._all_paired, paired_idx=self._paired_idx,
-                rev_ids=self._rev_paired,
-            )
-            if damping > 0.0:
-                msgs *= 1.0 - damping
-                msgs += damping * state.messages
-            # the node paradigm discards per-edge deltas, so the fused
-            # program skips them entirely (the interpreted path computes
-            # and drops them — no state depends on the difference)
-            self._scatter_log_delta(state, 0, m, msgs)
-
-        logits = np.add(state.log_priors, state.log_msg_sum, out=self._logits)
-        logits -= _row_max(logits, out=self._node_rowbuf)[:, None]
-        new = np.exp(logits, out=logits)
-        new = _normalize_fast(new, self._node_total)
-        old = state.beliefs
-        if self._has_observed:
-            new[self._not_free] = old[self._not_free]
-        # old is dead after the delta, so it doubles as the diff scratch
+        new = _combine(state, nodes)
+        old = _rows(state.beliefs, nodes)
+        free = state.free_mask[nodes]
+        if not free.all():
+            new[~free] = old[~free]
+        # old is dead after the delta (a gathered copy, or the rows about
+        # to be overwritten), so it doubles as the diff scratch
         np.subtract(new, old, out=old)
         np.abs(old, out=old)
         deltas = _row_sum(old)
-        state.beliefs[:] = new
+        _set_rows(state.beliefs, nodes, new)
 
         # accounting: identical to the interpreted kernel — the abstract
         # machine did the same math; only the dispatch fused
-        stats.nodes_processed = n
-        stats.edges_processed = m
-        stats.flops = m * (2 * b * b + 2 * b) + n * (4 * b)
-        stats.random_bytes = m * (2 * b * _FSIZE)
-        stats.random_accesses = m * 2
-        stats.sequential_bytes = n * (3 * b * _FSIZE) + m * (b * _FSIZE)
+        stats.nodes_processed = n_active
+        stats.edges_processed = n_edges
+        stats.flops = n_edges * (2 * b * b + 2 * b) + n_active * (4 * b)
+        stats.random_bytes = n_edges * (2 * b * _FSIZE)
+        stats.random_accesses = n_edges * 2
+        stats.sequential_bytes = n_active * (3 * b * _FSIZE) + n_edges * (b * _FSIZE)
         stats.atomic_ops = 0
-        stats.reduction_elems = n
+        stats.reduction_elems = n_active
         stats.kernel_launches = 1
-        stats.fused_launches = 1
         return deltas, stats
 
     # ------------------------------------------------------------------
     def edge_sweep(self, state, active_edges, *, update_rule="sum_product",
                    semiring="sum", damping=0.0, chunks=8):
-        usable = (
-            self.paradigm == "edge"
-            and max(1, min(chunks, len(active_edges))) == self._chunks
-            and self._is_full_edges(active_edges)
-        )
-        if not usable:
-            return edge_sweep(
-                state, active_edges,
-                update_rule=update_rule, semiring=semiring, damping=damping,
-                chunks=chunks,
-            )
         stats = SweepStats()
-        n, m, b = state.n, state.m, state.b
-        edge_deltas = np.empty(m, dtype=np.float32)
-
-        for chunk in self._edge_chunks:
-            lo, hi = chunk.lo, chunk.hi
-            msgs = self._messages_natural(
-                state, lo, hi,
-                update_rule=update_rule, semiring=semiring,
-                all_paired=chunk.all_paired, paired_idx=chunk.paired_idx,
-                rev_ids=chunk.rev_ids,
+        n_active = len(active_edges)
+        if n_active == 0:
+            return (
+                np.empty(0, dtype=np.float32),
+                np.empty(0, dtype=np.int64),
+                stats,
             )
-            if damping > 0.0:
-                msgs *= 1.0 - damping
-                msgs += damping * state.messages[lo:hi]
-            old = state.messages[lo:hi]
-            # back-message scratch is dead once msgs exist; reuse for diff
-            _row_abs_diff_sum(
-                msgs, old, self._back[lo:hi], edge_deltas[lo:hi]
-            )
-            self._scatter_log_delta(state, lo, hi, msgs)
-            if len(chunk.dirty):
-                self._combine_rows(state, chunk.dirty)
-            stats.kernel_launches += 2
-            stats.fused_launches += 1
+        b = state.b
+        full = _covers(active_edges, state.m)
+        edge_deltas = np.empty(n_active, dtype=np.float32)
+        slots = state.node_slots
+        touched: list[np.ndarray] = []
 
-        touched_nodes = self._touched_full
+        for lo, hi in chunk_slices(n_active, chunks):
+            chunk = slice(lo, hi) if full else active_edges[lo:hi]
+            self._sweep_range(
+                state, chunk,
+                update_rule=update_rule, semiring=semiring, damping=damping,
+                edge_deltas=edge_deltas[lo:hi],
+            )
+            dirty = slots.unique(state.dst[chunk])
+            dirty = dirty[state.free_mask[dirty]]
+            if len(dirty):
+                _set_rows(state.beliefs, dirty, _combine(state, dirty))
+                touched.append(dirty)
+            stats.kernel_launches += 2  # message kernel + combine kernel
+
+        touched_nodes = slots.unique(*touched) if touched else np.empty(0, dtype=np.int64)
         n_touched = len(touched_nodes)
-        stats.edges_processed = m
+        stats.edges_processed = n_active
         stats.nodes_processed = n_touched
-        stats.flops = m * (2 * b * b + 2 * b) + n_touched * (4 * b)
-        stats.sequential_bytes = m * (2 * b * _FSIZE + 2 * _ISIZE)
-        stats.random_bytes = m * (b * _FSIZE)
-        stats.random_accesses = m
-        stats.atomic_ops = m
+        stats.flops = n_active * (2 * b * b + 2 * b) + n_touched * (4 * b)
+        stats.sequential_bytes = n_active * (2 * b * _FSIZE + 2 * _ISIZE)
+        stats.random_bytes = n_active * (b * _FSIZE)
+        stats.random_accesses = n_active
+        stats.atomic_ops = n_active
         stats.reduction_elems = n_touched
         return edge_deltas, touched_nodes, stats

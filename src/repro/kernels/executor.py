@@ -14,14 +14,15 @@ Two executors are registered:
 ``"interpreted"``
     Delegates every call to :func:`repro.core.node_kernel.node_sweep`
     and :func:`repro.core.edge_kernel.edge_sweep` unchanged — the
-    reference semantics every other executor is validated against.
+    reference semantics every other executor is validated against.  Runs
+    only where pinned: the parity tests, ``credo profile
+    --verify-parity``'s baseline, the pure-Python reference backend.
 
 ``"compiled"``
-    :class:`repro.kernels.compiled.CompiledExecutor`: lowers the state
-    once into fused gather–scatter programs and runs full sweeps on a
-    natural-edge-order fast path.  Bit-exact with the interpreted
-    executor by construction (see the module docstring there for the
-    ordering argument).
+    :class:`repro.kernels.compiled.CompiledExecutor`, the default: runs
+    every sweep, full or partial, as one fused gather–scatter program
+    over the swept edges.  Bit-exact with the interpreted executor (see
+    the module docstring there for the ordering argument).
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ from repro.backends.distributed import (
     DistributedBackend,
 )
 from repro.core import exact_marginals
+from repro.graphs.grids import grid_graph
 from tests.conftest import make_loopy_graph, make_tree_graph
 
 
@@ -46,12 +47,15 @@ class TestDistributedBackend:
         assert cluster > 5 * local
 
     def test_better_partitioning_helps(self):
-        g = make_loopy_graph(seed=95, n_nodes=300, n_edges=900)
-        random_part = DistributedBackend(ETHERNET_1G).run(g.copy()).modeled_time
-        good_part = DistributedBackend(
-            ETHERNET_1G, edge_cut_fraction=0.05
-        ).run(g.copy()).modeled_time
-        assert good_part < random_part
+        # on a grid a BFS partition cuts far fewer edges than hashing
+        g = grid_graph(48, 48, n_states=2, seed=95)
+        random_be = DistributedBackend(ETHERNET_1G, partitioner="hash")
+        good_be = DistributedBackend(ETHERNET_1G, partitioner="bfs")
+        random_part = random_be.run(g.copy())
+        good_part = good_be.run(g.copy())
+        assert (good_part.detail["edge_cut_fraction"]
+                < random_part.detail["edge_cut_fraction"])
+        assert good_part.modeled_time < random_part.modeled_time
 
     def test_cluster_spec_validation(self):
         with pytest.raises(ValueError):

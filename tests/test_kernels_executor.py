@@ -100,17 +100,18 @@ class TestParityGrid:
         ]
         np.testing.assert_array_equal(runs[0].beliefs, runs[1].beliefs)
 
-    def test_compiled_full_sweeps_fuse_launches(self):
-        # the edge paradigm is the interesting case: the interpreted
-        # executor launches one kernel per chunk, the compiled one a
-        # fixed handful of fused programs per sweep
-        interp = LoopyBP(paradigm="edge", schedule="sync", criterion=CRIT,
-                         executor="interpreted").run(_graph())
-        fused = LoopyBP(paradigm="edge", schedule="sync", criterion=CRIT,
-                        executor="compiled").run(_graph())
-        assert interp.run_stats.total.fused_launches == 0
-        total = fused.run_stats.total
-        assert 0 < total.fused_launches < total.kernel_launches
+    @pytest.mark.parametrize("paradigm", ["node", "edge"])
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_compiled_sweep_stats_match_interpreted(self, schedule, paradigm):
+        # the cost models price SweepStats, so a default (compiled) run
+        # must model exactly what the interpreted reference models
+        runs = [
+            LoopyBP(paradigm=paradigm, schedule=schedule, criterion=CRIT,
+                    executor=executor).run(_graph(True))
+            for executor in ("interpreted", "compiled")
+        ]
+        ref, got = (r.run_stats.per_iteration for r in runs)
+        assert got == ref
 
 
 class TestExecutorRegistry:
@@ -200,14 +201,19 @@ class TestPlanIntegration:
     def test_qualified_suffix_grammar(self):
         from repro.credo.runner import ExecutionPlan
 
+        # compiled is the default executor: only the pinned interpreted
+        # reference is spelled out
         assert ExecutionPlan("c-node", "sync").qualified == "c-node:sync"
-        plan = ExecutionPlan("c-node", "sync", executor="compiled", layout="soa")
-        assert plan.qualified == "c-node:sync!compiled%soa"
+        assert ExecutionPlan("c-node", "sync", executor="compiled").qualified == (
+            "c-node:sync"
+        )
+        plan = ExecutionPlan("c-node", "sync", executor="interpreted", layout="soa")
+        assert plan.qualified == "c-node:sync!interpreted%soa"
         sharded = ExecutionPlan(
             "sharded", "sync", shards=4, partitioner="bfs",
-            policy="async", staleness=2, executor="compiled",
+            policy="async", staleness=2, executor="interpreted",
         )
-        assert sharded.qualified == "sharded:sync@4xbfs+async~2!compiled"
+        assert sharded.qualified == "sharded:sync@4xbfs+async~2!interpreted"
 
     def test_qualified_spec_round_trips(self):
         from repro.credo.runner import Credo, parse_qualified
@@ -242,12 +248,12 @@ class TestPlanIntegration:
         )
         assert got.detail.get("executor") == "compiled"
 
-    def test_selector_sizes_the_lowering(self):
+    def test_selector_compiles_every_uniform_graph(self):
         from repro.credo.selector import CredoSelector
 
         sel = CredoSelector()
         small = make_loopy_graph(seed=1, n_nodes=20, n_edges=30)
-        assert sel.select_executor(small, "c-node") == "interpreted"
+        assert sel.select_executor(small, "c-node") == "compiled"
         assert sel.select_executor(small, "reference") == "interpreted"
 
     def test_credo_run_compiled_matches_default(self):

@@ -16,7 +16,11 @@ indistinguishable:
 * the work queue's repopulate / merge / seed equal the membership-mask
   dedup they replace;
 * a whole warm-started re-convergence repeats sweep for sweep on every
-  path.
+  path;
+* the compiled executor's fused partial sweeps equal the interpreted
+  kernels bit for bit, feeding every destination's accumulation the
+  same rows in the same order, and the default plan stays exact on
+  trees against the junction-tree oracle.
 """
 
 import copy
@@ -33,12 +37,15 @@ from repro.core.convergence import ConvergenceCriterion
 from repro.core.edge_kernel import edge_sweep
 from repro.core.graph import BeliefGraph
 from repro.core.indexset import SlotMap
+from repro.core.junction import junction_tree_marginals
 from repro.core.loopy import LoopyConfig
 from repro.core.observation import observe
 from repro.core.potentials import random_potential
 from repro.core.scheduler import RelaxedPrioritySchedule, ResidualSchedule, WorkQueue
 from repro.core.state import LoopyState
+from repro.credo.runner import Credo
 from repro.graphs.grids import grid_graph
+from repro.kernels.executor import make_executor
 from repro.stream import GraphDelta, IncrementalEngine
 
 SETTINGS = dict(
@@ -328,3 +335,161 @@ class TestWholeRuns:
             assert got.delta_history == ref.delta_history
             assert got.updates == ref.updates
             np.testing.assert_array_equal(got.beliefs, ref.beliefs)
+
+
+# ---------------------------------------------------------------------------
+@contextmanager
+def recorded_scatter(log):
+    """Record, per destination, the log-delta rows every scatter feeds
+    its float64 accumulation, in order (the only order-sensitive step of
+    a sweep, DESIGN.md §13.1)."""
+    original = LoopyState.scatter_log_delta
+
+    def spy(self, dsts, log_delta):
+        for dst, row in zip(dsts.tolist(), log_delta):
+            log.setdefault(dst, []).append(row.tobytes())
+        return original(self, dsts, log_delta)
+
+    LoopyState.scatter_log_delta = spy
+    try:
+        yield log
+    finally:
+        LoopyState.scatter_log_delta = original
+
+
+@st.composite
+def sweep_cases(draw):
+    """A warm random state with every feature the fused program branches
+    on — widths around the pairwise block, shared or per-edge
+    potentials, unpaired edges, observed nodes — plus a paradigm and an
+    active set of its element space."""
+    b = draw(st.sampled_from([1, 2, 3, 8, 9]))
+    n = draw(st.integers(min_value=2, max_value=40))
+    n_pairs = draw(st.integers(min_value=1, max_value=3 * n))
+    per_edge = draw(st.booleans())
+    unpaired = draw(st.booleans())
+    n_observed = draw(st.integers(min_value=0, max_value=2)) if b > 1 else 0
+    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    rng = np.random.default_rng(seed)
+
+    pairs = rng.integers(0, n, size=(n_pairs, 2))
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    priors = rng.dirichlet(np.ones(b), size=n)
+
+    def stack(k):
+        return rng.dirichlet(np.ones(b), size=(k, b)).astype(np.float32)
+
+    if unpaired:
+        # directed edges; about half also get their reverse
+        back = pairs[rng.random(len(pairs)) < 0.5][:, ::-1]
+        directed = np.concatenate([pairs, back])
+        pot = stack(len(directed)) if per_edge else random_potential(b, rng)
+        g = BeliefGraph(priors, directed[:, 0], directed[:, 1], pot)
+    elif per_edge:
+        g = BeliefGraph.from_undirected(priors, pairs, per_edge_potentials=stack(len(pairs)))
+    else:
+        pot = random_potential(b, rng)
+        g = BeliefGraph.from_undirected(priors, pairs, pot + pot.T)
+    for node in rng.choice(n, size=n_observed, replace=False):
+        observe(g, int(node), int(rng.integers(b)))
+
+    state = LoopyState(g)
+    if state.m:
+        msgs = rng.dirichlet(np.ones(b), size=state.m).astype(np.float32)
+        state.store_messages(np.arange(state.m), msgs)
+    free = np.flatnonzero(state.free_mask)
+    state.beliefs[free] = rng.dirichlet(np.ones(b), size=len(free))
+
+    paradigm = draw(st.sampled_from(["node", "edge"]))
+    size = state.n if paradigm == "node" else state.m
+    kind = draw(st.sampled_from(["empty", "single", "all_but_one", "all", "subset"]))
+    if kind == "empty" or size == 0:
+        active = []
+    elif kind == "single":
+        active = [draw(st.integers(0, size - 1))]
+    elif kind == "all_but_one":
+        skip = draw(st.integers(0, size - 1))
+        active = [i for i in range(size) if i != skip]
+    elif kind == "all":
+        active = list(range(size))
+    else:
+        active = draw(st.lists(st.integers(0, size - 1), max_size=size, unique=True))
+    return state, paradigm, np.asarray(active, dtype=np.int64)
+
+
+def _sweep(name, state, paradigm, active, options, chunks, sparse):
+    """One sweep of executor ``name`` on a copy of ``state``: (outputs,
+    state snapshot, per-destination scatter log)."""
+    twin = copy.deepcopy(state)
+    log = {}
+    with forced_path(sparse), recorded_scatter(log):
+        executor = make_executor(name, twin, paradigm=paradigm, chunks=chunks)
+        if paradigm == "node":
+            out = executor.node_sweep(twin, active, **options)
+        else:
+            out = executor.edge_sweep(twin, active, chunks=chunks, **options)
+    return out, _snapshot(twin), log
+
+
+class TestCompiledPartialSweeps:
+    @given(
+        sweep_cases(),
+        st.sampled_from(["sum_product", "broadcast"]),
+        st.sampled_from(["sum", "max"]),
+        st.sampled_from([0.0, 0.3]),
+        st.integers(min_value=1, max_value=8),
+        st.booleans(),
+    )
+    @settings(**SETTINGS)
+    def test_compiled_equals_interpreted(self, case, rule, semiring, damping, chunks, sparse):
+        state, paradigm, active = case
+        options = dict(update_rule=rule, semiring=semiring, damping=damping)
+        ref, ref_snap, ref_log = _sweep(
+            "interpreted", state, paradigm, active, options, chunks, sparse
+        )
+        got, got_snap, got_log = _sweep(
+            "compiled", state, paradigm, active, options, chunks, sparse
+        )
+        # each destination accumulates the same rows in the same order
+        assert got_log == ref_log
+        for a, b in zip(got_snap, ref_snap):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(got[0], ref[0])
+        assert got[0].dtype == ref[0].dtype
+        if paradigm == "edge":
+            np.testing.assert_array_equal(got[1], ref[1])
+            assert got[1].dtype == ref[1].dtype
+        assert got[-1] == ref[-1]
+
+
+class TestDefaultPlanOnTrees:
+    @given(
+        st.integers(min_value=2, max_value=40),
+        st.sampled_from([2, 3]),
+        st.booleans(),
+        st.integers(min_value=0, max_value=2**31 - 1),
+        st.sampled_from(["work_queue", "residual"]),
+        st.sampled_from(["node", "edge"]),
+    )
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_default_plan_matches_junction_tree(
+        self, n, b, evidence, seed, schedule, paradigm
+    ):
+        rng = np.random.default_rng(seed)
+        edges = [(int(rng.integers(0, i)), i) for i in range(1, n)]
+        g = BeliefGraph.from_undirected(
+            rng.dirichlet(np.ones(b), size=n),
+            edges,
+            per_edge_potentials=rng.dirichlet(np.ones(b), size=(n - 1, b)) + 0.05,
+        )
+        if evidence:
+            observe(g, int(rng.integers(n)), int(rng.integers(b)))
+        # summed over up to 40 float32 rows, 1e-7 sits below the rounding
+        # floor and some trees never settle under it
+        credo = Credo(criterion=ConvergenceCriterion(threshold=1e-6, max_iterations=500))
+        plan = credo.plan(g, backend=f"c-{paradigm}:{schedule}")
+        assert plan.executor == "compiled"
+        result = credo.run(g.copy(), plan=plan)
+        assert result.converged
+        np.testing.assert_allclose(result.beliefs, junction_tree_marginals(g), atol=1e-5)

@@ -14,6 +14,7 @@ Three load-bearing guarantees:
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -482,6 +483,28 @@ class TestIncrementalEngine:
         assert inc.reused_lowerings
         for key, executor in cache_before.items():
             assert eng._executor_cache[key] is executor
+
+    @pytest.mark.parametrize("schedule", ["sync", "work_queue"])
+    @pytest.mark.parametrize("paradigm", PARADIGMS)
+    def test_reused_compiled_lowering_reads_live_evidence(self, schedule, paradigm):
+        # evidence deltas flip free_mask in place under a cached compiled
+        # executor: its sweeps must see the new observations, bit for bit
+        # like the interpreted kernels
+        deltas = [
+            GraphDelta().observe_node("7", 1),
+            GraphDelta().observe_node("12", 0),
+            GraphDelta().release_node("7"),
+        ]
+        runs = {}
+        for executor in ("interpreted", "compiled"):
+            cfg = replace(tight_config(schedule, paradigm, threshold=1e-8),
+                          executor=executor)
+            eng = IncrementalEngine(grid_graph(5, 5, seed=3), cfg)
+            eng.converge()
+            runs[executor] = [eng.apply(delta).result for delta in deltas]
+        for ref, got in zip(runs["interpreted"], runs["compiled"]):
+            assert got.delta_history == ref.delta_history
+            np.testing.assert_array_equal(got.beliefs, ref.beliefs)
 
     def test_large_dirty_fraction_falls_back_to_full(self):
         cfg = tight_config()

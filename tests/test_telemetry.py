@@ -358,6 +358,34 @@ class TestProfileCli:
         assert "backend" in captured.out
         assert "parity: traced == untraced" in captured.err
 
+    def test_verify_parity_baseline_runs_interpreted(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # a graph large enough that the default run is compiled: the
+        # parity baseline must still be the interpreted reference
+        from repro.credo.cli import main
+        from repro.io.mtx import write_mtx_graph
+
+        nodes, edges = tmp_path / "g.nodes", tmp_path / "g.edges"
+        write_mtx_graph(grid_graph(30, 30, n_states=2, seed=5), nodes, edges)
+        pinned = []
+        run = Credo.run
+
+        def recording_run(self, graph, **kwargs):
+            pinned.append(kwargs.get("executor"))
+            return run(self, graph, **kwargs)
+
+        monkeypatch.setattr(Credo, "run", recording_run)
+        code = main([
+            "profile", str(nodes), str(edges), "--backend", "c-node",
+            "--trace", str(tmp_path / "p.json"), "--verify-parity",
+            "--no-summary",
+        ])
+        assert code == 0
+        assert pinned == ["interpreted", None]
+        captured = capsys.readouterr()
+        assert "executor      compiled" in captured.out
+        assert "parity: traced == untraced (baseline executor interpreted)" in captured.err
+
     def test_run_trace_flag(self, tmp_path):
         from repro.credo.cli import main
 
