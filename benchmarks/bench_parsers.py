@@ -134,8 +134,8 @@ def test_parser_comparison_table(tmp_path):
 
 def test_mtx_streams_with_bounded_memory(tmp_path):
     """§3.2: MTX is read 'line-by-line ... without loading either fully
-    into memory'.  The readers only ever hold one line plus the output
-    arrays; BIF/XML-BIF must slurp the document."""
+    into memory'.  The readers only ever hold one bounded chunk of lines
+    plus the output arrays; BIF/XML-BIF must slurp the document."""
     import tracemalloc
 
     node_path, edge_path = _random_mtx_files(20_000, 40_000, tmp_path, seed=3)

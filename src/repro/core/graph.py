@@ -245,10 +245,18 @@ class BeliefGraph:
         return reverse
 
     def _csr(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        order = np.argsort(keys, kind="stable").astype(np.int64)
+        m = len(keys)
+        if self.n_nodes * m >= 2**63:
+            raise ValueError(f"{self.n_nodes} nodes x {m} edges overflow the int64 CSR sort key")
         counts = np.bincount(keys, minlength=self.n_nodes)
         offsets = np.zeros(self.n_nodes + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
+        # argsort(keys, kind="stable") in O(m) extra memory: sort the
+        # distinct composite keys key·m + position, then keep the position
+        order = np.multiply(keys, m, dtype=np.int64)
+        order += np.arange(m, dtype=np.int64)
+        order.sort()
+        np.remainder(order, m, out=order)
         return offsets, order
 
     # ------------------------------------------------------------------

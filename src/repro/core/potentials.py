@@ -71,6 +71,8 @@ class SharedPotentialStore(PotentialStore):
         matrix = np.asarray(matrix, dtype=_FLOAT)
         if matrix.ndim != 2:
             raise ValueError("shared potential must be a 2-D matrix")
+        if not np.isfinite(matrix).all():
+            raise ValueError("potential entries must be finite (no NaN or infinity)")
         if (matrix < 0).any():
             raise ValueError("potential entries must be non-negative")
         self._matrix = matrix
@@ -104,6 +106,8 @@ class PerEdgePotentialStore(PotentialStore):
         if isinstance(matrices, np.ndarray) and matrices.ndim == 3:
             self._stack: np.ndarray | None = np.asarray(matrices, dtype=_FLOAT)
             self._ragged: list[np.ndarray] | None = None
+            if not np.isfinite(self._stack).all():
+                raise ValueError("potential entries must be finite (no NaN or infinity)")
             if (self._stack < 0).any():
                 raise ValueError("potential entries must be non-negative")
         else:
@@ -111,6 +115,8 @@ class PerEdgePotentialStore(PotentialStore):
             for m in mats:
                 if m.ndim != 2:
                     raise ValueError("each potential must be a 2-D matrix")
+                if not np.isfinite(m).all():
+                    raise ValueError("potential entries must be finite (no NaN or infinity)")
                 if (m < 0).any():
                     raise ValueError("potential entries must be non-negative")
             shapes = {m.shape for m in mats}

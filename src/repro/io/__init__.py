@@ -6,7 +6,7 @@ Three formats are supported:
   descent parser for its context-free grammar (:mod:`repro.io.bif`);
 * **XML-BIF** — its XML sibling (:mod:`repro.io.xmlbif`);
 * **MTX dual-file** — the paper's contribution: a Matrix-Market-derived
-  pair of node/edge files that streams line by line and scales to graphs
+  pair of node/edge files that streams in bounded chunks and scales to graphs
   of hundreds of millions of edges (:mod:`repro.io.mtx`).
 """
 

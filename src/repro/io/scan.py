@@ -2,7 +2,7 @@
 
 Credo chooses its implementation "based solely on [the graph's] metadata"
 "obtained during input parsing".  For the MTX dual-file format that
-metadata is computable in one streaming pass over the edge file — node
+metadata is computable in one streaming pass over the two files — node
 count, edge count, belief width, in/out-degree extremes — without ever
 materializing the graph, which is what lets the selector answer *before*
 deciding how much memory the chosen backend should commit.
@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.io.mtx import MtxFormatError, _read_header
+from repro.io.mtx import _edge_chunks, _read_nodes
 
 __all__ = ["MtxStats", "scan_mtx_stats"]
 
@@ -51,53 +51,23 @@ class MtxStats:
 def scan_mtx_stats(node_path: str | Path, edge_path: str | Path) -> MtxStats:
     """Stream both files once and return the selector's metadata.
 
-    Memory use is two ``n``-length degree counters; the probability and
-    matrix payloads are never parsed beyond counting the belief width.
+    Both files go through the readers' shared body parser, so a file is
+    accepted, and rejected with the same :class:`MtxFormatError`, exactly
+    as by :func:`repro.io.mtx.read_mtx_graph`.  Beyond the ``(n, b)``
+    priors, memory use is two ``n``-length degree counters and one chunk
+    of edges; the graph is never built.
     """
-    node_path, edge_path = Path(node_path), Path(edge_path)
-
-    with open(node_path, "r", encoding="utf-8") as handle:
-        _, (rows, cols, _entries), _ = _read_header(handle, str(node_path))
-        if rows != cols:
-            raise MtxFormatError(f"{node_path}: node file must be square")
-        n = rows
-        n_beliefs = 0
-        for raw in handle:
-            stripped = raw.strip()
-            if not stripped or stripped.startswith("%"):
-                continue
-            n_beliefs = len(stripped.split()) - 2
-            break
-        if n_beliefs <= 0:
-            raise MtxFormatError(f"{node_path}: node file holds no entries")
-
+    priors, n_beliefs = _read_nodes(Path(node_path))
+    n = len(priors)
     in_deg = np.zeros(n, dtype=np.int64)
     out_deg = np.zeros(n, dtype=np.int64)
     m = 0
-    with open(edge_path, "r", encoding="utf-8") as handle:
-        _, (rows, cols, declared), _ = _read_header(handle, str(edge_path))
-        if rows != n or cols != n:
-            raise MtxFormatError(
-                f"{edge_path}: dimensions disagree with the node file"
-            )
-        for raw in handle:
-            stripped = raw.strip()
-            if not stripped or stripped.startswith("%"):
-                continue
-            parts = stripped.split(None, 2)
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except (ValueError, IndexError):
-                raise MtxFormatError(f"{edge_path}: malformed edge entry") from None
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise MtxFormatError(f"{edge_path}: edge endpoint out of range")
-            out_deg[u - 1] += 1
-            in_deg[v - 1] += 1
-            m += 1
-        if m != declared:
-            raise MtxFormatError(
-                f"{edge_path}: header declared {declared} entries but file holds {m}"
-            )
+    chunks = _edge_chunks(Path(edge_path), n, n_beliefs)
+    next(chunks)
+    for pairs, _ in chunks:
+        out_deg += np.bincount(pairs[:, 0], minlength=n)
+        in_deg += np.bincount(pairs[:, 1], minlength=n)
+        m += len(pairs)
 
     return MtxStats(
         n_nodes=n,

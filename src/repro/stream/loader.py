@@ -4,7 +4,8 @@ The batch reader (:func:`repro.io.mtx.read_mtx_graph`) materializes the
 full ``(m, 2)`` edge list — and, in per-edge mode, the full matrix stack
 — before the graph exists.  At the paper's scale (hundreds of millions
 of edges) that transient doubles peak memory.  This loader instead
-parses both files line by line into :class:`StreamingGraphBuilder`,
+appends the edge file chunk by chunk — through the same bulk body
+reader, with the same checks — into :class:`StreamingGraphBuilder`,
 whose structure arrays grow amortized (capacity doubling) and whose
 live prefixes become the graph's arrays directly — zero copies at
 build time, no intermediate edge list, and a bounded parse buffer of
@@ -26,14 +27,14 @@ import numpy as np
 
 from repro.core.graph import BeliefGraph
 from repro.core.potentials import PerEdgePotentialStore, SharedPotentialStore
-from repro.io.mtx import _BELIEFS_RE, _SHARED_RE, MtxFormatError, _read_header
+from repro.io.mtx import CHUNK_LINES, _edge_chunks, _read_nodes
 
 __all__ = ["GrowableArray", "StreamingGraphBuilder", "load_graph_stream"]
 
 _FLOAT = np.float32
 
-#: default number of edge lines buffered between bulk appends
-DEFAULT_CHUNK_EDGES = 65536
+#: default number of edge lines parsed per bulk append
+DEFAULT_CHUNK_EDGES = CHUNK_LINES
 
 
 class GrowableArray:
@@ -367,147 +368,24 @@ def load_graph_stream(
 ) -> BeliefGraph:
     """Stream the dual-file format into a graph in bounded memory.
 
-    Node and edge files are read line by line ("first by nodes and then
-    edges", §3.2); edge lines buffer up to ``chunk_edges`` entries before
-    each bulk append into the builder.  Validation and the resulting
+    The node file is read first, then the edge file ("first by nodes and
+    then edges", §3.2), ``chunk_edges`` lines at a time; each chunk goes
+    through the shared body reader of :mod:`repro.io.mtx` and is appended
+    to the builder in bulk.  Validation, errors and the resulting
     structure match :func:`repro.io.mtx.read_mtx_graph` exactly.
     """
     if chunk_edges < 1:
         raise ValueError("chunk_edges must be positive")
-    node_path, edge_path = Path(node_path), Path(edge_path)
-
-    with open(node_path, "r", encoding="utf-8") as handle:
-        directives, (rows, cols, entries), line_no = _read_header(handle, str(node_path))
-        if rows != cols:
-            raise MtxFormatError(f"{node_path}: node file must be square ({rows}x{cols})")
-        n = rows
-        b: int | None = None
-        for d in directives:
-            match = _BELIEFS_RE.match(d)
-            if match:
-                b = int(match.group("b"))
-        builder: StreamingGraphBuilder | None = None
-        seen = np.zeros(n, dtype=bool)
-        count = 0
-        for raw in handle:
-            line_no += 1
-            stripped = raw.strip()
-            if not stripped or stripped.startswith("%"):
-                continue
-            parts = stripped.split()
-            if len(parts) < 3:
-                raise MtxFormatError(
-                    f"{node_path}: node entry needs id, id and probabilities", line_no
-                )
-            try:
-                i, j = int(parts[0]), int(parts[1])
-                values = [float(p) for p in parts[2:]]
-            except ValueError:
-                raise MtxFormatError(f"{node_path}: malformed node entry", line_no) from None
-            if i != j:
-                raise MtxFormatError(
-                    f"{node_path}: node entries must be self-cycling (got {i} {j})", line_no
-                )
-            if not 1 <= i <= n:
-                raise MtxFormatError(f"{node_path}: node id {i} out of range 1..{n}", line_no)
-            if b is None:
-                b = len(values)
-            if len(values) != b:
-                raise MtxFormatError(
-                    f"{node_path}: expected {b} probabilities, got {len(values)}", line_no
-                )
-            if builder is None:
-                builder = StreamingGraphBuilder(b, layout=layout, expect_nodes=n)
-                builder.add_nodes(n)
-            if seen[i - 1]:
-                raise MtxFormatError(f"{node_path}: duplicate node id {i}", line_no)
-            seen[i - 1] = True
-            builder.set_prior(i - 1, values)
-            count += 1
-        if count != entries:
-            raise MtxFormatError(
-                f"{node_path}: header declared {entries} entries but file holds {count}"
-            )
-        if builder is None:
-            raise MtxFormatError(f"{node_path}: node file holds no entries")
-        if not seen.all():
-            missing = int(np.flatnonzero(~seen)[0]) + 1
-            raise MtxFormatError(f"{node_path}: node {missing} has no entry")
-
-    assert b is not None
-    with open(edge_path, "r", encoding="utf-8") as handle:
-        directives, (rows, cols, m), line_no = _read_header(handle, str(edge_path))
-        if rows != n or cols != n:
-            raise MtxFormatError(
-                f"{edge_path}: edge file dimensions {rows}x{cols} disagree with node count {n}"
-            )
-        shared: np.ndarray | None = None
-        for d in directives:
-            match = _SHARED_RE.match(d)
-            if match:
-                vals = np.array(
-                    [float(v) for v in match.group("vals").split()], dtype=_FLOAT
-                )
-                if len(vals) != b * b:
-                    raise MtxFormatError(
-                        f"{edge_path}: shared-potential needs {b * b} values, got {len(vals)}"
-                    )
-                shared = vals.reshape(b, b)
-        if shared is not None:
-            builder.set_shared_potential(shared)
-        builder.reserve_edges(m)
-
-        pending_pairs: list[tuple[int, int]] = []
-        pending_mats: list[np.ndarray] = []
-
-        def flush() -> None:
-            if not pending_pairs:
-                return
-            pairs = np.array(pending_pairs, dtype=np.int64)
-            mats = np.array(pending_mats, dtype=_FLOAT) if pending_mats else None
-            builder.add_undirected_edges(pairs, mats)
-            pending_pairs.clear()
-            pending_mats.clear()
-
-        count = 0
-        for raw in handle:
-            line_no += 1
-            stripped = raw.strip()
-            if not stripped or stripped.startswith("%"):
-                continue
-            parts = stripped.split()
-            if count >= m:
-                raise MtxFormatError(
-                    f"{edge_path}: more entries than the declared {m}", line_no
-                )
-            try:
-                u, v = int(parts[0]), int(parts[1])
-                values = [float(p) for p in parts[2:]]
-            except (ValueError, IndexError):
-                raise MtxFormatError(f"{edge_path}: malformed edge entry", line_no) from None
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise MtxFormatError(f"{edge_path}: edge endpoint out of range", line_no)
-            if shared is not None:
-                if values:
-                    raise MtxFormatError(
-                        f"{edge_path}: shared-potential file must not carry per-edge matrices",
-                        line_no,
-                    )
-            else:
-                if len(values) != b * b:
-                    raise MtxFormatError(
-                        f"{edge_path}: expected {b * b} matrix entries, got {len(values)}",
-                        line_no,
-                    )
-                pending_mats.append(np.asarray(values, dtype=_FLOAT).reshape(b, b))
-            pending_pairs.append((u - 1, v - 1))
-            count += 1
-            if len(pending_pairs) >= chunk_edges:
-                flush()
-        flush()
-        if count != m:
-            raise MtxFormatError(
-                f"{edge_path}: header declared {m} entries but file holds {count}"
-            )
-
+    priors, b = _read_nodes(Path(node_path))
+    builder = StreamingGraphBuilder(b, layout=layout, expect_nodes=len(priors))
+    builder._priors.extend(priors)
+    chunks = _edge_chunks(Path(edge_path), len(priors), b, chunk_edges)
+    shared, m = next(chunks)
+    if shared is not None:
+        builder.set_shared_potential(shared)
+    else:
+        builder._switch_to_per_edge()  # per-edge even with no edges, as the batch reader
+    builder.reserve_edges(m)
+    for pairs, mats in chunks:
+        builder.add_undirected_edges(pairs, mats)
     return builder.build(collapse_identical=collapse_identical)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.credo import Credo
 from repro.credo.features import extract_features
-from repro.io.mtx import MtxFormatError, write_mtx_graph
+from repro.io.mtx import MtxFormatError, read_mtx_graph, write_mtx_graph
 from repro.io.scan import scan_mtx_stats
 from tests.conftest import make_loopy_graph
 
@@ -54,6 +54,20 @@ class TestScan:
         bad.write_text(edges.read_text().replace("\n2 ", "\nx ", 1))
         with pytest.raises(MtxFormatError):
             scan_mtx_stats(nodes, bad)
+
+    def test_malformed_edge_error_matches_the_reader(self, written, tmp_path):
+        """Same message and line number as read_mtx_graph on the same file."""
+        _, (nodes, edges) = written
+        bad = tmp_path / "bad.edges"
+        bad.write_text(edges.read_text().replace("\n2 ", "\nx ", 1))
+        with pytest.raises(MtxFormatError) as scanned:
+            scan_mtx_stats(nodes, bad)
+        with pytest.raises(MtxFormatError) as read:
+            read_mtx_graph(nodes, bad)
+        assert scanned.value.line_no is not None
+        assert scanned.value.line_no == read.value.line_no
+        assert str(scanned.value) == str(read.value)
+        assert "malformed edge entry" in str(scanned.value)
 
     def test_credo_select_file_without_materializing(self, written):
         g, paths = written

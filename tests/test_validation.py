@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core.graph import BeliefGraph
-from repro.core.potentials import SharedPotentialStore, attractive_potential
+from repro.core.potentials import (
+    PerEdgePotentialStore,
+    SharedPotentialStore,
+    attractive_potential,
+)
+from repro.io.mtx import MtxFormatError, read_mtx_graph
+from repro.stream.loader import load_graph_stream
 
 
 class TestGraphValidation:
@@ -56,6 +62,53 @@ class TestGraphValidation:
                 np.full((2, 2), 0.5), np.array([[0, 1]]),
                 attractive_potential(2, 0.8), node_names=["only-one"],
             )
+
+
+class TestNonFinitePotentials:
+    """NaN or infinite potentials must fail loudly, never give NaN posteriors."""
+
+    NODES = (
+        "%%MatrixMarket matrix coordinate real general\n"
+        "2 2 2\n1 1 0.5 0.5\n2 2 0.4 0.6\n"
+    )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_shared_store_rejects(self, bad):
+        matrix = np.array([[0.75, 0.25], [0.25, bad]])
+        with pytest.raises(ValueError, match="finite"):
+            SharedPotentialStore(matrix, 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_per_edge_store_rejects(self, bad):
+        stack = np.full((2, 2, 2), 0.5)
+        stack[1, 0, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            PerEdgePotentialStore(stack)
+        with pytest.raises(ValueError, match="finite"):
+            PerEdgePotentialStore([stack[0], stack[1][:, 1:]])  # ragged list
+
+    @pytest.mark.parametrize("load", [read_mtx_graph, load_graph_stream])
+    def test_mtx_per_edge_nan_matrix_rejected(self, tmp_path, load):
+        nodes, edges = tmp_path / "g.nodes", tmp_path / "g.edges"
+        nodes.write_text(self.NODES)
+        edges.write_text(
+            "%%MatrixMarket matrix coordinate real general\n"
+            "2 2 1\n1 2 nan 0.25 0.25 0.75\n"
+        )
+        with pytest.raises(ValueError, match="finite"):
+            load(nodes, edges)
+
+    @pytest.mark.parametrize("values", ["nan 0.25 0.25 0.75", "0.75 inf 0.25 0.75", "0.75 x 1 1"])
+    def test_mtx_shared_directive_must_be_finite(self, tmp_path, values):
+        nodes, edges = tmp_path / "g.nodes", tmp_path / "g.edges"
+        nodes.write_text(self.NODES)
+        edges.write_text(
+            "%%MatrixMarket matrix coordinate real general\n"
+            f"%credo shared-potential: {values}\n"
+            "2 2 1\n1 2\n"
+        )
+        with pytest.raises(MtxFormatError, match="shared-potential values must be finite"):
+            read_mtx_graph(nodes, edges)
 
 
 class TestSuiteIteration:
