@@ -13,6 +13,17 @@ versions "converge in only a few iterations", §4.2), scatter-adds the
 log-message deltas into the destination accumulators (the atomic combine)
 and refreshes the beliefs of the touched destinations.
 
+The freshness contract: a sweep runs in *at most* ``chunks`` chunks,
+each of at least :data:`MIN_CHUNK_EDGES` edges (a smaller sweep is one
+chunk).  A chunk costs a fixed ~40 NumPy calls however few edges it
+holds, so the floor keeps a partial sweep of a few dozen edges from
+paying that eight times for freshness a few edges wide.  A sweep of at
+least ``chunks * MIN_CHUNK_EDGES`` edges — every full sweep of the
+benchmark and Table 1 graphs — runs ``chunks`` equal chunks.
+:func:`chunk_slices` is the one source of boundaries for the
+interpreted sweep, the compiled executor and the serve layer's union
+batching, so all three stay bit-exact with each other.
+
 A sweep costs O(active edges), not O(nodes + edges): destination sets are
 index sets built through the state's slot map
 (:class:`~repro.core.indexset.SlotMap`) and the scatter accumulates into
@@ -32,23 +43,34 @@ import numpy as np
 from repro.core.state import LoopyState
 from repro.core.sweepstats import SweepStats
 
-__all__ = ["chunk_slices", "edge_sweep"]
+__all__ = ["MIN_CHUNK_EDGES", "chunk_slices", "edge_sweep"]
 
 _FSIZE = 4
 _ISIZE = 8
 
+#: The fewest edges a chunk of a split sweep holds.  Measured on the
+#: ``stream-churn`` updates and the ``serve-mixed`` model over
+#: C ∈ {16, 32, 64, 128, 256}: the smallest C within 5% of the fastest
+#: on both (DESIGN.md §13.6).  A smaller C keeps more Gauss–Seidel
+#: freshness.
+MIN_CHUNK_EDGES = 256
+
 
 @lru_cache(maxsize=256)
 def chunk_slices(n_active: int, chunks: int) -> tuple[tuple[int, int], ...]:
-    """``(lo, hi)`` bounds of the chunks of an ``n_active``-edge sweep.
+    """``(lo, hi)`` bounds of the chunks of an ``n_active``-edge sweep:
+    at most ``chunks`` of them, in order, each of at least
+    :data:`MIN_CHUNK_EDGES` edges unless there is only one.
 
+    The bounds are ``floor(i * n_active / k)``, the integer
+    ``linspace``, for the largest ``k <= chunks`` the floor allows.
     Memoized: a partial sweep's set-up must not cost more than its few
     edges, and the small sizes recur sweep after sweep.
     """
     if n_active == 0:
         return ()
-    chunks = max(1, min(chunks, n_active))
-    bounds = np.linspace(0, n_active, chunks + 1, dtype=np.int64).tolist()
+    k = max(1, min(chunks, n_active // MIN_CHUNK_EDGES))
+    bounds = [i * n_active // k for i in range(k + 1)]
     return tuple(zip(bounds[:-1], bounds[1:]))
 
 
@@ -82,8 +104,6 @@ def edge_sweep(
     touched: list[np.ndarray] = []
 
     for lo, hi in chunk_slices(n_active, chunks):
-        if lo == hi:
-            continue
         chunk = active_edges[lo:hi]
         if update_rule == "broadcast":
             msgs = state.propagate_messages(chunk, semiring=semiring)

@@ -381,13 +381,14 @@ class BeliefGraph:
         }
 
     def copy(self) -> "BeliefGraph":
+        """A graph with its own priors, beliefs and evidence; the
+        structure (edges, potentials, node names) is shared."""
         clone = BeliefGraph.__new__(BeliefGraph)
         clone.n_nodes = self.n_nodes
         clone.dims = self.dims
         clone.layout = self.layout
         clone.priors = self.priors.copy()
         clone.beliefs = self.beliefs.copy()
-        clone.node_names = list(self.node_names)
         clone.src = self.src
         clone.dst = self.dst
         clone.n_edges = self.n_edges
@@ -399,7 +400,9 @@ class BeliefGraph:
         clone.observed_state = self.observed_state.copy()
         # structure arrays are shared, so their over-allocation is too
         clone.reserved_nbytes = self.reserved_nbytes
-        # structure (and hence names/features) is shared, so the caches are too
+        # structure (and hence names/features) is shared, so the names
+        # and their caches are too
+        clone.node_names = self.node_names
         clone._name_to_id = self._name_to_id
         clone._feature_cache = self._feature_cache
         return clone

@@ -51,8 +51,11 @@ class LoopyConfig:
     ``schedule`` selects the update-scheduling policy (one of
     :data:`~repro.core.scheduler.SCHEDULES` — ``"sync"``,
     ``"work_queue"`` (the §3.5 optimization, default), ``"residual"`` or
-    ``"relaxed"``); ``edge_chunks`` controls how much freshness the edge
-    paradigm sees within one iteration; ``damping`` mixes in the previous
+    ``"relaxed"``); ``edge_chunks`` is the most chunks one edge-paradigm
+    sweep is split into — how much freshness it sees within one
+    iteration (each chunk holds at least
+    :data:`~repro.core.edge_kernel.MIN_CHUNK_EDGES` edges, so a small
+    sweep runs fewer); ``damping`` mixes in the previous
     message (an extension, 0 disables); ``semiring`` switches to
     max-product for MAP queries (extension).
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.backends.cpu_cost import CpuSpec, I7_7700HQ, cpu_sweep_time
+from repro.core.edge_kernel import chunk_slices
 from repro.core.sweepstats import SweepStats
 from repro.graphs.suite import BenchmarkGraph
 from repro.gpusim.arch import DeviceSpec, get_device
@@ -153,7 +154,8 @@ def full_sweep_stats(n: int, m_directed: int, b: int, paradigm: str) -> SweepSta
             random_accesses=m_directed,
             atomic_ops=m_directed,
             reduction_elems=n,
-            kernel_launches=16,  # edge chunks launch message+combine pairs
+            # each chunk launches a message and a combine kernel
+            kernel_launches=2 * len(chunk_slices(m_directed, 8)),
         )
     raise ValueError(f"unknown paradigm {paradigm!r}")
 

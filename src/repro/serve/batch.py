@@ -21,7 +21,10 @@ per replica:
   parameters a solo run would build), fed only its replica's deltas and
   downstream sets, in replica-local element ids;
 * the edge paradigm's intra-sweep freshness chunking is preserved by
-  slicing each replica's active set with the *solo* chunk boundaries and
+  slicing each replica's active set with the *solo* chunk boundaries —
+  :func:`~repro.core.edge_kernel.chunk_slices`: at most ``edge_chunks``
+  chunks, each of at least ``MIN_CHUNK_EDGES`` edges, so a replica with
+  few active edges runs fewer chunks than one with many — and
   concatenating the k-th chunks across replicas into one kernel call;
 * per-replica convergence: a query's beliefs are snapshotted the moment
   *its* criterion passes, even while other queries keep iterating.
@@ -342,8 +345,6 @@ def _edge_union_sweep(
             if j >= len(slices):
                 continue
             lo, hi = slices[j]
-            if lo == hi:
-                continue
             pieces.append(actives[q][lo:hi] + q * m)
             spans.append((q, lo, hi))
         if not pieces:

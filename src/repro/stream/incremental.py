@@ -165,7 +165,7 @@ class IncrementalEngine:
         dirty = res.dirty_nodes
         if not len(dirty):
             return
-        pri = graph.priors.dense()[dirty].astype(np.float32, copy=True)
+        pri = graph.priors.rows(dirty)
         obs = graph.observed[dirty]
         if obs.any():
             rows = np.flatnonzero(obs)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.edge_kernel import MIN_CHUNK_EDGES
 from repro.core.loopy import LoopyBP
 from repro.credo.analytic import (
     IterationModel,
@@ -27,6 +28,19 @@ class TestSweepFormulas:
         assert first.flops == predicted.flops
         assert first.random_accesses == predicted.random_accesses
         assert first.atomic_ops == predicted.atomic_ops
+        assert first.kernel_launches == predicted.kernel_launches
+
+    @pytest.mark.parametrize("executor", ["interpreted", "compiled"])
+    @pytest.mark.parametrize("n_edges", [80, 400, 1100])
+    def test_edge_launches_follow_the_chunk_floor(self, n_edges, executor):
+        """Below 8 * MIN_CHUNK_EDGES directed edges a full edge sweep runs
+        fewer than 8 chunks; the modeled launch count must follow."""
+        g = make_loopy_graph(seed=81, n_nodes=300, n_edges=n_edges)
+        result = LoopyBP(paradigm="edge", schedule="sync", executor=executor).run(g)
+        first = result.run_stats.per_iteration[0]
+        predicted = full_sweep_stats(g.n_nodes, g.n_edges, g.n_states, "edge")
+        chunks = min(8, max(1, g.n_edges // MIN_CHUNK_EDGES))
+        assert first.kernel_launches == predicted.kernel_launches == 2 * chunks
 
     def test_unknown_paradigm(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.beliefs import (
+    BLOCK_NODES,
     AoSBeliefStore,
     SoABeliefStore,
     make_store,
@@ -102,3 +103,72 @@ class TestLayoutSpecifics:
         aos.load_dense(data)
         soa.load_dense(data)
         np.testing.assert_allclose(aos.dense(), soa.dense())
+
+
+ALL_LAYOUTS = ["aos", "soa", "blocked"]
+#: uniform widths around the AoS record sizes, plus a ragged store that
+#: spans more than one blocked tile
+DIMS = [
+    np.full(5, 1),
+    np.full(2 * BLOCK_NODES + 3, 2),
+    np.full(7, 8),
+    np.array([2, 3, 4] * BLOCK_NODES + [1]),
+]
+
+
+def random_matrix(dims, seed=0):
+    """A dense ``(n, width)`` matrix with each row's padding zeroed."""
+    rng = np.random.default_rng(seed)
+    matrix = rng.random((len(dims), int(dims.max()))).astype(np.float32)
+    matrix[np.arange(matrix.shape[1]) >= dims[:, None]] = 0.0
+    return matrix
+
+
+@pytest.mark.parametrize("dims", DIMS, ids=["w1", "w2", "w8", "ragged"])
+@pytest.mark.parametrize("layout", ALL_LAYOUTS)
+class TestStoreBytes:
+    """The bulk paths that move raw bytes: copy, load_dense/dense, rows."""
+
+    def test_load_dense_roundtrip_is_bit_exact(self, layout, dims):
+        store = make_store(dims, layout)
+        matrix = random_matrix(dims)
+        store.load_dense(matrix)
+        np.testing.assert_array_equal(store.dense(), matrix)
+        for i in range(len(dims)):
+            np.testing.assert_array_equal(store.get(i), matrix[i, : dims[i]])
+
+    def test_copy_is_independent_and_equal(self, layout, dims):
+        store = make_store(dims, layout)
+        store.load_dense(random_matrix(dims, seed=1))
+        before = store.dense()
+        clone = store.copy()
+        assert type(clone) is type(store)
+        np.testing.assert_array_equal(clone.dense(), before)
+        clone.load_dense(random_matrix(dims, seed=2))
+        clone.set(0, np.full(dims[0], 0.5, dtype=np.float32))
+        np.testing.assert_array_equal(store.dense(), before)
+        store.set(1, np.zeros(dims[1], dtype=np.float32))
+        assert not np.array_equal(clone.get(1), store.get(1))
+
+    def test_rows_equal_dense_rows(self, layout, dims):
+        store = make_store(dims, layout)
+        matrix = random_matrix(dims, seed=3)
+        store.load_dense(matrix)
+        nodes = np.array([len(dims) - 1, 0, 2, 0], dtype=np.int64)
+        got = store.rows(nodes)
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, store.dense()[nodes])
+        got[:] = -1.0  # a fresh array, not a view into the store
+        np.testing.assert_array_equal(store.dense(), matrix)
+        assert store.rows(np.empty(0, dtype=np.int64)).shape == (0, matrix.shape[1])
+
+
+@pytest.mark.parametrize("dims", DIMS[:3], ids=["w1", "w2", "w8"])
+def test_aos_copy_and_load_keep_dim_field(dims):
+    store = AoSBeliefStore(dims)
+    store.load_dense(random_matrix(dims))
+    clone = store.copy()
+    clone.load_dense(random_matrix(dims, seed=4))
+    for s in (store, clone):
+        np.testing.assert_array_equal(s.records["dim"], dims)
+    assert not np.shares_memory(clone.records, store.records)

@@ -17,6 +17,10 @@ indistinguishable:
   dedup they replace;
 * a whole warm-started re-convergence repeats sweep for sweep on every
   path;
+* ``chunk_slices`` tiles a sweep into at most ``chunks`` in-order chunks
+  of at least ``MIN_CHUNK_EDGES`` edges, and keeps the ``linspace``
+  bounds of ``chunks`` equal chunks for any sweep of at least
+  ``chunks * MIN_CHUNK_EDGES`` edges;
 * the compiled executor's fused partial sweeps equal the interpreted
   kernels bit for bit, feeding every destination's accumulation the
   same rows in the same order, and the default plan stays exact on
@@ -34,7 +38,7 @@ from hypothesis import strategies as st
 
 from repro.core import indexset, scheduler
 from repro.core.convergence import ConvergenceCriterion
-from repro.core.edge_kernel import edge_sweep
+from repro.core.edge_kernel import MIN_CHUNK_EDGES, chunk_slices, edge_sweep
 from repro.core.graph import BeliefGraph
 from repro.core.indexset import SlotMap
 from repro.core.junction import junction_tree_marginals
@@ -364,8 +368,14 @@ def sweep_cases(draw):
     potentials, unpaired edges, observed nodes — plus a paradigm and an
     active set of its element space."""
     b = draw(st.sampled_from([1, 2, 3, 8, 9]))
-    n = draw(st.integers(min_value=2, max_value=40))
-    n_pairs = draw(st.integers(min_value=1, max_value=3 * n))
+    if draw(st.booleans()):
+        n = draw(st.integers(min_value=2, max_value=40))
+        n_pairs = draw(st.integers(min_value=1, max_value=3 * n))
+    else:
+        # wide: up to 3x MIN_CHUNK_EDGES directed edges, so an edge
+        # sweep's active set falls on either side of the chunk floor
+        n = draw(st.integers(min_value=MIN_CHUNK_EDGES // 4, max_value=MIN_CHUNK_EDGES // 2))
+        n_pairs = draw(st.integers(min_value=n, max_value=3 * n))
     per_edge = draw(st.booleans())
     unpaired = draw(st.booleans())
     n_observed = draw(st.integers(min_value=0, max_value=2)) if b > 1 else 0
@@ -402,7 +412,9 @@ def sweep_cases(draw):
 
     paradigm = draw(st.sampled_from(["node", "edge"]))
     size = state.n if paradigm == "node" else state.m
-    kind = draw(st.sampled_from(["empty", "single", "all_but_one", "all", "subset"]))
+    kind = draw(st.sampled_from(
+        ["empty", "single", "all_but_one", "all", "subset", "around_floor"]
+    ))
     if kind == "empty" or size == 0:
         active = []
     elif kind == "single":
@@ -412,6 +424,9 @@ def sweep_cases(draw):
         active = [i for i in range(size) if i != skip]
     elif kind == "all":
         active = list(range(size))
+    elif kind == "around_floor":
+        k = min(size, draw(st.integers(MIN_CHUNK_EDGES - 1, 2 * MIN_CHUNK_EDGES + 1)))
+        active = np.sort(rng.choice(size, size=k, replace=False))
     else:
         active = draw(st.lists(st.integers(0, size - 1), max_size=size, unique=True))
     return state, paradigm, np.asarray(active, dtype=np.int64)
@@ -429,6 +444,39 @@ def _sweep(name, state, paradigm, active, options, chunks, sparse):
         else:
             out = executor.edge_sweep(twin, active, chunks=chunks, **options)
     return out, _snapshot(twin), log
+
+
+class TestChunkSlices:
+    @given(
+        st.one_of(
+            st.integers(0, 2 * MIN_CHUNK_EDGES + 2),
+            st.integers(8 * MIN_CHUNK_EDGES - 2, 20 * MIN_CHUNK_EDGES),
+            st.integers(0, 10**9),
+        ),
+        st.integers(min_value=1, max_value=16),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_chunk_contract(self, n_active, chunks):
+        bounds = chunk_slices(n_active, chunks)
+        assert len(bounds) <= chunks
+        # the chunks tile [0, n_active) in order
+        edges = [lo for lo, _ in bounds] + [n_active]
+        assert edges[0] == 0
+        assert [hi for _, hi in bounds] == edges[1:]
+        sizes = [hi - lo for lo, hi in bounds]
+        assert all(size > 0 for size in sizes)
+        if len(bounds) > 1:
+            assert min(sizes) >= MIN_CHUNK_EDGES
+        if n_active >= chunks * MIN_CHUNK_EDGES:
+            linspace = np.linspace(0, n_active, chunks + 1, dtype=np.int64).tolist()
+            assert edges == linspace
+
+    def test_small_sweeps_run_fewer_chunks(self):
+        assert chunk_slices(0, 8) == ()
+        assert chunk_slices(MIN_CHUNK_EDGES - 1, 8) == ((0, MIN_CHUNK_EDGES - 1),)
+        assert len(chunk_slices(3 * MIN_CHUNK_EDGES + 1, 8)) == 3
+        assert len(chunk_slices(8 * MIN_CHUNK_EDGES, 8)) == 8
+        assert len(chunk_slices(100 * MIN_CHUNK_EDGES, 8)) == 8
 
 
 class TestCompiledPartialSweeps:

@@ -20,7 +20,9 @@ import pytest
 
 from repro.core.loopy import LoopyBP, LoopyConfig
 from repro.core.convergence import ConvergenceCriterion
+from repro.core.edge_kernel import MIN_CHUNK_EDGES
 from repro.core.observation import observe
+from repro.graphs.grids import grid_graph
 from repro.graphs.synthetic import synthetic_graph
 from repro.serve import (
     AdmissionQueue,
@@ -54,11 +56,15 @@ def server():
     srv.stop()
 
 
-def solo_posteriors(graph, config, evidence):
+def solo_run(graph, config, evidence):
     view = graph.copy()
     for node, state in evidence:
         observe(view, node, state)
-    result = LoopyBP(config).run(view)
+    return LoopyBP(config).run(view)
+
+
+def solo_posteriors(graph, config, evidence):
+    result = solo_run(graph, config, evidence)
     return np.asarray(result.beliefs, dtype=np.float32), result.iterations
 
 
@@ -87,6 +93,42 @@ class TestBatchedRunnerParity:
             ref, ref_iters = solo_posteriors(graph, config, evidence)
             assert run.iterations == ref_iters, (paradigm, schedule, evidence)
             np.testing.assert_allclose(run.beliefs, ref, atol=1e-6)
+
+    def test_replicas_across_the_chunk_floor_stay_exact(self, monkeypatch):
+        # one replica clamps all but a 4x4 corner, so its work queue
+        # shrinks below MIN_CHUNK_EDGES (one chunk) while the free replica
+        # still sweeps all 2,208 edges (eight chunks) in the same union
+        # sweep: each must keep its solo chunk boundaries bit for bit
+        import repro.serve.batch as batch
+
+        graph = grid_graph(24, 24, n_states=2, seed=2, coupling=0.6)
+        assert graph.n_edges >= 8 * MIN_CHUNK_EDGES
+        rng = np.random.default_rng(0)
+        corner = {r * 24 + c for r in range(4) for c in range(4)}
+        clamped = [(v, int(rng.integers(2))) for v in range(graph.n_nodes) if v not in corner]
+        config = LoopyConfig(
+            paradigm="edge",
+            schedule="work_queue",
+            criterion=ConvergenceCriterion(threshold=1e-6, max_iterations=200),
+        )
+        sizes = []
+        union_sweep = batch._edge_union_sweep
+
+        def spy(state, executor, config, live, actives, *args):
+            sizes.append([len(actives[q]) for q in live])
+            return union_sweep(state, executor, config, live, actives, *args)
+
+        monkeypatch.setattr(batch, "_edge_union_sweep", spy)
+        evidences = [[], clamped]
+        runs, _ = run_batched(graph, config, evidences)
+        assert any(
+            min(s) < MIN_CHUNK_EDGES and max(s) >= 8 * MIN_CHUNK_EDGES for s in sizes
+        )
+        for evidence, run in zip(evidences, runs):
+            ref = solo_run(graph, config, evidence)
+            assert run.iterations == ref.iterations
+            assert run.delta_history == ref.delta_history
+            np.testing.assert_array_equal(run.beliefs, ref.beliefs)
 
     def test_union_reuse_stays_exact(self):
         graph = small_graph()

@@ -25,10 +25,12 @@ from repro.core.graph import BeliefGraph
 from repro.core.loopy import LoopyBP, LoopyConfig
 from repro.core.observation import observe
 from repro.core.scheduler import SCHEDULES, make_schedule
+from repro.core.state import LoopyState
 from repro.graphs.grids import grid_graph
 from repro.core.potentials import attractive_potential
 from repro.io.detect import load_graph
 from repro.io.mtx import MtxFormatError, read_mtx_graph, write_mtx_graph
+from repro.kernels.layout import with_layout
 from repro.partition import extend_partition, make_partition
 from repro.stream import (
     DeltaJournal,
@@ -312,6 +314,24 @@ class TestGraphDelta:
         assert res.graph.src is g.src  # copy() shares structure arrays
         assert res.graph.observed[4] and not g.observed[4]
 
+    @pytest.mark.parametrize("layout", ["aos", "soa", "blocked"])
+    def test_evidence_delta_never_mutates_input(self, layout):
+        g = with_layout(grid_graph(4, 5, seed=1), layout)
+        observe(g, 3, 0)
+        LoopyBP(tight_config()).run(g)
+        before = (g.priors.dense(), g.beliefs.dense(), g.observed.copy(),
+                  g.observed_state.copy(), list(g.node_names))
+        res = apply_delta(g, GraphDelta().observe_node("7", 1).release_node("3"))
+        after = (g.priors.dense(), g.beliefs.dense(), g.observed, g.observed_state,
+                 g.node_names)
+        for a, b in zip(before, after):
+            np.testing.assert_array_equal(a, b)
+        assert res.graph.observed[7] and not res.graph.observed[3]
+        assert res.graph.beliefs.get(7)[1] == 1.0
+        # the released node restarts from its prior in the new graph only
+        np.testing.assert_array_equal(res.graph.beliefs.get(3), g.priors.get(3))
+        assert not np.array_equal(g.beliefs.get(3), g.priors.get(3))
+
     def test_detach_node(self):
         g = grid_graph(3, 3, seed=1)
         observe(g, 4, 0)
@@ -505,6 +525,32 @@ class TestIncrementalEngine:
         for ref, got in zip(runs["interpreted"], runs["compiled"]):
             assert got.delta_history == ref.delta_history
             np.testing.assert_array_equal(got.beliefs, ref.beliefs)
+
+    @pytest.mark.parametrize("layout", ["aos", "soa", "blocked"])
+    def test_patched_evidence_equals_dense_state(self, layout):
+        # the patch reads only the dirty rows of the priors; it must leave
+        # the state a fresh LoopyState would build from the dense priors
+        deltas = [
+            GraphDelta().observe_node("7", 1),
+            GraphDelta().release_node("7").observe_node("12", 0),
+            GraphDelta().observe_node("7", 0),
+            GraphDelta().observe_node("3", 1).release_node("3"),
+            GraphDelta().release_node("7").release_node("12"),
+        ]
+        g = with_layout(grid_graph(5, 5, seed=3), layout)
+        eng = IncrementalEngine(g, tight_config("residual", "edge", threshold=1e-8))
+        eng.converge()
+        for delta in deltas:
+            inc = eng.apply(delta)
+            assert inc.mode == "incremental"
+            fresh = LoopyState(eng.graph)
+            state = eng._state
+            np.testing.assert_array_equal(state.log_priors, fresh.log_priors)
+            np.testing.assert_array_equal(state.free_mask, fresh.free_mask)
+            observed = np.flatnonzero(eng.graph.observed)
+            np.testing.assert_array_equal(state.beliefs[observed], fresh.beliefs[observed])
+            np.testing.assert_array_equal(eng.graph.beliefs.dense(), state.beliefs)
+        assert not eng.graph.observed.any()
 
     def test_large_dirty_fraction_falls_back_to_full(self):
         cfg = tight_config()
