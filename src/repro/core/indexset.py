@@ -18,13 +18,18 @@ Compaction costs ~4× more per element and has a fixed cost of its own,
 so :func:`is_sparse` picks it only for small subsets of large ranges,
 from measured crossovers.  Both paths produce the same values in the
 same order, so the choice never changes a posterior.
+
+The out-edges of a node subset — a work queue's downstream frontier —
+have the same two routes the other way round: a CSR gather costs per
+out-edge, one mask over every edge costs per graph edge, and
+:func:`frontier_by_mask` picks the mask for large subsets.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["SlotMap", "is_sparse"]
+__all__ = ["SlotMap", "is_sparse", "frontier_by_mask"]
 
 #: A k-element subset of ``range(n)`` takes the compacted path while
 #: ``k * _SPARSE_DIVISOR + _DENSE_FLOOR < n``.  Measured on a 2-core Xeon
@@ -44,6 +49,26 @@ def is_sparse(k: int, n: int) -> bool:
     """Is a k-element subset of ``range(n)`` small enough for the
     compacted path?"""
     return k * _SPARSE_DIVISOR + _DENSE_FLOOR < n
+
+
+#: The out-edges of a k-node subset of ``range(n)`` (or their
+#: destinations) are found by one mask pass over every edge once
+#: ``k * _FRONTIER_MASK_DIVISOR >= n``, and by the CSR gather below that.
+#: The gather costs per out-edge, the mask per graph edge, so on a graph
+#: of even-ish degree the crossover is a fraction of n whatever the
+#: degree.  Measured on a 2-core Xeon VM (NumPy 2.4), the 200k-node,
+#: 1.6M-directed-edge binary graph, random node sets, median of 15, the
+#: work queue's dedup included, gather vs mask in ms: destinations 0.78
+#: vs 3.4 at 1% of n, 4.4 vs 5.3 at 10%, 8.1 vs 8.1 at 20%, 18.3 vs 10.1
+#: at 40%, 46.0 vs 14.7 at 100%; edge ids 0.56 vs 3.2 at 1%, 4.2 vs 5.7
+#: at 10%, 7.5 vs 7.3 at 20%, 13.8 vs 8.2 at 40%, 33.7 vs 9.9 at 100%.
+_FRONTIER_MASK_DIVISOR = 5
+
+
+def frontier_by_mask(k: int, n: int) -> bool:
+    """Is a k-node subset of ``range(n)`` large enough that its out-edges
+    are cheaper to mark over every edge than to gather through the CSR?"""
+    return k * _FRONTIER_MASK_DIVISOR >= n
 
 
 class SlotMap:

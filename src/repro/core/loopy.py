@@ -32,6 +32,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from repro.core import indexset
 from repro.core.convergence import ConvergenceCriterion
 from repro.core.graph import BeliefGraph
 from repro.core.scheduler import SCHEDULES, make_schedule, normalize_schedule
@@ -183,6 +184,43 @@ def _verify_executor_buffers(executor, state: LoopyState) -> None:
         verify(state)
 
 
+def _downstream(
+    state: LoopyState,
+    nodes: np.ndarray,
+    deltas: np.ndarray,
+    *,
+    to_nodes: bool,
+    with_priority: bool,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """``(downstream, priority)`` of the changed ``nodes``: the elements
+    whose inputs they feed — their out-edge ids, or with ``to_nodes``
+    those edges' destinations — and, ``with_priority``, the delta of the
+    node each entry leaves.
+
+    Priorities need the ragged form, one entry per out-edge, gathered
+    through the CSR.  Without them a large set is marked instead, with
+    one pass over every edge (:func:`~repro.core.indexset.frontier_by_mask`),
+    and comes back once per element, ascending.  The two hold the same
+    distinct elements, and :meth:`WorkQueue.repopulate` deduplicates
+    either, so the route never changes an active set.
+    """
+    if with_priority or not indexset.frontier_by_mask(len(nodes), state.n):
+        out = state.gather_out_edges(nodes)
+        priority = None
+        if with_priority:
+            sizes = state.out_offsets[nodes + 1] - state.out_offsets[nodes]
+            priority = np.repeat(deltas, sizes)
+        return (state.dst[out] if to_nodes else out), priority
+    marked = np.zeros(state.n, dtype=bool)
+    marked[nodes] = True
+    out = np.flatnonzero(marked[state.src])
+    if not to_nodes:
+        return out, None
+    marked[:] = False
+    marked[state.dst[out]] = True
+    return np.flatnonzero(marked), None
+
+
 @dataclass
 class _Step:
     """One sweep's outcome, as the driver and schedule see it."""
@@ -215,7 +253,12 @@ class _NodePlan:
             cfg.criterion.effective_threshold(), _element_threshold_floor(state.b)
         )
 
-    def sweep(self, active: np.ndarray, want_downstream: bool) -> _Step:
+    def sweep(
+        self, active: np.ndarray, want_downstream: bool, want_priority: bool
+    ) -> _Step:
+        """Sweep ``active``; with ``want_downstream``, also return the
+        nodes downstream of the ones still changing, and with
+        ``want_priority`` their priorities (see :class:`Schedule`)."""
         state, cfg = self.state, self.cfg
         deltas, stats = self.executor.node_sweep(
             state,
@@ -229,9 +272,9 @@ class _NodePlan:
             dirty_mask = deltas >= self.element_threshold
             dirty = active[dirty_mask]
             if len(dirty):
-                sizes = state.out_offsets[dirty + 1] - state.out_offsets[dirty]
-                downstream = state.dst[state.gather_out_edges(dirty)]
-                downstream_priority = np.repeat(deltas[dirty_mask], sizes)
+                downstream, downstream_priority = _downstream(
+                    state, dirty, deltas[dirty_mask], to_nodes=True, with_priority=want_priority
+                )
         return _Step(deltas, float(deltas.sum()), downstream, downstream_priority, stats)
 
 
@@ -259,7 +302,10 @@ class _EdgePlan:
             self.node_threshold / mean_in_degree, _element_threshold_floor(state.b)
         )
 
-    def sweep(self, active: np.ndarray, want_downstream: bool) -> _Step:
+    def sweep(
+        self, active: np.ndarray, want_downstream: bool, want_priority: bool
+    ) -> _Step:
+        """As :meth:`_NodePlan.sweep`, over directed edges."""
         state, cfg = self.state, self.cfg
         # Snapshot the beliefs this sweep can change, for the global
         # convergence reduction (Alg. 1 line 12).
@@ -279,9 +325,10 @@ class _EdgePlan:
             changed_mask = node_deltas >= self.node_threshold
             changed = candidates[changed_mask]
             if len(changed):
-                sizes = state.out_offsets[changed + 1] - state.out_offsets[changed]
-                downstream = state.gather_out_edges(changed)
-                downstream_priority = np.repeat(node_deltas[changed_mask], sizes)
+                downstream, downstream_priority = _downstream(
+                    state, changed, node_deltas[changed_mask],
+                    to_nodes=False, with_priority=want_priority,
+                )
         return _Step(
             edge_deltas,
             float(node_deltas.sum()),
@@ -351,6 +398,7 @@ class LoopyBP:
         if active_seed is not None:
             schedule.restrict(np.asarray(active_seed, dtype=np.int64))
         want_downstream = cfg.requeue_downstream and schedule.wants_downstream
+        want_priority = schedule.wants_priority
 
         tracer = get_tracer()
         run_stats = RunStats()
@@ -362,7 +410,7 @@ class LoopyBP:
                 iteration += 1
                 active = schedule.active
                 with tracer.span("bp.sweep", cat="bp") as sweep_span:
-                    step = plan.sweep(active, want_downstream)
+                    step = plan.sweep(active, want_downstream, want_priority)
                     history.append(step.global_delta)
                     with tracer.span("schedule.update", cat="schedule") as sched_span:
                         schedule.update(

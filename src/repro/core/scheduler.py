@@ -233,7 +233,9 @@ class Schedule:
     1. reads :attr:`active` — the element batch to sweep;
     2. sweeps it (kernels are schedule-agnostic);
     3. calls :meth:`update` with the observed per-element deltas and the
-       downstream elements whose inputs changed;
+       downstream elements whose inputs changed — with their priorities
+       only for the schedules that read them (:attr:`wants_priority`:
+       residual and relaxed; sync and the work queue do not);
     4. calls :meth:`charge` so the schedule's bookkeeping cost (queue
        pushes, heap maintenance, sampling) lands in the sweep's
        :class:`~repro.core.sweepstats.SweepStats` and is priced by the
@@ -243,6 +245,12 @@ class Schedule:
     name: str = "abstract"
     #: does the driver need to compute downstream re-activation sets?
     wants_downstream: bool = True
+    #: does :meth:`update` read ``downstream_priority``?  The priority
+    #: schedules (residual, relaxed) do, so their downstream set comes
+    #: ragged, one entry per out-edge, aligned with the priorities.  The
+    #: work queue reads only the set, which lets the driver build it by
+    #: whichever route is cheaper (``downstream_priority`` is then None)
+    wants_priority: bool = True
     #: does :attr:`active` cover *every* still-unconverged element each
     #: round?  Exhaustive schedules may also terminate on the global sum
     #: criterion; partial-batch schedules must drain instead (their batch
@@ -273,7 +281,9 @@ class Schedule:
 
         ``downstream`` (optional, duplicates allowed) lists elements whose
         inputs changed; ``downstream_priority`` aligns with it and carries
-        the size of the upstream change (a residual lower bound).
+        the size of the upstream change (a residual lower bound).  The
+        driver passes priorities only to schedules that set
+        :attr:`wants_priority`.
         """
 
     def reactivate(
@@ -330,6 +340,7 @@ class SynchronousSchedule(Schedule):
 
     name = "sync"
     wants_downstream = False
+    wants_priority = False
 
     def __init__(self, n_elements: int, element_threshold: float):
         super().__init__(n_elements, element_threshold)
@@ -344,6 +355,7 @@ class WorkQueueSchedule(Schedule):
     """The paper's §3.5 FIFO queue of unconverged elements."""
 
     name = "work_queue"
+    wants_priority = False
 
     def __init__(self, n_elements: int, element_threshold: float):
         super().__init__(n_elements, element_threshold)

@@ -332,7 +332,8 @@ class SyncShardPolicy(ShardPolicy):
             # the span lands on the worker thread's lane, so parallel
             # shard sweeps render side by side in the trace
             with tracer.span("shard.sweep", cat="shard") as span:
-                step = plans[i].sweep(active, run.want_downstream[i])
+                step = plans[i].sweep(active, run.want_downstream[i],
+                                       schedules[i].wants_priority)
                 if span:
                     span.set(shard=i, active=int(len(active)),
                              **step.stats.as_dict())
@@ -602,12 +603,14 @@ class AsyncShardPolicy(ShardPolicy):
                 i, positions, elements = items[j]
                 with tracer.span("shard.sweep", cat="shard") as span:
                     if positions is None:
-                        step = plans[i].sweep(elements, run.want_downstream[i])
+                        step = plans[i].sweep(elements, run.want_downstream[i],
+                                               schedules[i].wants_priority)
                         clone = None
                     else:
                         clone = self._clone_state(states[i])
                         plan = type(plans[i])(clone, cfg)
-                        step = plan.sweep(elements, run.want_downstream[i])
+                        step = plan.sweep(elements, run.want_downstream[i],
+                                          schedules[i].wants_priority)
                     if span:
                         span.set(shard=i, active=int(len(elements)),
                                  stolen=positions is not None,
@@ -736,6 +739,7 @@ class AsyncShardPolicy(ShardPolicy):
                         deltas[positions] = step.deltas
                         if step.downstream is not None:
                             ds_parts.append(step.downstream)
+                        if step.downstream_priority is not None:
                             dsp_parts.append(step.downstream_priority)
                         shard_delta += step.global_delta
                         stats_i += step.stats

@@ -64,6 +64,13 @@ class LoopyState:
     node_slots : SlotMap
         Scratch for deduplicating node sets in O(set size) — the
         scatter's destinations, a partial sweep's dirty rows.
+
+    Every run starts from uniform messages, so the start's log messages
+    are one value and each node's log-message sum depends only on its
+    in-degree: the constructor fills both from a small table instead of
+    taking ``m · b`` logs and ``b`` scatters (see
+    :meth:`_start_log_msg_sum`; bit-identical to
+    :meth:`_rebuild_log_msg_sum`).
     """
 
     def __init__(self, graph: BeliefGraph):
@@ -110,13 +117,35 @@ class LoopyState:
 
         # Uniform starting messages: every edge initially says "no opinion".
         self.messages = np.full((self.m, self.b), 1.0 / self.b, dtype=_FLOAT)
+        self.log_messages = np.empty((self.m, self.b), dtype=_FLOAT)
         # Σ_in log m, maintained incrementally by the edge kernel (this is
         # the accumulator the CUDA edge implementation updates atomically).
-        self.log_msg_sum = np.zeros((self.n, self.b), dtype=_FLOAT)
-        self._rebuild_log_msg_sum()
+        self.log_msg_sum = np.empty((self.n, self.b), dtype=_FLOAT)
+        self._start_log_msg_sum()
 
     # ------------------------------------------------------------------
+    def _start_log_msg_sum(self) -> None:
+        """``log_messages`` and ``log_msg_sum`` of the uniform start, bit
+        for bit what :meth:`_rebuild_log_msg_sum` computes, in O(n + m)
+        writes and no logs or scatters.
+
+        Every start message has the same log ``w``, so a node's sum is
+        ``bincount``'s float64 fold of ``deg(v)`` copies of ``w`` — which
+        depends on ``deg(v)`` alone.  ``cumsum`` folds the same way, one
+        addition at a time, so entry ``d`` of a table over in-degrees is
+        that sum, and one gather by in-degree fills every row.
+        """
+        start = np.full(1, 1.0 / self.b, dtype=_FLOAT)
+        w = safe_log(start, TINY)[0]
+        self.log_messages.fill(w)
+        in_degree = np.diff(self.in_offsets)
+        table = np.zeros(int(in_degree.max(initial=0)) + 1, dtype=np.float64)
+        np.cumsum(np.full(len(table) - 1, w, dtype=np.float64), out=table[1:])
+        self.log_msg_sum[:] = table.astype(_FLOAT)[in_degree][:, None]
+
     def _rebuild_log_msg_sum(self) -> None:
+        """Recompute the log messages and their per-node sums from
+        ``messages`` — for callers that load non-uniform messages."""
         self.log_messages = safe_log(self.messages, TINY)
         self.log_msg_sum[:] = 0.0
         if self.m:

@@ -52,24 +52,32 @@ PARTITION_FEATURE_NAMES = (
 )
 
 
-def _canonical_degrees(graph: BeliefGraph) -> tuple[np.ndarray, np.ndarray]:
-    """In/out degrees over one orientation per undirected edge."""
-    canonical = (graph.reverse_edge == -1) | (
-        np.arange(graph.n_edges) < graph.reverse_edge
-    )
-    src = graph.src[canonical]
-    dst = graph.dst[canonical]
-    out_deg = np.bincount(src, minlength=graph.n_nodes)
-    in_deg = np.bincount(dst, minlength=graph.n_nodes)
-    return in_deg, out_deg
-
-
 def _cache(graph: BeliefGraph) -> dict:
     """The graph's memoization dict (older pickles may lack the slot)."""
     cache = getattr(graph, "_feature_cache", None)
     if cache is None:
         cache = graph._feature_cache = {}
     return cache
+
+
+def _canonical_degrees(graph: BeliefGraph) -> tuple[np.ndarray, np.ndarray]:
+    """In/out degrees over one orientation per undirected edge.
+
+    Memoized with the features: both feature vectors read them, and each
+    pass costs O(m) (~31 ms on a 1.6M-edge graph).
+    """
+    cache = _cache(graph)
+    in_deg = cache.get("canonical_in_degree")
+    out_deg = cache.get("canonical_out_degree")
+    if in_deg is None or out_deg is None:
+        canonical = (graph.reverse_edge == -1) | (
+            np.arange(graph.n_edges) < graph.reverse_edge
+        )
+        out_deg = np.bincount(graph.src[canonical], minlength=graph.n_nodes)
+        in_deg = np.bincount(graph.dst[canonical], minlength=graph.n_nodes)
+        cache["canonical_in_degree"] = in_deg
+        cache["canonical_out_degree"] = out_deg
+    return in_deg, out_deg
 
 
 def extract_features(graph: BeliefGraph) -> np.ndarray:

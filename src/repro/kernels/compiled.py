@@ -12,8 +12,8 @@ partial, node or edge paradigm — then runs one fused program over an
     delta → combine the touched rows
 
 An edge range is a slice of natural edge order when the sweep covers
-every element (no index array is built at all), and an index array
-otherwise:
+every element, or a node sweep's active nodes hold every edge (only
+isolated nodes left out), and an index array otherwise:
 
 * a partial node sweep takes the active nodes' in-edges as ascending
   edge ids — ``flatnonzero(mask[dst])`` for a large active set, the
@@ -536,6 +536,10 @@ class CompiledExecutor(SweepExecutor):
                 mask[active_nodes] = True
                 edges = np.flatnonzero(mask[state.dst])
             n_edges = len(edges)
+            if n_edges == state.m:
+                # every edge, ascending: only isolated nodes are missing
+                # from the active set, and the slice is the same range
+                edges = slice(0, state.m)
         if n_edges:
             self._sweep_range(
                 state, edges,

@@ -66,7 +66,7 @@ def with_layout(graph: BeliefGraph, layout: str) -> BeliefGraph:
     clone.layout = layout
     clone.priors = convert_store(graph.priors, layout)
     clone.beliefs = convert_store(graph.beliefs, layout)
-    clone.node_names = list(graph.node_names)
+    clone._node_names = None if graph.lazy_names else list(graph.node_names)
     clone.src = graph.src
     clone.dst = graph.dst
     clone.n_edges = graph.n_edges

@@ -235,18 +235,28 @@ def _apply_evidence_only(graph: BeliefGraph, delta: GraphDelta) -> DeltaResult:
 def _apply_structural(graph: BeliefGraph, delta: GraphDelta) -> DeltaResult:
     b = graph.n_states
     n_old, m_old = graph.n_nodes, graph.n_edges
-    names = list(graph.node_names)
     dirty: set[int] = set()
+
+    def name_taken(name: str) -> bool:
+        """Is ``name`` an old node's name?  Through the graph's name map
+        (built once, shared by copies), or the id rule of unbuilt
+        default names."""
+        try:
+            graph.node_id(name)
+        except KeyError:
+            return False
+        return True
 
     # -- new nodes ------------------------------------------------------
     new_names: dict[str, int] = {}
+    added_names: list[str] = []
     prior_rows: list[np.ndarray] = []
     for spec in delta.add_nodes:
         nid = n_old + len(prior_rows)
         name = spec.get("name")
         if name is None:
             name = str(nid)
-        if name in new_names or name in set(names):
+        if name in new_names or name_taken(name):
             raise ValueError(f"node name {name!r} already exists")
         prior = spec.get("prior")
         if prior is None:
@@ -257,7 +267,7 @@ def _apply_structural(graph: BeliefGraph, delta: GraphDelta) -> DeltaResult:
                 raise ValueError(f"prior for node {name!r} needs {b} values")
             if not np.isfinite(row).all() or (row < 0).any() or row.sum() <= 0:
                 raise ValueError(f"prior for node {name!r} is not a valid distribution")
-        names.append(name)
+        added_names.append(name)
         new_names[name] = nid
         prior_rows.append(row)
         dirty.add(nid)
@@ -273,9 +283,15 @@ def _apply_structural(graph: BeliefGraph, delta: GraphDelta) -> DeltaResult:
             raise KeyError(f"node id {nid} out of range")
         return nid
 
-    pair_to_edge = {
-        (int(s), int(d)): e for e, (s, d) in enumerate(zip(graph.src, graph.dst))
-    }
+    def find_edge(u: int, v: int) -> int | None:
+        """The id of an old directed edge ``u→v`` (the last, if repeated),
+        from ``u``'s out-edges in O(degree)."""
+        if u >= n_old:
+            return None
+        out = graph.out_edges(u)
+        hits = out[graph.dst[out] == v]
+        return int(hits[-1]) if len(hits) else None
+
     shared_mat = graph.potentials.matrix(0) if graph.potentials.shared and m_old else None
 
     add_pairs: list[tuple[int, int]] = []
@@ -285,7 +301,7 @@ def _apply_structural(graph: BeliefGraph, delta: GraphDelta) -> DeltaResult:
         ui, vi = resolve(u), resolve(v)
         if ui == vi:
             raise ValueError(f"self loop on node {ui} is not allowed")
-        if (ui, vi) in pair_to_edge or (vi, ui) in pair_to_edge:
+        if find_edge(ui, vi) is not None or find_edge(vi, ui) is not None:
             raise ValueError(f"edge {ui}–{vi} already exists")
         if (ui, vi) in pending or (vi, ui) in pending:
             raise ValueError(f"edge {ui}–{vi} added twice in one delta")
@@ -303,9 +319,9 @@ def _apply_structural(graph: BeliefGraph, delta: GraphDelta) -> DeltaResult:
     removals: set[int] = set()
     for u, v in delta.remove_edges:
         ui, vi = resolve(u), resolve(v)
-        eid = pair_to_edge.get((ui, vi))
+        eid = find_edge(ui, vi)
         if eid is None:
-            eid = pair_to_edge.get((vi, ui))
+            eid = find_edge(vi, ui)
         if eid is None:
             raise ValueError(f"no edge {ui}–{vi} to remove")
         removals.add(eid)
@@ -389,6 +405,13 @@ def _apply_structural(graph: BeliefGraph, delta: GraphDelta) -> DeltaResult:
             stack[len(kept) + 2 * idx + 1] = matrix.T
         pots = stack
 
+    # unbuilt default names stay unbuilt while every new node takes the
+    # default name of its id
+    names = None
+    if not graph.lazy_names or any(
+        name != str(n_old + i) for i, name in enumerate(added_names)
+    ):
+        names = graph.node_names + added_names
     new = BeliefGraph(
         priors,
         src,

@@ -149,8 +149,7 @@ class StreamingGraphBuilder:
         builder._src.extend(graph.src)
         builder._dst.extend(graph.dst)
         builder._rev.extend(graph.reverse_edge)
-        default_names = [str(i) for i in range(graph.n_nodes)]
-        if graph.node_names != default_names:
+        if not graph.lazy_names:
             builder._names = list(graph.node_names)
         if graph.potentials.shared:
             if graph.n_edges:

@@ -362,6 +362,46 @@ class TestGraphDelta:
         with pytest.raises((ValueError, KeyError), match=match):
             apply_delta(g, build())
 
+    @pytest.mark.parametrize("named", [False, True])
+    def test_duplicate_checks_without_a_pair_map(self, named):
+        """Duplicates are found through the CSR and the name map: the same
+        errors on unbuilt default names and on explicit names."""
+        g = grid_graph(3, 3, seed=1)
+        if named:
+            g.node_names = [f"v{i}" for i in range(9)]
+        name = (lambda i: f"v{i}") if named else str
+        cases = [
+            (GraphDelta().add_node(name=name(4)), f"node name '{name(4)}' already exists"),
+            (GraphDelta().add_node(name="new").add_node(name="new"),
+             "node name 'new' already exists"),
+            (GraphDelta().add_edge(name(0), name(1)), "edge 0–1 already exists"),
+            (GraphDelta().add_edge(name(1), name(0)), "edge 1–0 already exists"),
+            (GraphDelta().add_edge(name(0), name(4)).add_edge(name(4), name(0)),
+             "edge 4–0 added twice in one delta"),
+            (GraphDelta().add_edge(name(0), name(4)).add_edge(name(0), name(4)),
+             "edge 0–4 added twice in one delta"),
+        ]
+        for delta, message in cases:
+            with pytest.raises(ValueError) as info:
+                apply_delta(g, delta)
+            assert str(info.value) == message
+        # a new node's edges are checked too, and a fresh pair goes through
+        ok = apply_delta(g, GraphDelta().add_node(name="p").add_edge("p", name(0))
+                         .add_edge(name(0), name(4)))
+        assert ok.added_edges == 4
+
+    def test_remove_finds_either_orientation_and_the_last_duplicate(self):
+        g = BeliefGraph.from_undirected(
+            np.full((4, 2), 0.5), np.array([[0, 1], [1, 2], [0, 1], [2, 3]]),
+            attractive_potential(2, 0.8), dedupe=False,
+        )
+        for u, v in (("0", "1"), ("1", "0")):
+            res = apply_delta(g, GraphDelta().remove_edge(u, v))
+            # the later copy of 0-1 (directed edges 4 and 5) goes
+            assert res.edge_map.tolist() == [0, 1, 2, 3, -1, -1, 4, 5]
+        with pytest.raises(ValueError, match="no edge 0–3 to remove"):
+            apply_delta(g, GraphDelta().remove_edge("0", "3"))
+
     def test_heterogeneous_rejected(self):
         rng = np.random.default_rng(0)
         g = BeliefGraph(
