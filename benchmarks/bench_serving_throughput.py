@@ -89,7 +89,6 @@ def _serve_config(max_batch: int, cache: int) -> ServerConfig:
         max_batch=max_batch,
         cache_capacity=cache,
         queue_capacity=512,
-        batch_window_s=0.002,
     )
 
 

@@ -171,8 +171,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--queue-capacity", type=int, default=64)
     serve.add_argument("--max-batch", type=int, default=16,
                        help="micro-batch width (1 disables batching)")
-    serve.add_argument("--batch-window-ms", type=float, default=2.0,
-                       help="linger window for coalescing concurrent queries")
     serve.add_argument("--cache-capacity", type=int, default=256,
                        help="result-cache entries (0 disables caching)")
     serve.add_argument("--deadline-s", type=float, default=None,
@@ -386,7 +384,6 @@ def _cmd_serve(args) -> int:
         max_iterations=args.max_iterations,
         queue_capacity=args.queue_capacity,
         max_batch=args.max_batch,
-        batch_window_s=args.batch_window_ms / 1000.0,
         cache_capacity=args.cache_capacity,
         default_deadline_s=args.deadline_s,
         shards=args.shards,

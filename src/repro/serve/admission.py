@@ -46,9 +46,13 @@ class Ticket:
     enqueued_at: float
     deadline: float | None = None
     future: "_Future" = field(default_factory=lambda: _Future())
+    #: the clock that stamped ``enqueued_at`` and ``deadline``
+    clock: Callable[[], float] = field(default=time.monotonic, repr=False)
 
     def expired(self, now: float | None = None) -> bool:
-        return self.deadline is not None and (now or time.monotonic()) > self.deadline
+        if self.deadline is None:
+            return False
+        return (self.clock() if now is None else now) > self.deadline
 
 
 class _Future:
@@ -83,15 +87,17 @@ class AdmissionQueue:
 
     ``submit`` never blocks: it admits or rejects.  The worker side pops
     a *batch* — the head ticket plus up to ``max_batch - 1`` more tickets
-    for the same model, lingering up to ``window_s`` for stragglers —
-    which is what makes micro-batching effective under bursty load.
+    for the same model that are already queued.  It never waits for
+    stragglers: under load, tickets pile up while the previous batch runs,
+    so batch size follows arrival rate × service time, and a lone query is
+    dispatched the moment it arrives.
     """
 
     def __init__(self, capacity: int, *, clock: Callable[[], float] = time.monotonic):
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
         self.capacity = capacity
-        self._clock = clock
+        self.clock = clock
         self._tickets: deque[Ticket] = deque()
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
@@ -102,7 +108,7 @@ class AdmissionQueue:
     # -- producer side -------------------------------------------------
     def submit(self, request: Any, model: str, deadline_s: float | None = None) -> Ticket:
         """Admit ``request`` or raise :class:`AdmissionRejected`."""
-        now = self._clock()
+        now = self.clock()
         with self._not_empty:
             if self._closed:
                 raise RuntimeError("admission queue is closed")
@@ -115,44 +121,31 @@ class AdmissionQueue:
                 model=model,
                 enqueued_at=now,
                 deadline=None if deadline_s is None else now + deadline_s,
+                clock=self.clock,
             )
             self._tickets.append(ticket)
             self._not_empty.notify()
             return ticket
 
     # -- consumer side -------------------------------------------------
-    def pop_batch(
-        self,
-        max_batch: int,
-        window_s: float = 0.0,
-        timeout: float | None = None,
-    ) -> list[Ticket]:
+    def pop_batch(self, max_batch: int, timeout: float | None = None) -> list[Ticket]:
         """Pop the next model-affine batch (possibly empty on timeout).
 
         Blocks until at least one ticket is available (or ``timeout``),
-        then gathers same-model tickets, waiting up to ``window_s`` for
-        more while the batch is not full.
+        then takes the same-model tickets already queued, up to
+        ``max_batch``, and returns without waiting for more.
         """
-        deadline = None if timeout is None else self._clock() + timeout
+        deadline = None if timeout is None else self.clock() + timeout
         with self._not_empty:
             while not self._tickets:
                 if self._closed:
                     return []
-                remaining = None if deadline is None else deadline - self._clock()
+                remaining = None if deadline is None else deadline - self.clock()
                 if remaining is not None and remaining <= 0:
                     return []
                 self._not_empty.wait(remaining)
             head = self._tickets.popleft()
             batch = [head]
-            window_end = self._clock() + window_s
-            while len(batch) < max_batch:
-                self._gather_same_model(batch, head.model, max_batch)
-                if len(batch) >= max_batch:
-                    break
-                remaining = window_end - self._clock()
-                if remaining <= 0 or self._closed:
-                    break
-                self._not_empty.wait(remaining)
             self._gather_same_model(batch, head.model, max_batch)
             return batch
 

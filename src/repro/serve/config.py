@@ -1,7 +1,7 @@
 """Server configuration.
 
 One frozen dataclass carries every serving knob — admission capacity,
-micro-batching window, cache size, convergence settings — so it can be
+micro-batch width, cache size, convergence settings — so it can be
 threaded from the CLI through :class:`repro.credo.runner.Credo`
 (``Credo.from_server_config``) down to the engine without a bag of
 keyword arguments.
@@ -40,9 +40,6 @@ class ServerConfig:
     max_batch:
         Upper bound on how many queries one micro-batch coalesces.
         ``1`` disables batching (the unbatched ablation mode).
-    batch_window_s:
-        How long the worker lingers for stragglers once it holds at
-        least one request but fewer than ``max_batch``.
     cache_capacity:
         LRU result-cache entries; ``0`` disables caching.
     default_deadline_s:
@@ -73,7 +70,6 @@ class ServerConfig:
     max_iterations: int = DEFAULT_MAX_ITERATIONS
     queue_capacity: int = 64
     max_batch: int = 16
-    batch_window_s: float = 0.002
     cache_capacity: int = 256
     default_deadline_s: float | None = None
     shards: int | None = 1
@@ -87,8 +83,6 @@ class ServerConfig:
             raise ValueError("queue_capacity must be at least 1")
         if self.max_batch < 1:
             raise ValueError("max_batch must be at least 1")
-        if self.batch_window_s < 0:
-            raise ValueError("batch_window_s must be non-negative")
         if self.cache_capacity < 0:
             raise ValueError("cache_capacity must be non-negative")
         if self.default_deadline_s is not None and self.default_deadline_s < 0:

@@ -193,11 +193,7 @@ class InferenceServer:
     # -- worker ----------------------------------------------------------
     def _worker_loop(self) -> None:
         while not self._stopping.is_set():
-            batch = self.admission.pop_batch(
-                self.config.max_batch,
-                window_s=self.config.batch_window_s,
-                timeout=0.25,
-            )
+            batch = self.admission.pop_batch(self.config.max_batch, timeout=0.25)
             if not batch:
                 continue
             self._serve_batch(batch)
@@ -210,14 +206,14 @@ class InferenceServer:
 
     def _serve_batch(self, batch: list[Ticket]) -> None:
         tracer = get_tracer()
-        now = time.monotonic()
+        now = self.admission.clock()
         runnable: list[Ticket] = []
         for ticket in batch:
             wait = now - ticket.enqueued_at
             self.metrics.record_stage("queue_wait", wait)
             if tracer.enabled:
-                # enqueued_at is time.monotonic(), a different clock than
-                # the tracer's — record the measured duration retroactively
+                # enqueued_at is the admission queue's clock, not the
+                # tracer's — record the measured duration retroactively
                 # as a span ending now
                 tracer.complete("serve.queue_wait", wait, cat="serve",
                                 args={"model": ticket.model})
@@ -282,7 +278,7 @@ class InferenceServer:
         self.metrics.record_stage("run", run_elapsed)
         self.admission.observe_service_time(run_elapsed / max(len(runnable), 1))
 
-        finish = time.monotonic()
+        finish = self.admission.clock()
         for ticket, outcome in zip(runnable, outcomes):
             total = finish - ticket.enqueued_at
             self.metrics.record_stage("total", total)

@@ -241,10 +241,65 @@ class TestAdmissionControl:
         queue = AdmissionQueue(capacity=8)
         for model in ("a", "b", "a", "a"):
             queue.submit({"m": model}, model, None)
-        batch = queue.pop_batch(4, window_s=0.0, timeout=0.0)
+        batch = queue.pop_batch(4, timeout=0.0)
         # head is 'a'; the later 'a's coalesce past the interleaved 'b'
         assert [t.model for t in batch] == ["a", "a", "a"]
         assert [t.model for t in queue.pop_batch(4, timeout=0.0)] == ["b"]
+
+    def test_lone_ticket_dispatches_without_waiting(self, monkeypatch):
+        """Once the head is taken, pop_batch returns what is queued and
+        never waits for stragglers."""
+        queue = AdmissionQueue(capacity=8)
+        queue.submit({"m": "a"}, "a", None)
+
+        def no_wait(timeout=None):
+            raise AssertionError("pop_batch waited after taking the head")
+
+        monkeypatch.setattr(queue._not_empty, "wait", no_wait)
+        batch = queue.pop_batch(16, timeout=5.0)
+        assert [t.model for t in batch] == ["a"]
+        assert queue.depth() == 0
+
+    def test_tickets_queued_while_worker_away_coalesce(self):
+        srv = InferenceServer(
+            ServerConfig(max_batch=8, cache_capacity=0), autostart=False
+        )
+        srv.register_model("g", small_graph())
+        tickets = [
+            srv.submit(QueryRequest(model="g", evidence={str(i): i % 3}))
+            for i in range(5)
+        ]
+        srv.start()
+        responses = [t.future.result(30) for t in tickets]
+        srv.stop()
+        assert all(r.ok for r in responses)
+        assert [r.batch_size for r in responses] == [5] * 5
+
+    def test_zero_is_a_valid_clock_reading(self):
+        queue = AdmissionQueue(4, clock=lambda: 0.0)
+        ticket = queue.submit({}, "a", deadline_s=1.0)
+        assert not ticket.expired(0.0)
+        assert not ticket.expired()
+        assert ticket.expired(1.5)
+
+    def test_server_times_tickets_on_the_admission_clock(self):
+        """Queue wait, deadline expiry and total time all read the clock
+        that stamped the ticket, not ``time.monotonic``."""
+        now = [1000.0]
+        srv = InferenceServer(ServerConfig(cache_capacity=0), autostart=False)
+        srv.admission = AdmissionQueue(4, clock=lambda: now[0])
+        srv.register_model("g", small_graph())
+        late = srv.submit(QueryRequest(model="g", evidence={}, deadline_s=5.0))
+        fresh = srv.submit(QueryRequest(model="g", evidence={"1": 0}, deadline_s=50.0))
+        now[0] += 10.0  # the injected clock passes late's deadline only
+        srv.start()
+        late_response = late.future.result(30)
+        fresh_response = fresh.future.result(30)
+        srv.stop()
+        assert not late_response.ok and late_response.error == "deadline_expired"
+        assert fresh_response.ok
+        assert fresh_response.timings["total_s"] == pytest.approx(10.0)
+        assert srv.stats()["deadline_expired_total"] == 1
 
 
 class TestResultCache:
