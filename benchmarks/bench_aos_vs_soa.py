@@ -9,8 +9,7 @@ model (lines touched per logical access) and check the modeled runtimes
 order the same way.  Layout variants come from the registry in
 ``repro.kernels.layout`` (DESIGN.md §13): each graph is built once and
 converted with :func:`with_layout` instead of being rebuilt per layout
-toggle, so the study exercises the same conversion path the executor
-plans use.
+toggle.
 """
 
 import numpy as np

@@ -59,7 +59,7 @@ def validate_qualifier(spec: str) -> str | None:
 
     The grammar
     ``<backend>[:<schedule>][@<K>x<METHOD>[+<POLICY>[~<STALENESS>]]]``
-    ``[!<EXECUTOR>][%<LAYOUT>]`` is owned by
+    is owned by
     :func:`repro.credo.runner.parse_qualified` — the linter calls it in
     strict mode instead of keeping a second copy of the regex, so the
     checker can never drift from what the runner actually accepts.
@@ -97,16 +97,6 @@ def validate_qualifier(spec: str) -> str | None:
             error = _validate_staleness(policy, staleness)
             if error is not None:
                 return f"bad staleness in {spec!r}: {error}"
-    executor = fields.get("executor")
-    if executor is not None:
-        error = _validate_executor(executor)
-        if error is not None:
-            return f"bad executor in {spec!r}: {error}"
-    layout = fields.get("layout")
-    if layout is not None:
-        error = _validate_layout(layout)
-        if error is not None:
-            return f"bad layout in {spec!r}: {error}"
     return None
 
 
@@ -136,30 +126,6 @@ def _validate_staleness(policy: str | None, staleness: int) -> str | None:
             return None  # the policy finding already covers this call
         if canonical == "sync" and staleness:
             return "the sync policy is staleness-free; use policy='async'"
-    return None
-
-
-def _validate_executor(name: str) -> str | None:
-    try:
-        from repro.kernels.executor import normalize_executor
-    except Exception:  # pragma: no cover - detached checkout
-        return None
-    try:
-        normalize_executor(name)
-    except ValueError as exc:
-        return str(exc)
-    return None
-
-
-def _validate_layout(name: str) -> str | None:
-    try:
-        from repro.kernels.layout import normalize_layout
-    except Exception:  # pragma: no cover - detached checkout
-        return None
-    try:
-        normalize_layout(name)
-    except ValueError as exc:
-        return str(exc)
     return None
 
 
@@ -466,43 +432,4 @@ class FrozenGraphMutationRule(Rule):
                         f"{func_name}() on a registered model's frozen "
                         "graph; evidence travels with queries, structural "
                         "changes through GraphDelta (repro.stream.delta)",
-                    )
-
-
-@register
-class UnknownExecutorLayoutRule(Rule):
-    """RPR305: ``executor=`` / ``layout=`` literals not in the registries."""
-
-    id = "RPR305"
-    name = "unknown-executor-layout"
-    description = (
-        "executor=/layout= string literal that does not resolve against "
-        "the live repro.kernels registries ('auto' is allowed: run-time "
-        "selection)"
-    )
-
-    def check(self, module: Module) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            for kw in node.keywords:
-                if kw.arg not in ("executor", "layout"):
-                    continue
-                value = kw.value
-                if not (isinstance(value, ast.Constant)
-                        and isinstance(value.value, str)):
-                    continue
-                if value.value == "auto":  # resolved by the selector at run time
-                    continue
-                error = (
-                    _validate_executor(value.value)
-                    if kw.arg == "executor"
-                    else _validate_layout(value.value)
-                )
-                if error is not None:
-                    yield self.finding(
-                        module,
-                        value,
-                        f"{kw.arg} literal {value.value!r} does not resolve: "
-                        f"{error}",
                     )

@@ -115,15 +115,11 @@ class Backend:
         schedule: str | None = None,
         work_queue: bool | None = None,
         update_rule: str = "sum_product",
-        executor: str | None = None,
     ) -> RunResult:
         """Execute BP on ``graph`` (beliefs are updated in place).
 
         ``schedule`` is any name :func:`repro.core.scheduler.make_schedule`
-        accepts; ``executor`` is any name
-        :func:`repro.kernels.executor.normalize_executor` accepts
-        (``None`` → the :class:`LoopyConfig` default, compiled);
-        ``work_queue`` is the deprecated boolean shim.
+        accepts; ``work_queue`` is the deprecated boolean shim.
         """
         raise NotImplementedError
 
@@ -139,10 +135,8 @@ class Backend:
         schedule: str | None,
         update_rule: str,
         work_queue: bool | None = None,
-        executor: str | None = None,
     ) -> LoopyConfig:
         crit = criterion or ConvergenceCriterion()
-        pinned = {"executor": executor} if executor else {}
         if work_queue is not None:
             # legacy path: LoopyConfig owns the deprecation warning
             return LoopyConfig(  # noqa: RPR303
@@ -150,14 +144,12 @@ class Backend:
                 update_rule=update_rule,
                 criterion=crit,
                 work_queue=work_queue,
-                **pinned,
             )
         return LoopyConfig(
             paradigm=paradigm,
             update_rule=update_rule,
             criterion=crit,
             schedule=schedule or self.default_schedule,
-            **pinned,
         )
 
     @staticmethod

@@ -37,11 +37,10 @@ class _CBackend(Backend):
         schedule: str | None = None,
         work_queue: bool | None = None,
         update_rule: str = "sum_product",
-        executor: str | None = None,
     ) -> RunResult:
         assert self.paradigm is not None
         config = self._loopy_config(
-            self.paradigm, criterion, schedule, update_rule, work_queue, executor
+            self.paradigm, criterion, schedule, update_rule, work_queue
         )
         loopy, wall = self._timed(LoopyBP(config).run, graph)
         gather_bytes = 4.0 * graph.n_states
@@ -63,7 +62,6 @@ class _CBackend(Backend):
             cpu=self.cpu.name,
             layout=graph.layout,
             schedule=config.schedule,
-            executor=config.executor,
         )
 
 

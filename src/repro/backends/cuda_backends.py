@@ -94,11 +94,10 @@ class _CudaBackend(Backend):
         schedule: str | None = None,
         work_queue: bool | None = None,
         update_rule: str = "sum_product",
-        executor: str | None = None,
     ) -> RunResult:
         assert self.paradigm is not None
         config = self._loopy_config(
-            self.paradigm, criterion, schedule, update_rule, work_queue, executor
+            self.paradigm, criterion, schedule, update_rule, work_queue
         )
         device = GpuDevice(self.device_spec)
         buffers = _graph_device_bytes(graph, config.schedule)
@@ -147,7 +146,6 @@ class _CudaBackend(Backend):
             management_fraction=device.breakdown.management_fraction,
             kernel_count=device.kernel_count,
             schedule=config.schedule,
-            executor=config.executor,
         )
 
 

@@ -147,11 +147,10 @@ class DistributedBackend(Backend):
         schedule: str | None = None,
         work_queue: bool | None = None,
         update_rule: str = "sum_product",
-        executor: str | None = None,
         partition: Partition | None = None,
     ) -> RunResult:
         config = self._loopy_config(
-            self.paradigm, criterion, schedule, update_rule, work_queue, executor
+            self.paradigm, criterion, schedule, update_rule, work_queue
         )
         loopy, wall = self._timed(LoopyBP(config).run, graph)
 

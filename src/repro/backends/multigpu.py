@@ -84,11 +84,10 @@ class MultiGpuBackend(Backend):
         schedule: str | None = None,
         work_queue: bool | None = None,
         update_rule: str = "sum_product",
-        executor: str | None = None,
         partition: Partition | None = None,
     ) -> RunResult:
         config = self._loopy_config(
-            self.paradigm, criterion, schedule, update_rule, work_queue, executor
+            self.paradigm, criterion, schedule, update_rule, work_queue
         )
         if partition is None:
             partition = make_partition(

@@ -70,14 +70,13 @@ class OpenACCBackend(Backend):
         schedule: str | None = None,  # coerced to sync: queues need finer
         work_queue: bool | None = None,  # grained control than OpenACC offers (§3.5)
         update_rule: str = "sum_product",
-        executor: str | None = None,
     ) -> RunResult:
         assert self.paradigm is not None
         crit = criterion or ConvergenceCriterion()
         # The imprecise reduction: harder effective threshold → more iters.
         acc_criterion = replace(crit, slack=_ACC_CONVERGENCE_SLACK)
         config = self._loopy_config(
-            self.paradigm, acc_criterion, "sync", update_rule, executor=executor
+            self.paradigm, acc_criterion, "sync", update_rule
         )
 
         device = GpuDevice(self.device_spec)

@@ -140,13 +140,12 @@ class OpenMPBackend(Backend):
         schedule: str | None = None,
         work_queue: bool | None = None,
         update_rule: str = "sum_product",
-        executor: str | None = None,
     ) -> RunResult:
         """``schedule`` here is the BP scheduling policy; the *OMP loop*
         schedule (static/dynamic) is the constructor's ``schedule``."""
         assert self.paradigm is not None
         config = self._loopy_config(
-            self.paradigm, criterion, schedule, update_rule, work_queue, executor
+            self.paradigm, criterion, schedule, update_rule, work_queue
         )
         loopy, wall = self._timed(LoopyBP(config).run, graph)
         modeled = sum(
@@ -160,7 +159,6 @@ class OpenMPBackend(Backend):
             modeled,
             threads=self.threads,
             schedule=config.schedule,
-            executor=config.executor,
             omp_schedule=self.schedule,
             hyperthreading=self.hyperthreading,
         )

@@ -40,7 +40,6 @@ class ReferenceBackend(Backend):
         schedule: str | None = None,  # accepted for interface parity; unused
         work_queue: bool | None = None,  # deprecated shim; unused
         update_rule: str = "sum_product",
-        executor: str | None = None,  # pure-Python loops: nothing to lower
     ) -> RunResult:
         crit = criterion or ConvergenceCriterion()
         n = graph.n_nodes

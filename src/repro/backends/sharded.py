@@ -80,11 +80,10 @@ class ShardedCpuBackend(Backend):
         schedule: str | None = None,
         work_queue: bool | None = None,
         update_rule: str = "sum_product",
-        executor: str | None = None,
         partition: Partition | None = None,
     ) -> RunResult:
         config = self._loopy_config(
-            self.paradigm, criterion, schedule, update_rule, work_queue, executor
+            self.paradigm, criterion, schedule, update_rule, work_queue
         )
         if partition is None:
             partition = make_partition(
@@ -115,7 +114,6 @@ class ShardedCpuBackend(Backend):
             wall,
             modeled,
             schedule=config.schedule,
-            executor=config.executor,
             partitioner=partition.method,
             n_shards=sharded.n_shards,
             cut_fraction=partition.cut_fraction,

@@ -339,7 +339,7 @@ class BlockedBeliefStore(BeliefStore):
     lanes, so a streaming sweep reads ``width`` dense lines per tile and
     a SIMD kernel sees each state contiguous across 16 nodes.  The price
     is random access: one scattered line per *state* instead of per
-    node.  The autotuner weighs exactly this trade.
+    node.  ``cache_lines_per_access`` prices exactly this trade.
     """
 
     layout = "blocked"

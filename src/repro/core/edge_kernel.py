@@ -20,9 +20,13 @@ holds, so the floor keeps a partial sweep of a few dozen edges from
 paying that eight times for freshness a few edges wide.  A sweep of at
 least ``chunks * MIN_CHUNK_EDGES`` edges — every full sweep of the
 benchmark and Table 1 graphs — runs ``chunks`` equal chunks.
-:func:`chunk_slices` is the one source of boundaries for the
-interpreted sweep, the compiled executor and the serve layer's union
+:func:`chunk_slices` is the one source of boundaries for
+:func:`edge_sweep`, the compiled executor and the serve layer's union
 batching, so all three stay bit-exact with each other.
+
+:func:`edge_sweep` is the per-call reference: every run sweeps through
+:class:`repro.kernels.compiled.CompiledExecutor`, and the test suite
+checks it bit for bit against this function.
 
 A sweep costs O(active edges), not O(nodes + edges): destination sets are
 index sets built through the state's slot map

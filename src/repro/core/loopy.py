@@ -38,7 +38,7 @@ from repro.core.graph import BeliefGraph
 from repro.core.scheduler import SCHEDULES, make_schedule, normalize_schedule
 from repro.core.state import LoopyState
 from repro.core.sweepstats import RunStats, SweepStats
-from repro.kernels.executor import cached_executor, normalize_executor
+from repro.kernels.compiled import cached_executor
 from repro.telemetry import get_tracer
 
 __all__ = ["LoopyConfig", "LoopyResult", "LoopyBP"]
@@ -60,24 +60,12 @@ class LoopyConfig:
     message (an extension, 0 disables); ``semiring`` switches to
     max-product for MAP queries (extension).
 
-    ``executor`` selects how each sweep is carried out (DESIGN.md §13):
-    ``"compiled"`` (default) runs every sweep, full or partial, as one
-    fused gather–scatter program over the active set's edges
-    (:mod:`repro.kernels`); ``"interpreted"`` dispatches the historical
-    kernel functions per call and is kept as the pinned reference the
-    parity tests and ``credo profile --verify-parity`` compare against.
-    The two are bit-exact.
+    Every sweep, full or partial, runs as one fused gather–scatter
+    program over the active set's edges (:mod:`repro.kernels`,
+    DESIGN.md §13).
 
     ``batch_fraction``, ``relaxation`` and ``schedule_seed`` parameterize
     the priority schedules; the others ignore them.
-
-    ``verify_kernels`` additionally runs the buffer-op IR runtime check
-    (:func:`repro.kernels.ir.check_buffers`) against the compiled
-    executor's live buffers when the plan is built — shape, dtype and
-    alias structure must match the program the lowering declared.  The
-    static program verification always runs at lowering time; this flag
-    only adds the runtime cross-check (a no-op for the interpreted
-    executor, which lowers nothing).
 
     ``work_queue`` is a **deprecated** boolean shim: ``True`` maps to
     ``schedule="work_queue"``, ``False`` to ``schedule="sync"`` (with a
@@ -88,8 +76,6 @@ class LoopyConfig:
     paradigm: str = "node"
     update_rule: str = "sum_product"
     semiring: str = "sum"
-    executor: str = "compiled"
-    verify_kernels: bool = False
     criterion: ConvergenceCriterion = field(default_factory=ConvergenceCriterion)
     schedule: str = "work_queue"
     work_queue: bool | None = None
@@ -127,7 +113,6 @@ class LoopyConfig:
             )
             object.__setattr__(self, "work_queue", None)
         object.__setattr__(self, "schedule", normalize_schedule(self.schedule))
-        object.__setattr__(self, "executor", normalize_executor(self.executor))
 
 
 @dataclass
@@ -174,14 +159,6 @@ def _element_threshold_floor(n_states: int) -> float:
     not floored — only the schedules' per-element convergence check.
     """
     return float(np.finfo(np.float32).eps) * max(n_states, 2)
-
-
-def _verify_executor_buffers(executor, state: LoopyState) -> None:
-    """Runtime kernel-IR check for executors that lower (duck-typed: the
-    interpreted executor declares no programs and is skipped)."""
-    verify = getattr(executor, "verify_buffers", None)
-    if verify is not None:
-        verify(state)
 
 
 def _downstream(
@@ -239,11 +216,7 @@ class _NodePlan:
         self.state = state
         self.cfg = cfg
         self.n_elements = state.n
-        self.executor = cached_executor(
-            executor_cache, cfg.executor, state, paradigm="node"
-        )
-        if cfg.verify_kernels:
-            _verify_executor_buffers(self.executor, state)
+        self.executor = cached_executor(executor_cache, state, paradigm="node")
         # Per-element convergence threshold (§3.5): an element whose own
         # delta is below the global threshold drops out of the schedule.
         # This is the paper's semantics — "most nodes converge quickly
@@ -287,10 +260,8 @@ class _EdgePlan:
         self.cfg = cfg
         self.n_elements = state.m
         self.executor = cached_executor(
-            executor_cache, cfg.executor, state, paradigm="edge", chunks=cfg.edge_chunks
+            executor_cache, state, paradigm="edge", chunks=cfg.edge_chunks
         )
-        if cfg.verify_kernels:
-            _verify_executor_buffers(self.executor, state)
         # An edge is converged when its message moves less than the node
         # threshold split across the destination's in-edges: the combined
         # per-node perturbation of fully-pruned edges then stays within
@@ -430,8 +401,6 @@ class LoopyBP:
                             iteration=iteration,
                             active=int(len(active)),
                             global_delta=step.global_delta,
-                            executor=cfg.executor,
-                            layout=state.graph.layout,
                             **step.stats.as_dict(),
                         )
                 # A drained schedule means every element individually passed
@@ -448,8 +417,6 @@ class LoopyBP:
                 run_span.set(
                     paradigm=cfg.paradigm,
                     schedule=cfg.schedule,
-                    executor=cfg.executor,
-                    layout=state.graph.layout,
                     kernel_build_s=plan.executor.build_seconds,
                     n_elements=plan.n_elements,
                     iterations=iteration,

@@ -11,6 +11,10 @@ beliefs (Jacobi order — the whole sweep reads one consistent state), then
 combines them with the node's prior.  No atomic accumulation is required,
 at the price of data-dependent gathers ("these lookups occur in random
 order, hampering effective caching").
+
+:func:`node_sweep` is the per-call reference: every run sweeps through
+:class:`repro.kernels.compiled.CompiledExecutor`, and the test suite
+checks it bit for bit against this function.
 """
 
 from __future__ import annotations

@@ -48,13 +48,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.core.graph import BeliefGraph
-from repro.core.loopy import (
-    LoopyConfig,
-    LoopyResult,
-    _EdgePlan,
-    _NodePlan,
-    _verify_executor_buffers,
-)
+from repro.core.loopy import LoopyConfig, LoopyResult, _EdgePlan, _NodePlan
 from repro.core.observation import observe as _observe
 from repro.core.potentials import PerEdgePotentialStore, SharedPotentialStore
 from repro.core.scheduler import make_schedule
@@ -500,11 +494,6 @@ class ShardedLoopyBP:
         schedules = []
         for pos, (sh, st) in enumerate(zip(shards, states)):
             plan = _NodePlan(st, cfg) if cfg.paradigm == "node" else _EdgePlan(st, cfg)
-            if instrument is not None:
-                # instrumented runs cross-check the lowered kernel IR
-                # against each shard's live buffers, alongside the race
-                # detector (no-op for the interpreted executor)
-                _verify_executor_buffers(plan.executor, st)
             n_elem = sh.n_owned if cfg.paradigm == "node" else sh.n_owned_edges
             plans.append(plan)
             schedules.append(

@@ -43,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--shards", type=int, default=None, metavar="N",
         help="shard-parallel execution over N graph partitions "
-             "(default: selector's choice — only very large graphs shard)",
+             "(default: unsharded)",
     )
     run.add_argument(
         "--partitioner", default=None,
@@ -59,25 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--staleness", type=int, default=None, metavar="K",
         help="async halo staleness bound in rounds (0 degenerates to "
              "lockstep; implies --shard-policy async when positive)",
-    )
-    run.add_argument(
-        "--executor", default=None,
-        choices=("interpreted", "compiled", "auto"),
-        help="sweep executor: interpreted kernels, fused compiled "
-             "programs (bit-exact), or the selector's cost call "
-             "(default: the selector's cost call)",
-    )
-    run.add_argument(
-        "--layout", default=None,
-        choices=("aos", "soa", "blocked", "auto"),
-        help="belief-store layout; 'auto' runs the plan-time layout "
-             "autotuner (default: keep the graph's layout)",
-    )
-    run.add_argument(
-        "--verify-kernels", action="store_true",
-        help="pre-flight the compiled executor's buffer-op IR on both "
-             "paradigms (static program check + runtime buffer cross-check) "
-             "before running; exits 1 on verification failure",
     )
     run.add_argument("--top", type=int, default=10, help="print the first N posteriors")
     run.add_argument(
@@ -107,14 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       choices=("hash", "range", "bfs", "greedy"))
     prof.add_argument("--shard-policy", default=None, choices=("sync", "async"))
     prof.add_argument("--staleness", type=int, default=None, metavar="K")
-    prof.add_argument("--executor", default=None,
-                      choices=("interpreted", "compiled", "auto"),
-                      help="sweep executor (default: the selector's "
-                           "cost call; --verify-parity's baseline is "
-                           "always interpreted)")
-    prof.add_argument("--layout", default=None,
-                      choices=("aos", "soa", "blocked", "auto"),
-                      help="belief-store layout; 'auto' autotunes")
     prof.add_argument("--threshold", type=float, default=1e-3)
     prof.add_argument("--max-iterations", type=int, default=200)
     prof.add_argument("--trace", default="trace.json", metavar="OUT.json",
@@ -122,11 +95,8 @@ def _build_parser() -> argparse.ArgumentParser:
     prof.add_argument("--no-summary", action="store_true",
                       help="skip the per-span aggregate table")
     prof.add_argument("--verify-parity", action="store_true",
-                      help="also run untraced and fail unless posteriors "
-                           "are identical")
-    prof.add_argument("--verify-kernels", action="store_true",
-                      help="pre-flight the compiled executor's buffer-op IR "
-                           "on both paradigms before profiling")
+                      help="also run the same plan untraced and fail unless "
+                           "posteriors are identical")
 
     feats = sub.add_parser("features", help="print a graph's metadata features")
     feats.add_argument("path")
@@ -260,31 +230,6 @@ def _write_trace(tracer, path: str) -> None:
     )
 
 
-def _verify_kernels_preflight(graph) -> bool:
-    """Lower the compiled executor for both paradigms, verify the emitted
-    buffer-op IR statically and against the live buffers, and print each
-    program's op summary.  Returns False on any verification failure."""
-    from repro.core.state import LoopyState
-    from repro.kernels.compiled import CompiledExecutor
-    from repro.kernels.ir import KernelVerificationError
-
-    ok = True
-    for paradigm in ("node", "edge"):
-        state = LoopyState(graph)
-        try:
-            executor = CompiledExecutor(state, paradigm=paradigm)
-            executor.verify_buffers(state)
-        except KernelVerificationError as exc:
-            print(f"kernel verification FAILED [{paradigm}]: {exc}",
-                  file=sys.stderr)
-            ok = False
-            continue
-        for program in executor.programs.values():
-            print(program.describe(), file=sys.stderr)
-        print(f"kernel verification OK [{paradigm}]", file=sys.stderr)
-    return ok
-
-
 def _cmd_profile(args) -> int:
     from repro.core.convergence import ConvergenceCriterion
     from repro.credo.runner import Credo
@@ -299,34 +244,18 @@ def _cmd_profile(args) -> int:
         schedule=args.schedule,
     )
     graph = load_graph(args.path, args.edge_path)
-    if args.verify_kernels and not _verify_kernels_preflight(graph):
-        return 1
-
-    baseline = None
-    if args.verify_parity:
-        # the baseline is pinned to the interpreted executor so the
-        # profiled run (compiled unless --executor says otherwise) is
-        # checked against the reference semantics, not against itself
-        baseline = credo.run(
-            graph.copy(), backend=args.backend,
-            shards=args.shards, partitioner=args.partitioner,
-            policy=args.shard_policy, staleness=args.staleness,
-            executor="interpreted", layout=args.layout,
-        )
 
     tracer = Tracer()
     with use_tracer(tracer):
-        result = credo.run(
-            graph.copy(), backend=args.backend,
+        plan = credo.plan(
+            graph, backend=args.backend,
             shards=args.shards, partitioner=args.partitioner,
             policy=args.shard_policy, staleness=args.staleness,
-            executor=args.executor, layout=args.layout,
         )
+        result = credo.run(graph.copy(), plan=plan)
 
     print(f"backend       {result.backend}")
     print(f"schedule      {result.detail.get('schedule', '-')}")
-    print(f"executor      {result.detail.get('executor', 'interpreted')}")
-    print(f"layout        {result.detail.get('layout', graph.layout)}")
     if "policy" in result.detail:
         print(f"shard policy  {result.detail['policy']} "
               f"(staleness {result.detail.get('staleness', 0)})")
@@ -350,7 +279,9 @@ def _cmd_profile(args) -> int:
         print(summary_table(tracer.events))
     _write_trace(tracer, args.trace)
 
-    if baseline is not None:
+    if args.verify_parity:
+        # the same frozen plan, run again with tracing off
+        baseline = credo.run(graph.copy(), plan=plan)
         drift = float(
             np.max(np.abs(np.asarray(result.beliefs) - np.asarray(baseline.beliefs)))
         )
@@ -362,11 +293,8 @@ def _cmd_profile(args) -> int:
                 file=sys.stderr,
             )
             return 1
-        print(
-            "parity: traced == untraced (baseline executor "
-            f"{baseline.detail.get('executor', 'interpreted')})",
-            file=sys.stderr,
-        )
+        print(f"parity: traced == untraced (plan {plan.qualified})",
+              file=sys.stderr)
     return 0
 
 
@@ -627,11 +555,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     if args.train:
         credo.train(profile="smoke", use_cases=("binary",))
-    if args.verify_kernels:
-        from repro.io.detect import load_graph
-
-        if not _verify_kernels_preflight(load_graph(args.path, args.edge_path)):
-            return 1
     if args.trace is not None:
         from repro.telemetry import Tracer, use_tracer
 
@@ -641,7 +564,6 @@ def main(argv: list[str] | None = None) -> int:
                 args.path, args.edge_path, backend=args.backend,
                 shards=args.shards, partitioner=args.partitioner,
                 policy=args.shard_policy, staleness=args.staleness,
-                executor=args.executor, layout=args.layout,
             )
         _write_trace(tracer, args.trace)
     else:
@@ -649,12 +571,9 @@ def main(argv: list[str] | None = None) -> int:
             args.path, args.edge_path, backend=args.backend,
             shards=args.shards, partitioner=args.partitioner,
             policy=args.shard_policy, staleness=args.staleness,
-            executor=args.executor, layout=args.layout,
         )
     print(f"backend       {result.backend}")
     print(f"schedule      {result.detail.get('schedule', '-')}")
-    if args.executor or args.layout or "executor" in result.detail:
-        print(f"executor      {result.detail.get('executor', 'interpreted')}")
     if "n_shards" in result.detail or "n_devices" in result.detail:
         shards = result.detail.get("n_shards", result.detail.get("n_devices"))
         print(f"shards        {shards} ({result.detail.get('partitioner', '-')}, "

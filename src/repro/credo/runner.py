@@ -30,18 +30,25 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["Credo", "ExecutionPlan", "parse_qualified"]
 
-#: the full qualified-spec grammar, mirroring the RPR302/RPR305 lint
-#: validators: ``<backend>[:<schedule>][@<K>x<method>[+<policy>[~<k>]]]
-#: [!<executor>][%<layout>]`` — exactly what ``ExecutionPlan.qualified``
-#: renders, so plans round-trip through their string spelling
+#: the full qualified-spec grammar, mirroring the RPR302 lint validator:
+#: ``<backend>[:<schedule>][@<K>x<method>[+<policy>[~<k>]]]`` — exactly
+#: what ``ExecutionPlan.qualified`` renders, so plans round-trip through
+#: their string spelling
 _QUALIFIED_RE = re.compile(
     r"^(?P<backend>[a-z][a-z0-9_-]*)"
     r"(?::(?P<schedule>[a-z][a-z0-9_-]*))?"
     r"(?:@(?P<shards>\d+)x(?P<partitioner>[a-z][a-z0-9_-]*)"
-    r"(?:\+(?P<policy>[a-z][a-z0-9_-]*)(?:~(?P<staleness>\d+))?)?)?"
-    r"(?:!(?P<executor>[a-z][a-z0-9_-]*))?"
-    r"(?:%(?P<layout>[a-z][a-z0-9_-]*))?$"
+    r"(?:\+(?P<policy>[a-z][a-z0-9_-]*)(?:~(?P<staleness>\d+))?)?)?$"
 )
+
+
+def _check_executor(executor: str | None) -> None:
+    """``executor=`` is kept as a keyword whose only value is
+    ``"compiled"``: every sweep runs on the compiled executor."""
+    if executor not in (None, "compiled"):
+        raise ValueError(
+            f"unknown executor {executor!r}; every sweep runs 'compiled'"
+        )
 
 
 def parse_qualified(name: str, *, strict: bool = False) -> dict:
@@ -49,7 +56,7 @@ def parse_qualified(name: str, *, strict: bool = False) -> dict:
 
     Returns a dict holding only the groups present in ``name``
     (``backend`` always; ``schedule``/``shards``/``partitioner``/
-    ``policy``/``staleness``/``executor``/``layout`` when spelled).
+    ``policy``/``staleness`` when spelled).
     Specs outside the grammar fall back to the historical
     ``"<name>:<qualifier>"`` split so unknown names still surface their
     errors at the backend/schedule registries — unless ``strict`` is
@@ -63,7 +70,6 @@ def parse_qualified(name: str, *, strict: bool = False) -> dict:
             raise ValueError(
                 f"{name!r} does not match the qualified-spec grammar "
                 "<backend>[:<sched>][@Kx<METHOD>[+<POLICY>[~<K>]]]"
-                "[!<EXECUTOR>][%<LAYOUT>]"
             )
         base, _, qualifier = name.partition(":")
         return {"backend": base, **({"schedule": qualifier} if qualifier else {})}
@@ -90,13 +96,6 @@ class ExecutionPlan:
     execution policy (DESIGN.md §12): ``"sync"`` for bit-exact lockstep
     rounds, ``"async"`` for stale-synchronous ticks that consume halo
     snapshots up to ``staleness`` rounds old.
-
-    ``executor`` freezes *how* sweeps run (DESIGN.md §13): the compiled
-    fused programs (the default) or interpreted per-call kernel dispatch,
-    the pinned reference — bit-exact either way, so this axis is pure
-    cost.  ``layout`` freezes the belief-store arrangement the plan's
-    runs convert the graph to; the selector fills it from the plan-time
-    layout autotuner.
     """
 
     backend: str
@@ -105,8 +104,6 @@ class ExecutionPlan:
     partitioner: str | None = None
     policy: str = "sync"
     staleness: int = 0
-    executor: str = "compiled"
-    layout: str = "aos"
 
     def __post_init__(self) -> None:
         if self.shards < 1:
@@ -117,11 +114,6 @@ class ExecutionPlan:
             raise ValueError(
                 "the sync policy is staleness-free; use policy='async'"
             )
-        from repro.kernels.executor import normalize_executor
-        from repro.kernels.layout import normalize_layout
-
-        object.__setattr__(self, "executor", normalize_executor(self.executor))
-        object.__setattr__(self, "layout", normalize_layout(self.layout))
 
     @property
     def paradigm(self) -> str:
@@ -139,18 +131,12 @@ class ExecutionPlan:
     def qualified(self) -> str:
         """The ``"<backend>:<schedule>"`` registry-style name; sharded
         plans carry an ``@<shards>x<partitioner>`` suffix, async ones a
-        further ``+<policy>~<staleness>``.  Non-default executor and
-        layout append ``!<executor>`` and ``%<layout>`` respectively, so
-        default plans keep their historical spelling."""
+        further ``+<policy>~<staleness>``."""
         base = f"{self.backend}:{self.schedule}"
         if self.sharded:
             base = f"{base}@{self.shards}x{self.partitioner or 'bfs'}"
             if self.policy != "sync":
                 base = f"{base}+{self.policy}~{self.staleness}"
-        if self.executor != "compiled":
-            base = f"{base}!{self.executor}"
-        if self.layout != "aos":
-            base = f"{base}%{self.layout}"
         return base
 
 
@@ -279,7 +265,6 @@ class Credo:
         policy: str | None = None,
         staleness: int | None = None,
         executor: str | None = None,
-        layout: str | None = None,
     ) -> ExecutionPlan:
         """Run selection once and freeze the decision for reuse.
 
@@ -288,36 +273,27 @@ class Credo:
         re-selection; ``backend=`` pins the backend and only the schedule
         is chosen.  It accepts the full qualified grammar
         (:attr:`ExecutionPlan.qualified`), so a plan's string spelling
-        round-trips back into an equivalent plan.  ``shards=`` pins the shard count (1 disables);
-        ``None`` asks the selector, which only shards very large graphs
-        (:data:`~repro.credo.selector.SHARD_AUTO_MIN_EDGES`).
+        round-trips back into an equivalent plan.  ``shards=`` pins the
+        shard count; ``None`` and 1 run unsharded, as :meth:`run` does.
         ``policy=``/``staleness=`` pin the shard execution policy; left
         ``None``, the selector picks async staleness on heavy-tailed
-        graphs and bit-exact sync everywhere else.  ``executor=`` pins
-        the sweep executor; left ``None``, the selector sizes the
-        compiled lowering cost against the graph.  ``layout=`` pins the
-        belief layout, ``"auto"`` runs the plan-time layout autotuner,
-        and ``None`` keeps the graph's current layout.
+        graphs and bit-exact sync everywhere else.  ``executor=`` accepts
+        only ``"compiled"``, the one sweep executor.
         """
+        _check_executor(executor)
         with get_tracer().span("credo.plan", cat="credo") as sp:
             spec = parse_qualified(backend or self.select(graph))
             base_name = spec["backend"]
             schedule = spec.get("schedule") or self.select_schedule(graph, base_name)
             # suffix-spelled fields fill in wherever no kwarg pinned them
             if shards is None:
-                shards = spec.get("shards")
+                shards = spec.get("shards", 1)
             if partitioner is None:
                 partitioner = spec.get("partitioner")
             if policy is None:
                 policy = spec.get("policy")
             if staleness is None:
                 staleness = spec.get("staleness")
-            if executor is None:
-                executor = spec.get("executor")
-            if layout is None:
-                layout = spec.get("layout")
-            if shards is None:
-                shards = self.selector.select_sharding(graph)
             if shards > 1 and not graph.uniform:
                 raise ValueError("sharded execution requires a uniform graph")
             if shards > 1:
@@ -331,16 +307,9 @@ class Credo:
                     staleness = 1 if policy == "async" else 0
             else:
                 policy, staleness = "sync", 0
-            if executor is None or executor == "auto":
-                executor = self.selector.select_executor(graph, base_name)
-            if layout is None:
-                layout = graph.layout
-            elif layout == "auto":
-                layout = self.selector.select_layout(graph)
             if sp:
                 sp.set(backend=base_name, schedule=schedule, shards=shards,
-                       policy=policy, staleness=staleness,
-                       executor=executor, layout=layout)
+                       policy=policy, staleness=staleness)
         return ExecutionPlan(
             backend=base_name,
             schedule=schedule,
@@ -348,8 +317,6 @@ class Credo:
             partitioner=(partitioner or "bfs") if shards > 1 else partitioner,
             policy=policy,
             staleness=staleness,
-            executor=executor,
-            layout=layout,
         )
 
     def _sharded_backend(self, plan: ExecutionPlan) -> Backend:
@@ -387,23 +354,6 @@ class Credo:
             self._sharded[key] = engine
         return engine
 
-    def _layout_target(self, graph: BeliefGraph, layout: str | None) -> BeliefGraph:
-        """The graph a run executes on: converted when the plan's layout
-        differs, ``graph`` itself otherwise (zero cost)."""
-        if layout is None or layout == graph.layout:
-            return graph
-        from repro.kernels.layout import with_layout
-
-        return with_layout(graph, layout)
-
-    @staticmethod
-    def _writeback(graph: BeliefGraph, target: BeliefGraph, result: RunResult) -> None:
-        """Mirror a converted run's posteriors into the caller's graph so
-        the in-place-update contract holds across layout conversion."""
-        if target is not graph:
-            graph.beliefs.load_dense(result.beliefs)
-            result.detail["layout"] = target.layout
-
     def run(
         self,
         graph: BeliefGraph,
@@ -416,27 +366,22 @@ class Credo:
         policy: str | None = None,
         staleness: int | None = None,
         executor: str | None = None,
-        layout: str | None = None,
     ) -> RunResult:
         """Select (or honour ``backend=``/``schedule=``/``plan=``) and
         execute BP.
 
         ``backend`` accepts the full qualified grammar a plan renders
-        (``"c-node:residual"``, ``"c-edge:sync!compiled%soa"``,
-        ``"sharded:sync@4xbfs+async~2"`` — see
+        (``"c-node:residual"``, ``"sharded:sync@4xbfs+async~2"`` — see
         :attr:`ExecutionPlan.qualified`); suffix-spelled fields win
         unless the matching keyword argument is given explicitly.
         ``plan`` short-circuits selection entirely (amortized serving
         path); it is mutually exclusive with the other two.
         ``shards``/``partitioner``/``policy``/``staleness`` request
         shard-parallel execution (equivalent to planning with the same
-        values).  ``executor=`` pins the sweep executor; ``None`` and
-        ``"auto"`` ask the selector, exactly as :meth:`plan` does (plans
-        carry their own recorded choice); ``layout=`` converts the
-        graph's belief storage for the run (``"auto"`` invokes the
-        plan-time autotuner), with posteriors written back to the
-        caller's graph either way.
+        values).  ``executor=`` accepts only ``"compiled"``, the one sweep
+        executor.
         """
+        _check_executor(executor)
         if plan is not None:
             if backend is not None or schedule is not None or shards is not None:
                 raise ValueError(
@@ -456,33 +401,20 @@ class Credo:
                     policy = spec.get("policy")
                 if staleness is None:
                     staleness = spec.get("staleness")
-                if executor is None:
-                    executor = spec.get("executor")
-                if layout is None:
-                    layout = spec.get("layout")
             if shards is not None and shards > 1:
                 plan = self.plan(graph, backend=backend, shards=shards,
                                  partitioner=partitioner, policy=policy,
-                                 staleness=staleness, executor=executor,
-                                 layout=layout)
+                                 staleness=staleness)
         if plan is not None:
-            target = self._layout_target(graph, plan.layout)
             if plan.sharded:
                 engine = self._sharded_backend(plan)
                 result = engine.run(
-                    target, criterion=self.criterion, schedule=plan.schedule,
-                    executor=plan.executor,
+                    graph, criterion=self.criterion, schedule=plan.schedule,
                 )
                 result.detail["selected"] = plan.backend
-                self._writeback(graph, target, result)
                 return result
             backend, schedule = plan.backend, plan.schedule
-            executor = plan.executor
-        else:
-            if layout == "auto":
-                layout = self.selector.select_layout(graph)
-            target = self._layout_target(graph, layout)
-        name = backend or self.select(target)
+        name = backend or self.select(graph)
         base_name, _, qualifier = name.partition(":")
         try:
             engine = self._backends[base_name]
@@ -491,22 +423,15 @@ class Credo:
                 f"unknown backend {base_name!r}; Credo dispatches "
                 f"{sorted(self._backends)}"
             ) from None
-        if executor is None or executor == "auto":
-            executor = self.selector.select_executor(target, base_name)
         if self.work_queue is not None and schedule is None and not qualifier:
             # legacy boolean flows to the backend, which warns via LoopyConfig
             result = engine.run(
-                target, criterion=self.criterion, work_queue=self.work_queue,
-                executor=executor,
+                graph, criterion=self.criterion, work_queue=self.work_queue,
             )
         else:
-            chosen = schedule or qualifier or self.select_schedule(target, base_name)
-            result = engine.run(
-                target, criterion=self.criterion, schedule=chosen,
-                executor=executor,
-            )
+            chosen = schedule or qualifier or self.select_schedule(graph, base_name)
+            result = engine.run(graph, criterion=self.criterion, schedule=chosen)
         result.detail["selected"] = base_name
-        self._writeback(graph, target, result)
         return result
 
     def select_file(self, node_path: str | Path, edge_path: str | Path) -> str:
@@ -533,12 +458,10 @@ class Credo:
         policy: str | None = None,
         staleness: int | None = None,
         executor: str | None = None,
-        layout: str | None = None,
     ) -> RunResult:
         """Load a graph file (BIF / XML-BIF / MTX dual-file) and run it."""
         graph = load_graph(path, edge_path)
         return self.run(
             graph, backend=backend, shards=shards, partitioner=partitioner,
             policy=policy, staleness=staleness, executor=executor,
-            layout=layout,
         )

@@ -27,14 +27,8 @@ from repro.ml.forest import RandomForestClassifier
 __all__ = [
     "CredoSelector",
     "INCREMENTAL_DIRTY_MAX_FRACTION",
-    "SHARD_AUTO_MIN_EDGES",
     "cuda_pivot_nodes",
 ]
-
-#: below this many directed edges sharding is pure overhead: the per-round
-#: exchange + barrier dwarfs what shard parallelism saves, so the
-#: automatic path keeps small graphs on the single-engine fast path
-SHARD_AUTO_MIN_EDGES = 500_000
 
 #: above this dirty fraction an incremental re-convergence stops paying:
 #: warm-started residual propagation re-touches most of the graph anyway,
@@ -154,20 +148,6 @@ class CredoSelector:
             return ("async", 1)
         return ("sync", 0)
 
-    def select_sharding(self, graph: BeliefGraph, *, max_shards: int = 8) -> int:
-        """How many shards to split ``graph`` into (1 = don't shard).
-
-        Deliberately conservative: sharding only pays once a graph is
-        large enough that per-shard sweeps dominate the boundary exchange
-        and barrier, so anything under :data:`SHARD_AUTO_MIN_EDGES`
-        directed edges (and every heterogeneous network) stays on the
-        existing single-engine path unchanged.  Beyond that, one extra
-        shard per ~:data:`SHARD_AUTO_MIN_EDGES` edges, capped.
-        """
-        if not graph.uniform or graph.n_edges < SHARD_AUTO_MIN_EDGES:
-            return 1
-        return int(min(max_shards, max(2, graph.n_edges // SHARD_AUTO_MIN_EDGES)))
-
     # ------------------------------------------------------------------
     def select_update_mode(
         self, dirty_fraction: float, *, structural: bool = True
@@ -184,38 +164,6 @@ class CredoSelector:
         if dirty_fraction > INCREMENTAL_DIRTY_MAX_FRACTION:
             return "full"
         return "incremental"
-
-    # ------------------------------------------------------------------
-    def select_executor(self, graph: BeliefGraph, backend: str) -> str:
-        """Sweep executor for ``graph`` on ``backend`` (DESIGN.md §13).
-
-        The compiled executor is bit-exact with the interpreted one and
-        no slower on any uniform graph: lowering is a reverse-pair check
-        plus a memoized program, and every sweep, full or partial, runs
-        fused.  On the 150-node served model (884 directed edges,
-        ``c-edge:work_queue``) a solo run takes 5.4–6.3 ms compiled vs
-        7.5 ms interpreted; on an 8-edge network they tie (2-core Xeon
-        VM).  So there is no size cut-off: only the pure-Python
-        reference backend and heterogeneous graphs, which have nothing
-        to lower, stay interpreted.
-        """
-        if backend == "reference" or not graph.uniform:
-            return "interpreted"
-        return "compiled"
-
-    def select_layout(self, graph: BeliefGraph, *, seed: int = 0) -> str:
-        """Belief-store layout for ``graph``, by the cache-line cost model.
-
-        Delegates to :func:`repro.kernels.autotune.autotune_layout`, which
-        scores each layout from the graph structure and a seeded sample
-        of edge locality — a deterministic decision under the fixed seed,
-        recorded on the :class:`~repro.credo.runner.ExecutionPlan` for
-        audit.  Its wall-clock probe timings are recorded but never
-        influence the choice.
-        """
-        from repro.kernels.autotune import autotune_layout
-
-        return autotune_layout(graph, seed=seed).layout
 
     def select_full(self, graph: BeliefGraph) -> str:
         """Schedule-qualified selection, ``"<backend>:<schedule>"``."""

@@ -1,73 +1,31 @@
 """repro.kernels — the compiled sweep-execution layer (DESIGN.md §13).
 
-Historically every sweep dispatched through the per-sweep kernel
-functions (:func:`repro.core.node_kernel.node_sweep`,
-:func:`repro.core.edge_kernel.edge_sweep`), one NumPy call per step and
-a fresh temporary per intermediate.  This package runs each sweep, full
-or partial, as one fused gather–scatter NumPy program over the swept
-edges — message gather, log-space product, normalize, residual,
-scatter, combine:
-
-:mod:`repro.kernels.executor`
-    The :class:`SweepExecutor` protocol, the ``EXECUTORS`` registry and
-    the interpreted executor (bit-exact, the pinned reference).
+Every sweep, full or partial, runs as one fused gather–scatter NumPy
+program over the swept edges — message gather, log-space product,
+normalize, residual, scatter, combine:
 
 :mod:`repro.kernels.compiled`
-    The compiled executor, the default: fused sweeps over any active
-    set, scratch sized by the sweep.  Validated bit-exact against the
-    interpreted executor (``tests/test_kernels_executor.py``,
+    :class:`~repro.kernels.compiled.CompiledExecutor`, the one sweep
+    executor, and the factories the drivers lower it through.  Checked
+    bit-exact against the per-call reference kernels in
+    :mod:`repro.core.node_kernel` and :mod:`repro.core.edge_kernel`
+    (``tests/test_kernels_executor.py``,
     ``tests/test_property_active_set.py``).
 
 :mod:`repro.kernels.layout`
-    Belief-store layout as a first-class measured choice — the
-    ``LAYOUTS`` registry (``aos`` / ``soa`` / ``blocked``) and
-    structure-sharing graph conversion.
-
-:mod:`repro.kernels.autotune`
-    The plan-time layout autotuner: deterministic probe-sweep costing
-    under a fixed measurement seed, recorded on
-    :class:`repro.credo.runner.ExecutionPlan`.
-
-:mod:`repro.kernels.ir`
-    The buffer-op IR the compiled lowering emits — per-op read/write/
-    alias sets over named buffers — plus the plan-time verifier
-    (:func:`~repro.kernels.ir.verify_program`) and the optional runtime
-    cross-check (:func:`~repro.kernels.ir.check_buffers`).
+    The belief-store layouts (``aos`` / ``soa`` / ``blocked``) and
+    structure-sharing graph conversion, for the storage ablations.
+    Sweeps run on :class:`~repro.core.state.LoopyState`'s dense copy of
+    the beliefs, so the layout changes storage, never sweep time.
 """
 
-from repro.kernels.autotune import LayoutDecision, autotune_layout
-from repro.kernels.executor import (
-    EXECUTORS,
-    InterpretedExecutor,
-    SweepExecutor,
-    make_executor,
-    normalize_executor,
-)
-from repro.kernels.ir import (
-    BufferOp,
-    BufferSpec,
-    KernelProgram,
-    KernelVerificationError,
-    check_buffers,
-    verify_program,
-)
-from repro.kernels.layout import LAYOUTS, normalize_layout, with_layout
+from repro.kernels.compiled import CompiledExecutor, cached_executor, make_executor
+from repro.kernels.layout import LAYOUTS, with_layout
 
 __all__ = [
-    "BufferOp",
-    "BufferSpec",
-    "EXECUTORS",
-    "KernelProgram",
-    "KernelVerificationError",
+    "CompiledExecutor",
     "LAYOUTS",
-    "InterpretedExecutor",
-    "LayoutDecision",
-    "SweepExecutor",
-    "autotune_layout",
-    "check_buffers",
+    "cached_executor",
     "make_executor",
-    "normalize_executor",
-    "normalize_layout",
-    "verify_program",
     "with_layout",
 ]

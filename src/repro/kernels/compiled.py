@@ -2,10 +2,8 @@
 
 Lowering happens once per :class:`~repro.core.state.LoopyState` and is
 cheap: it records the state's dimensions and whether every edge has a
-reverse pair, and attaches the sweep's buffer-op IR (emitted and
-statically verified once per program shape).  Every sweep — full or
-partial, node or edge paradigm — then runs one fused program over an
-*edge range*::
+reverse pair.  Every sweep — full or partial, node or edge paradigm —
+then runs one fused program over an *edge range*::
 
     gather source beliefs → cavity divide → normalize → apply potential
     → normalize → [damp] → [residual] → log → store → scatter the log
@@ -19,7 +17,7 @@ isolated nodes left out), and an index array otherwise:
   edge ids — ``flatnonzero(mask[dst])`` for a large active set, the
   CSR gather for a small one (:func:`repro.core.indexset.is_sparse`);
 * a partial edge sweep takes each chunk of the active edges as given,
-  exactly the chunks the interpreted kernel walks.
+  exactly the chunks :func:`repro.core.edge_kernel.edge_sweep` walks.
 
 Scratch is sized by the range, not held at ``(m, b)`` for the life of
 the plan: two ``(k, b)`` blocks per range, each reused for dead values
@@ -30,11 +28,14 @@ the log delta.  The scatter reuses the state's slot-map compaction
 
 Why the result is bit-exact
 ---------------------------
-The interpreted node sweep processes edges in destination-CSR order
-(``gather_in_edges``).  The only order-sensitive operation in the whole
-sweep is the per-destination float accumulation inside ``np.bincount``
-(messages, potentials, normalization and the combine are all
-row-independent).  ``in_edge_ids`` is produced by a *stable* argsort of
+The compiled sweeps are checked bit for bit against the per-call
+kernels :func:`repro.core.node_kernel.node_sweep` and
+:func:`repro.core.edge_kernel.edge_sweep`, which the test suite keeps as
+its reference.  The reference node sweep processes edges in
+destination-CSR order (``gather_in_edges``).  The only order-sensitive
+operation in the whole sweep is the per-destination float accumulation
+inside ``np.bincount`` (messages, potentials, normalization and the
+combine are all row-independent).  ``in_edge_ids`` is produced by a *stable* argsort of
 ``dst``, so within each destination the CSR walk feeds edge ids in
 ascending order — and so do a natural-order slice, ``flatnonzero`` of a
 mask and the CSR gather itself.  Identical per-bin addition order ⇒
@@ -47,7 +48,6 @@ The node paradigm discards per-edge deltas, so its program skips them.
 from __future__ import annotations
 
 import time
-from functools import lru_cache
 
 import numpy as np
 
@@ -55,18 +55,9 @@ from repro.core import indexset
 from repro.core.edge_kernel import chunk_slices
 from repro.core.state import TINY, LoopyState
 from repro.core.sweepstats import SweepStats
-from repro.kernels.executor import SweepExecutor
-from repro.kernels.ir import (
-    BufferOp,
-    BufferSpec,
-    KernelProgram,
-    KernelVerificationError,
-    check_buffers,
-    verify_program,
-)
 from repro.telemetry import get_metrics
 
-__all__ = ["CompiledExecutor"]
+__all__ = ["CompiledExecutor", "cached_executor", "make_executor"]
 
 _FLOAT = np.float32
 _FSIZE = 4
@@ -206,234 +197,24 @@ def _covers(active: np.ndarray, total: int) -> bool:
     )
 
 
-# ----------------------------------------------------------------------
-#: the edge-range program both paradigms share: ``source`` / ``diff`` /
-#: ``log_new`` are one block, ``back`` / ``raw`` / ``log_delta`` the other
-_RANGE_ALIASES = (("source", "diff", "log_new"), ("back", "raw", "log_delta"))
+class CompiledExecutor:
+    """Fused gather–scatter executor over any active set.
 
-
-@lru_cache(maxsize=64)
-def _lowered_program(paradigm: str, per_edge_potentials: bool, chunks: int) -> KernelProgram:
-    """The sweep as buffer-op IR (see :mod:`repro.kernels.ir`), verified.
-
-    One program per paradigm covers full and partial sweeps alike: the
-    first op selects the edge range (all edges, the active nodes'
-    in-edges, or one chunk of the active edges) and every later op runs
-    over it, mirroring the exact op order of the fast path below.
-    Memoized per program shape, so a plan pays for the static check
-    once per process, not once per lowering.
+    Bound to one :class:`LoopyState` at construction (that is where
+    lowering happens); :meth:`node_sweep` and :meth:`edge_sweep` take
+    the signatures of :func:`repro.core.node_kernel.node_sweep` and
+    :func:`repro.core.edge_kernel.edge_sweep` and are bit-exact with
+    them.  ``build_seconds`` reports the one-off lowering cost so
+    profiling can separate kernel-build time from sweep time.
     """
-    pot_shape = ("m", "b", "b") if per_edge_potentials else ("b", "b")
-    buffers = [
-        BufferSpec("beliefs", ("n", "b"), "float32", "state"),
-        BufferSpec("messages", ("m", "b"), "float32", "state"),
-        BufferSpec("log_messages", ("m", "b"), "float32", "state"),
-        BufferSpec("log_msg_sum", ("n", "b"), "float32", "state"),
-        BufferSpec("log_priors", ("n", "b"), "float32", "state"),
-        BufferSpec("potentials", pot_shape, "float32", "state"),
-        BufferSpec("src", ("m",), "int64", "state"),
-        BufferSpec("dst", ("m",), "int64", "state"),
-        BufferSpec("rev", ("m",), "int64", "state"),
-        BufferSpec("free_mask", ("n",), "bool", "state"),
-        # the schedule's active nodes or edges
-        BufferSpec("active", ("?",), "int64", "state"),
-        # k edges in the range (scratch blocks kept between sweeps that
-        # fit), r rows combined
-        BufferSpec("edge_ids", ("k",), "int64", "local"),
-        BufferSpec("source", ("k", "b"), "float32", "scratch"),
-        BufferSpec("back", ("k", "b"), "float32", "scratch"),
-        BufferSpec("raw", ("k", "b"), "float32", "scratch"),
-        BufferSpec("log_new", ("k", "b"), "float32", "scratch"),
-        BufferSpec("log_delta", ("k", "b"), "float32", "scratch"),
-        BufferSpec("edge_total", ("k",), "float32", "scratch"),
-        BufferSpec("logits", ("r", "b"), "float32", "local"),
-        BufferSpec("node_rowbuf", ("r",), "float32", "local"),
-        BufferSpec("node_total", ("r",), "float32", "local"),
-    ]
-    message_ops = [
-        BufferOp("gather_source", reads=("beliefs", "src", "edge_ids"), writes=("source",)),
-        BufferOp("gather_back", reads=("messages", "rev", "edge_ids"), writes=("back",)),
-        BufferOp("clamp_back", reads=("back",), writes=("back",), inplace_ok=True),
-        BufferOp(
-            "cavity_divide", reads=("source", "back"), writes=("source",), inplace_ok=True
-        ),
-        BufferOp(
-            "normalize_cavity",
-            reads=("source",),
-            writes=("source", "edge_total"),
-            inplace_ok=True,
-        ),
-        # the back messages are dead: the new messages take their block
-        BufferOp(
-            "apply_potential", reads=("source", "potentials", "edge_ids"), writes=("raw",)
-        ),
-        BufferOp(
-            "normalize_messages", reads=("raw",), writes=("raw", "edge_total"), inplace_ok=True
-        ),
-        BufferOp(
-            "damp", reads=("raw", "messages", "edge_ids"), writes=("raw",), inplace_ok=True
-        ),
-    ]
-    residual_ops = []
-    if paradigm == "edge":
-        # the cavity is dead: its block holds |new - old| per entry
-        buffers.append(BufferSpec("diff", ("k", "b"), "float32", "scratch"))
-        buffers.append(BufferSpec("edge_deltas", ("k",), "float32", "local"))
-        residual_ops.append(BufferOp(
-            "edge_residuals",
-            reads=("raw", "messages", "edge_ids"),
-            writes=("diff", "edge_deltas"),
-        ))
-    store_ops = [
-        BufferOp("log_messages_new", reads=("raw",), writes=("log_new",)),
-        BufferOp("store_messages", reads=("raw", "edge_ids"), writes=("messages",)),
-        # the new messages are stored: their block holds the log delta
-        BufferOp(
-            "log_delta", reads=("log_new", "log_messages", "edge_ids"), writes=("log_delta",)
-        ),
-        BufferOp(
-            "scatter_accumulate",
-            reads=("log_delta", "dst", "edge_ids", "log_msg_sum"),
-            writes=("log_msg_sum",),
-            inplace_ok=True,
-        ),
-        BufferOp("store_log_messages", reads=("log_new", "edge_ids"), writes=("log_messages",)),
-    ]
-    combine_ops = [
-        BufferOp(
-            "shift_rowmax", reads=("logits",), writes=("logits", "node_rowbuf"), inplace_ok=True
-        ),
-        BufferOp(
-            "exp_normalize", reads=("logits",), writes=("logits", "node_total"), inplace_ok=True
-        ),
-    ]
-    if paradigm == "node":
-        buffers += [
-            BufferSpec("in_offsets", ("?",), "int64", "state"),
-            BufferSpec("in_edge_ids", ("m",), "int64", "state"),
-            BufferSpec("old", ("r", "b"), "float32", "local"),
-            BufferSpec("node_deltas", ("r",), "float32", "local"),
-        ]
-        ops = (
-            # all edges (a slice), flatnonzero(mask[dst]) or the CSR gather
-            BufferOp(
-                "select_in_edges",
-                reads=("active", "in_offsets", "in_edge_ids", "dst"),
-                writes=("edge_ids",),
-            ),
-            *message_ops,
-            *store_ops,
-            BufferOp(
-                "gather_logits", reads=("log_priors", "log_msg_sum", "active"), writes=("logits",)
-            ),
-            *combine_ops,
-            BufferOp("gather_old", reads=("beliefs", "active"), writes=("old",)),
-            BufferOp(
-                "restore_observed", reads=("old", "free_mask", "active"), writes=("logits",)
-            ),
-            BufferOp("belief_delta", reads=("logits", "old"), writes=("old",), inplace_ok=True),
-            BufferOp("reduce_delta", reads=("old",), writes=("node_deltas",)),
-            BufferOp("writeback_beliefs", reads=("logits", "active"), writes=("beliefs",)),
-        )
-        name = "node_sweep"
-    else:
-        buffers.append(BufferSpec("dirty_nodes", ("r",), "int64", "local"))
-        ops = (
-            # one chunk of the active edges (a slice when they are all edges)
-            BufferOp("select_chunk", reads=("active",), writes=("edge_ids",)),
-            *message_ops,
-            *residual_ops,
-            *store_ops,
-            BufferOp(
-                "dirty_rows", reads=("dst", "edge_ids", "free_mask"), writes=("dirty_nodes",)
-            ),
-            BufferOp(
-                "gather_logits",
-                reads=("log_priors", "log_msg_sum", "dirty_nodes"),
-                writes=("logits",),
-            ),
-            *combine_ops,
-            BufferOp("scatter_beliefs", reads=("logits", "dirty_nodes"), writes=("beliefs",)),
-        )
-        name = "edge_chunked_sweep"
-    declared = {spec.name for spec in buffers}
-    aliases = tuple(
-        tuple(name for name in group if name in declared) for group in _RANGE_ALIASES
-    )
-    program = KernelProgram(
-        name=name,
-        buffers=tuple(buffers),
-        ops=ops,
-        aliases=aliases,
-        outputs=("beliefs", "messages", "log_messages", "log_msg_sum"),
-        meta={"paradigm": paradigm, "chunks": chunks if paradigm == "edge" else 1},
-    )
-    verify_program(program)
-    return program
 
-
-class CompiledExecutor(SweepExecutor):
-    """Fused gather–scatter executor over any active set."""
-
-    name = "compiled"
-
-    def __init__(self, state: LoopyState, *, paradigm: str = "node", chunks: int = 8):
+    def __init__(self, state: LoopyState):
         start = time.perf_counter()
         self._dims = (state.n, state.m, state.b)
         self._blocks: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._all_paired = bool((state.rev >= 0).all()) if state.m else False
-        self.programs = {
-            paradigm: _lowered_program(
-                paradigm, not state.shared_potential, max(1, min(chunks, state.m))
-            )
-        }
         self.build_seconds = time.perf_counter() - start
         get_metrics().histogram("kernel.build_s").record(self.build_seconds)
-
-    # ------------------------------------------------------------------
-    def verify_buffers(self, state: LoopyState) -> int:
-        """Runtime IR check: live arrays vs the declared programs.
-
-        The state's arrays are checked as they are; the per-range blocks
-        are allocated as a full sweep of the lowered state would
-        allocate them, role by role, so the declared alias structure is
-        checked against real memory.  Raises
-        :class:`~repro.kernels.ir.KernelVerificationError` on any
-        shape/dtype/alias mismatch; returns the number of buffers
-        checked.
-        """
-        _, m, b = self._dims
-        block_a, block_b, total = _range_scratch(m, b)
-        arrays = {
-            "beliefs": state.beliefs,
-            "messages": state.messages,
-            "log_messages": state.log_messages,
-            "log_msg_sum": state.log_msg_sum,
-            "log_priors": state.log_priors,
-            "potentials": state.potentials,
-            "src": state.src,
-            "dst": state.dst,
-            "rev": state.rev,
-            "free_mask": state.free_mask,
-            "in_offsets": state.in_offsets,
-            "in_edge_ids": state.in_edge_ids,
-            "source": block_a,
-            "diff": block_a,
-            "log_new": block_a,
-            "back": block_b,
-            "raw": block_b,
-            "log_delta": block_b,
-            "edge_total": total,
-        }
-        dims = {"n": state.n, "m": state.m, "b": state.b, "k": state.m}
-        checked = 0
-        for program in self.programs.values():
-            live = {k: v for k, v in arrays.items() if program.spec(k) is not None}
-            problems = check_buffers(program, live, dims)
-            if problems:
-                raise KernelVerificationError(program.name, problems)
-            checked += len(live)
-        return checked
 
     # ------------------------------------------------------------------
     def _scratch(self, k: int, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -558,7 +339,7 @@ class CompiledExecutor(SweepExecutor):
         deltas = _row_sum(old)
         _set_rows(state.beliefs, nodes, new)
 
-        # accounting: identical to the interpreted kernel — the abstract
+        # accounting: identical to the reference kernel — the abstract
         # machine did the same math; only the dispatch fused
         stats.nodes_processed = n_active
         stats.edges_processed = n_edges
@@ -613,3 +394,35 @@ class CompiledExecutor(SweepExecutor):
         stats.atomic_ops = n_active
         stats.reduction_elems = n_touched
         return edge_deltas, touched_nodes, stats
+
+
+def make_executor(state: LoopyState) -> CompiledExecutor:
+    """Lower a :class:`CompiledExecutor` against ``state``."""
+    return CompiledExecutor(state)
+
+
+def cached_executor(
+    cache: dict | None,
+    state: LoopyState,
+    *,
+    paradigm: str = "node",
+    chunks: int = 8,
+) -> CompiledExecutor:
+    """:func:`make_executor`, memoized in ``cache`` (a plain dict) per
+    ``(paradigm, chunks)``: each key's sweeps keep scratch sized for
+    their own edge ranges.
+
+    A lowering records the state's dimensions and reverse pairing, so a
+    cached one is only sound while the state keeps its structure.  The
+    incremental engine (:mod:`repro.stream.incremental`) owns the cache:
+    evidence-only deltas mutate the state's rows in place and keep it;
+    structural deltas rebuild the state and clear it.  ``cache=None``
+    degrades to an uncached build.
+    """
+    if cache is None:
+        return make_executor(state)
+    key = (paradigm, chunks)
+    executor = cache.get(key)
+    if executor is None:
+        executor = cache[key] = make_executor(state)
+    return executor

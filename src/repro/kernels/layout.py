@@ -1,16 +1,17 @@
-"""Belief-store layout as a first-class, convertible execution choice.
+"""Belief-store layout: storage only, convertible without a rebuild.
 
 The paper fixes the AoS layout after a one-off cachegrind experiment
-(§3.4).  Here layout joins the plan: the registry below names the three
-physical arrangements implemented by :mod:`repro.core.beliefs`, and
-:func:`with_layout` re-homes an existing graph's belief and prior values
-into another layout while *sharing every structural array* (edge lists,
-CSR adjacency, potentials, caches) with the original — conversion costs
-two dense passes over node state, never a graph rebuild.
+(§3.4).  The registry below names the three physical arrangements
+implemented by :mod:`repro.core.beliefs`, and :func:`with_layout`
+re-homes an existing graph's belief and prior values into another
+layout while *sharing every structural array* (edge lists, CSR
+adjacency, potentials, caches) with the original — conversion costs two
+dense passes over node state, never a graph rebuild.
 
-The autotuner (:mod:`repro.kernels.autotune`) picks from this registry
-at plan time; ``credo run --layout`` and the E5 ablation benchmarks go
-through the same two functions instead of hand-constructing stores.
+Layout is not a plan axis: :class:`~repro.core.state.LoopyState` sweeps
+a dense float32 copy of the beliefs whatever the store, so no layout
+changes sweep time.  The E3/E5 storage ablations and the stream tests
+convert through these functions instead of hand-constructing stores.
 """
 
 from __future__ import annotations
@@ -18,30 +19,14 @@ from __future__ import annotations
 from repro.core.beliefs import BeliefStore, make_store
 from repro.core.graph import BeliefGraph
 
-__all__ = ["LAYOUTS", "normalize_layout", "with_layout", "convert_store"]
+__all__ = ["LAYOUTS", "with_layout", "convert_store"]
 
 #: canonical layout names (all accepted by ``repro.core.beliefs.make_store``)
 LAYOUTS = ("aos", "soa", "blocked")
 
-_ALIASES = {
-    "array-of-structs": "aos",
-    "struct-of-arrays": "soa",
-    "aosoa": "blocked",
-    "tiled": "blocked",
-}
-
-
-def normalize_layout(name: str) -> str:
-    """Canonical layout name, accepting common aliases."""
-    canonical = _ALIASES.get(name, name)
-    if canonical not in LAYOUTS:
-        raise ValueError(f"unknown layout {name!r}; known: {list(LAYOUTS)}")
-    return canonical
-
 
 def convert_store(store: BeliefStore, layout: str) -> BeliefStore:
     """Return a store with the same values in the requested layout."""
-    layout = normalize_layout(layout)
     if store.layout == layout:
         return store.copy()
     out = make_store(store.dims, layout)
@@ -57,7 +42,6 @@ def with_layout(graph: BeliefGraph, layout: str) -> BeliefGraph:
     arrays with the original — only the two belief stores are rebuilt,
     so converting a graph is O(n · width), independent of edge count.
     """
-    layout = normalize_layout(layout)
     if graph.layout == layout:
         return graph
     clone = BeliefGraph.__new__(BeliefGraph)

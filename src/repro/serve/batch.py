@@ -45,7 +45,7 @@ from repro.core.potentials import PerEdgePotentialStore, SharedPotentialStore
 from repro.core.scheduler import make_schedule
 from repro.core.state import LoopyState
 from repro.core.sweepstats import RunStats, SweepStats
-from repro.kernels.executor import SweepExecutor, make_executor
+from repro.kernels.compiled import CompiledExecutor, make_executor
 from repro.telemetry import get_tracer
 
 __all__ = ["BatchQueryRun", "replicate_graph", "reset_union", "run_batched"]
@@ -145,17 +145,10 @@ def run_batched(
             observe(union, q * n + int(node), int(state_))
 
     state = LoopyState(union)
-    # One executor for the whole batch, lowered against the union state
-    # (the union-edge chunking below issues chunks=1 calls, so the edge
-    # program is lowered accordingly).  A full-sync batch concatenates to
-    # the union's complete element range, which is exactly the compiled
-    # executor's fused fast path.
-    executor = make_executor(
-        config.executor,
-        state,
-        paradigm=config.paradigm,
-        chunks=1 if config.paradigm == "edge" else config.edge_chunks,
-    )
+    # One executor for the whole batch, lowered against the union state.
+    # A full-sync batch concatenates to the union's complete element
+    # range, which is exactly the compiled executor's fused fast path.
+    executor = make_executor(state)
     crit: ConvergenceCriterion = config.criterion
     node_paradigm = config.paradigm == "node"
     if node_paradigm:
@@ -235,7 +228,6 @@ def run_batched(
         run_stats.append(iter_stats)
         if sweep_span:
             sweep_span.set(iteration=iteration, live=len(live),
-                           executor=config.executor, layout=union.layout,
                            **iter_stats.as_dict())
         sweep_span.__exit__(None, None, None)
 
@@ -276,7 +268,7 @@ def run_batched(
 
 def _node_union_sweep(
     state: LoopyState,
-    executor: SweepExecutor,
+    executor: CompiledExecutor,
     config: LoopyConfig,
     live: list[int],
     actives: dict[int, np.ndarray],
@@ -307,7 +299,7 @@ def _node_union_sweep(
 
 def _edge_union_sweep(
     state: LoopyState,
-    executor: SweepExecutor,
+    executor: CompiledExecutor,
     config: LoopyConfig,
     live: list[int],
     actives: dict[int, np.ndarray],

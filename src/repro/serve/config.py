@@ -49,8 +49,7 @@ class ServerConfig:
         Shard-parallel execution (DESIGN.md §9): every registered model
         is partitioned ``shards`` ways at registration time and queries
         sweep the shards on a thread pool.  ``shards=1`` (default)
-        disables sharding; ``shards=None`` lets the selector decide per
-        graph (it only shards very large ones).
+        disables sharding.
     shard_threads:
         Worker threads in the engine's shard pool; ``None`` sizes it to
         the largest registered shard count.
@@ -72,7 +71,7 @@ class ServerConfig:
     max_batch: int = 16
     cache_capacity: int = 256
     default_deadline_s: float | None = None
-    shards: int | None = 1
+    shards: int = 1
     partitioner: str | None = None
     shard_threads: int | None = None
     shard_policy: str = "sync"
@@ -87,8 +86,8 @@ class ServerConfig:
             raise ValueError("cache_capacity must be non-negative")
         if self.default_deadline_s is not None and self.default_deadline_s < 0:
             raise ValueError("default_deadline_s must be non-negative")
-        if self.shards is not None and self.shards < 1:
-            raise ValueError("shards must be at least 1 (or None for auto)")
+        if self.shards is None or self.shards < 1:
+            raise ValueError("shards must be at least 1")
         if self.shard_threads is not None and self.shard_threads < 1:
             raise ValueError("shard_threads must be at least 1")
         if self.partitioner is not None:

@@ -190,7 +190,6 @@ class QueryEngine:
             update_rule="sum_product",
             criterion=self.credo.criterion,
             schedule=model.plan.schedule,
-            executor=model.plan.executor,
         )
 
     # ------------------------------------------------------------------

@@ -118,14 +118,16 @@ class ModelRegistry:
         credo: Credo,
         *,
         backend: str | None = None,
-        shards: int | None = 1,
+        shards: int = 1,
         partitioner: str | None = None,
         shard_policy: str | None = None,
         staleness: int | None = None,
     ):
+        if shards is None or shards < 1:
+            raise ValueError("shards must be at least 1")
         self._credo = credo
         self._backend = backend  # optional pin forwarded to Credo.plan
-        self._shards = shards  # 1 = never shard, None = selector decides
+        self._shards = shards  # 1 = never shard
         self._partitioner = partitioner
         self._shard_policy = shard_policy
         self._staleness = staleness

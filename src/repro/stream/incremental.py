@@ -10,9 +10,9 @@ active set to the dirty region plus its downstream frontier — the PR-1
 schedule machinery (work queue, residual priorities) then grows the
 active set exactly as far as the perturbation propagates.
 
-Compiled-executor lowerings (PR 7) bind to the state's buffer
-identities, so they are reused across evidence-only deltas and dropped
-only when structure actually changes.
+Executor lowerings bind to the state's structure, so they are reused
+across evidence-only deltas and dropped only when structure actually
+changes.
 """
 
 from __future__ import annotations
@@ -80,8 +80,8 @@ class IncrementalEngine:
             else float(dirty_max_fraction)
         )
         self._state: LoopyState | None = None
-        #: compiled/interpreted executors keyed by (name, paradigm, chunks);
-        #: valid only while self._state's buffers are unchanged
+        #: compiled executors keyed by (paradigm, chunks); valid only
+        #: while self._state's structure is unchanged
         self._executor_cache: dict = {}
         self.structure_generation = 0
         self.updates_applied = 0

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
+from repro.core.edge_kernel import edge_sweep
 from repro.core.graph import BeliefGraph
+from repro.core.node_kernel import node_sweep
 from repro.core.potentials import attractive_potential, random_potential
 
 #: the family-out Bayesian network of paper Figure 1 (Charniak 1991),
@@ -79,3 +83,53 @@ def tree_graph():
 @pytest.fixture
 def loopy_graph():
     return make_loopy_graph()
+
+
+class InterpretedExecutor:
+    """The reference sweep: every call goes to the per-call kernels
+    :func:`repro.core.node_kernel.node_sweep` and
+    :func:`repro.core.edge_kernel.edge_sweep`, the semantics the compiled
+    executor must match bit for bit."""
+
+    build_seconds = 0.0
+
+    def node_sweep(self, state, active_nodes, **options):
+        return node_sweep(state, active_nodes, **options)
+
+    def edge_sweep(self, state, active_edges, **options):
+        return edge_sweep(state, active_edges, **options)
+
+
+def _interpreted_executor(cache, state, **lowering):
+    """Stand-in for :func:`repro.core.loopy.cached_executor`."""
+    return InterpretedExecutor()
+
+
+@contextmanager
+def interpreted_sweeps():
+    """Run every sweep inside the block on the reference kernels.
+
+    Replaces :func:`repro.core.loopy.cached_executor`, which the single
+    engine, the sharded driver and the incremental engine all lower
+    through, so every one of them sweeps interpreted.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("repro.core.loopy.cached_executor", _interpreted_executor)
+        yield
+
+
+def assert_bitwise_run(got, ref):
+    """Two whole runs agree bit for bit: iterations, delta history,
+    per-sweep stats and posteriors."""
+    assert got.iterations == ref.iterations
+    assert got.converged == ref.converged
+    assert got.delta_history == ref.delta_history
+    assert got.run_stats.per_iteration == ref.run_stats.per_iteration
+    np.testing.assert_array_equal(got.beliefs, ref.beliefs)
+
+
+@pytest.fixture
+def interpreted():
+    """The whole test sweeps on the reference kernels."""
+    with interpreted_sweeps():
+        yield

@@ -101,19 +101,13 @@ class TestHygieneRules:
         messages = " ".join(f.message for f in result.findings)
         assert "GraphDelta" in messages
 
-    def test_unknown_executor_layout(self):
-        result = assert_matches_markers("RPR305", "executor_layout.py")
-        messages = " ".join(f.message for f in result.findings)
-        assert "unknown executor" in messages
-        assert "unknown layout" in messages
-
-    def test_qualifier_executor_layout_suffixes(self):
+    def test_qualifier_rejects_retired_suffixes(self):
         from repro.analysis.rules.hygiene import validate_qualifier
 
-        assert validate_qualifier("c-node:sync!compiled%soa") is None
-        assert validate_qualifier("sharded:sync@4xbfs+async~2!compiled") is None
-        assert "bad executor" in validate_qualifier("c-node:sync!vectorized")
-        assert "bad layout" in validate_qualifier("c-node:sync%csr")
+        assert validate_qualifier("sharded:sync@4xbfs+async~2") is None
+        # the executor and layout plan axes are gone from the grammar
+        for retired in ("c-node:sync!compiled", "c-node:sync%soa"):
+            assert "grammar" in validate_qualifier(retired)
 
 
 class TestFramework:

@@ -32,11 +32,13 @@ class TestSweepFormulas:
 
     @pytest.mark.parametrize("executor", ["interpreted", "compiled"])
     @pytest.mark.parametrize("n_edges", [80, 400, 1100])
-    def test_edge_launches_follow_the_chunk_floor(self, n_edges, executor):
+    def test_edge_launches_follow_the_chunk_floor(self, n_edges, executor, request):
         """Below 8 * MIN_CHUNK_EDGES directed edges a full edge sweep runs
         fewer than 8 chunks; the modeled launch count must follow."""
+        if executor == "interpreted":
+            request.getfixturevalue("interpreted")
         g = make_loopy_graph(seed=81, n_nodes=300, n_edges=n_edges)
-        result = LoopyBP(paradigm="edge", schedule="sync", executor=executor).run(g)
+        result = LoopyBP(paradigm="edge", schedule="sync").run(g)
         first = result.run_stats.per_iteration[0]
         predicted = full_sweep_stats(g.n_nodes, g.n_edges, g.n_states, "edge")
         chunks = min(8, max(1, g.n_edges // MIN_CHUNK_EDGES))

@@ -14,10 +14,10 @@ indistinguishable to every consumer:
 * the priority schedules, which need the ragged set aligned with
   per-edge priorities, get exactly the arrays they always got;
 * a node sweep whose active nodes hold every edge runs on the
-  natural-order slice and stays bit-exact with the interpreted kernel.
+  natural-order slice and stays bit-exact with the reference kernel.
 """
 
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 import pytest
@@ -28,11 +28,13 @@ from repro.core import indexset
 from repro.core.convergence import ConvergenceCriterion
 from repro.core.graph import BeliefGraph
 from repro.core.loopy import LoopyBP, LoopyConfig, _downstream, _NodePlan
+from repro.core.node_kernel import node_sweep
 from repro.core.potentials import attractive_potential, random_potential
 from repro.core.scheduler import make_schedule
 from repro.core.sharded import ShardedGraph, ShardedLoopyBP
 from repro.core.state import LoopyState
-from repro.kernels.executor import make_executor
+from repro.kernels.compiled import make_executor
+from tests.conftest import interpreted_sweeps
 
 SETTINGS = dict(
     max_examples=60,
@@ -157,15 +159,16 @@ class TestRunLevel:
     @pytest.mark.parametrize("executor", ["compiled", "interpreted"])
     def test_work_queue_repeats_with_the_gather_forced(self, paradigm, executor):
         g = loopy_graph_with_isolated_nodes()
-        bp = LoopyBP(paradigm=paradigm, schedule="work_queue",
-                     criterion=self.crit, executor=executor)
+        bp = LoopyBP(paradigm=paradigm, schedule="work_queue", criterion=self.crit)
+        sweeps = interpreted_sweeps() if executor == "interpreted" else nullcontext()
         routes: list[bool] = []
-        with recorded_routes(routes):
-            shipped = bp.run(g.copy())
-        # the run crosses over: early sweeps mask, late ones gather
-        assert True in routes and False in routes
-        with frontier_route("gather"):
-            gathered = bp.run(g.copy())
+        with sweeps:
+            with recorded_routes(routes):
+                shipped = bp.run(g.copy())
+            # the run crosses over: early sweeps mask, late ones gather
+            assert True in routes and False in routes
+            with frontier_route("gather"):
+                gathered = bp.run(g.copy())
         assert_same_run(shipped, gathered)
 
     @pytest.mark.parametrize("policy", ["sync", "async"])
@@ -207,9 +210,7 @@ class TestPriorities:
         plan = _NodePlan(state, cfg)
         active = np.arange(state.n, dtype=np.int64)
         before = LoopyState(g.copy())
-        deltas, _ = make_executor("interpreted", before, paradigm="node").node_sweep(
-            before, active
-        )
+        deltas, _ = node_sweep(before, active)
         with frontier_route("mask"):
             step = plan.sweep(active, True, want_priority=True)
         np.testing.assert_array_equal(step.deltas, deltas)
@@ -249,10 +250,8 @@ class TestEveryEdgeSlice:
         assert len(active) < g.n_nodes
 
         ref_state, got_state = LoopyState(g.copy()), LoopyState(g.copy())
-        ref, ref_stats = make_executor("interpreted", ref_state, paradigm="node").node_sweep(
-            ref_state, active
-        )
-        compiled = make_executor("compiled", got_state, paradigm="node")
+        ref, ref_stats = node_sweep(ref_state, active)
+        compiled = make_executor(got_state)
         ranges = []
         sweep_range = compiled._sweep_range
 

@@ -1,11 +1,13 @@
-"""Compiled sweep executors (DESIGN.md §13).
+"""The compiled sweep executor (DESIGN.md §13).
 
 The compiled executor is only admissible because it is *bit-exact*
-against the interpreted kernels — the parity grid here is the contract:
-schedules × paradigms × evidence × shard counts, posteriors compared
-with ``assert_array_equal`` (no tolerance).  The rest covers the layout
-registry (conversion, blocked store, footprint truthfulness) and the
-plan-time layout autotuner's determinism under a fixed measurement seed.
+against the per-call reference kernels (``core/node_kernel``,
+``core/edge_kernel``, reached through ``tests.conftest``'s interpreted
+adapter) — the parity grid here is the contract: schedules × paradigms ×
+evidence × shard counts, posteriors compared with ``assert_array_equal``
+(no tolerance).  The rest covers the belief-store layouts (conversion,
+blocked store, footprint truthfulness) and the ``executor=`` keyword
+Credo keeps.
 """
 
 import numpy as np
@@ -16,19 +18,18 @@ from repro.core.convergence import ConvergenceCriterion
 from repro.core.loopy import LoopyBP, LoopyConfig
 from repro.core.observation import observe
 from repro.core.sharded import ShardedLoopyBP
-from repro.kernels import (
-    EXECUTORS,
-    LAYOUTS,
-    autotune_layout,
-    make_executor,
-    normalize_executor,
-    normalize_layout,
-    with_layout,
-)
-from tests.conftest import make_loopy_graph
+from repro.kernels import LAYOUTS, make_executor, with_layout
+from tests.conftest import assert_bitwise_run, interpreted_sweeps, make_loopy_graph
 
 CRIT = ConvergenceCriterion(threshold=1e-6, max_iterations=60)
 SCHEDULES = ("sync", "work_queue", "residual", "relaxed")
+
+
+def _both(run):
+    """``run()`` on the reference kernels, then compiled."""
+    with interpreted_sweeps():
+        ref = run()
+    return ref, run()
 
 
 def _graph(evidence: bool = False, seed: int = 42, n_states: int = 3):
@@ -44,17 +45,10 @@ class TestParityGrid:
     @pytest.mark.parametrize("paradigm", ["node", "edge"])
     @pytest.mark.parametrize("schedule", SCHEDULES)
     def test_single_engine_bitwise(self, schedule, paradigm, evidence):
-        ref = LoopyBP(
+        ref, got = _both(lambda: LoopyBP(
             paradigm=paradigm, schedule=schedule, criterion=CRIT,
-            executor="interpreted",
-        ).run(_graph(evidence))
-        got = LoopyBP(
-            paradigm=paradigm, schedule=schedule, criterion=CRIT,
-            executor="compiled",
-        ).run(_graph(evidence))
-        assert got.iterations == ref.iterations
-        assert got.converged == ref.converged
-        np.testing.assert_array_equal(got.beliefs, ref.beliefs)
+        ).run(_graph(evidence)))
+        assert_bitwise_run(got, ref)
 
     @pytest.mark.parametrize("n_states", [2, 8, 9])
     @pytest.mark.parametrize("paradigm", ["node", "edge"])
@@ -63,78 +57,39 @@ class TestParityGrid:
         # with the 3-state grid above this covers widths {2, 3, 8, 9}:
         # below, at and above numpy's 8-wide pairwise-summation block,
         # which the compiled row sums must reproduce bit for bit
-        runs = [
-            LoopyBP(
-                paradigm=paradigm, schedule=schedule, criterion=CRIT,
-                executor=executor,
-            ).run(_graph(True, n_states=n_states))
-            for executor in ("interpreted", "compiled")
-        ]
-        ref, got = runs
-        assert got.iterations == ref.iterations
-        np.testing.assert_array_equal(got.beliefs, ref.beliefs)
+        ref, got = _both(lambda: LoopyBP(
+            paradigm=paradigm, schedule=schedule, criterion=CRIT,
+        ).run(_graph(True, n_states=n_states)))
+        assert_bitwise_run(got, ref)
 
     @pytest.mark.parametrize("evidence", [False, True], ids=["free", "evidence"])
     @pytest.mark.parametrize("paradigm", ["node", "edge"])
     def test_four_shards_bitwise(self, paradigm, evidence):
-        posteriors = {}
-        for executor in EXECUTORS:
+        def run():
             g = _graph(evidence, seed=21)
-            engine = ShardedLoopyBP(
-                LoopyConfig(paradigm=paradigm, criterion=CRIT, executor=executor)
-            )
+            engine = ShardedLoopyBP(LoopyConfig(paradigm=paradigm, criterion=CRIT))
             result = engine.run_graph(g, n_shards=4, method="bfs")
-            posteriors[executor] = (result.iterations, g.beliefs.dense().copy())
-        it_ref, ref = posteriors["interpreted"]
-        it_got, got = posteriors["compiled"]
-        assert it_got == it_ref
+            return result, g.beliefs.dense().copy()
+
+        (ref_run, ref), (got_run, got) = _both(run)
+        assert_bitwise_run(got_run, ref_run)
         np.testing.assert_array_equal(got, ref)
 
     def test_damped_sweeps_bitwise(self):
-        runs = [
-            LoopyBP(
-                paradigm="edge", schedule="sync", damping=0.3, criterion=CRIT,
-                executor=executor,
-            ).run(_graph(True, seed=8))
-            for executor in EXECUTORS
-        ]
-        np.testing.assert_array_equal(runs[0].beliefs, runs[1].beliefs)
+        ref, got = _both(lambda: LoopyBP(
+            paradigm="edge", schedule="sync", damping=0.3, criterion=CRIT,
+        ).run(_graph(True, seed=8)))
+        assert_bitwise_run(got, ref)
 
     @pytest.mark.parametrize("paradigm", ["node", "edge"])
     @pytest.mark.parametrize("schedule", SCHEDULES)
     def test_compiled_sweep_stats_match_interpreted(self, schedule, paradigm):
-        # the cost models price SweepStats, so a default (compiled) run
-        # must model exactly what the interpreted reference models
-        runs = [
-            LoopyBP(paradigm=paradigm, schedule=schedule, criterion=CRIT,
-                    executor=executor).run(_graph(True))
-            for executor in ("interpreted", "compiled")
-        ]
-        ref, got = (r.run_stats.per_iteration for r in runs)
-        assert got == ref
-
-
-class TestExecutorRegistry:
-    def test_aliases_normalize(self):
-        assert normalize_executor("fused") == "compiled"
-        assert normalize_executor("Interp") == "interpreted"
-        assert normalize_executor(None) == "interpreted"
-        with pytest.raises(ValueError, match="unknown executor"):
-            normalize_executor("jit")
-
-    def test_make_executor_builds_registered_kinds(self):
-        from repro.core.state import LoopyState
-
-        state = LoopyState(_graph())
-        for name in EXECUTORS:
-            ex = make_executor(name, state, paradigm="node")
-            assert ex.name == name
-            assert ex.build_seconds >= 0.0
-
-    def test_config_normalizes_executor(self):
-        assert LoopyConfig(executor="lowered").executor == "compiled"
-        with pytest.raises(ValueError):
-            LoopyConfig(executor="bogus")
+        # the cost models price SweepStats, so a compiled run must model
+        # exactly what the reference kernels model
+        ref, got = _both(lambda: LoopyBP(
+            paradigm=paradigm, schedule=schedule, criterion=CRIT,
+        ).run(_graph(True)))
+        assert_bitwise_run(got, ref)
 
 
 class TestLayouts:
@@ -153,12 +108,6 @@ class TestLayouts:
     def test_with_layout_same_layout_is_identity(self):
         g = make_loopy_graph(seed=5)
         assert with_layout(g, g.layout) is g
-
-    def test_alias_normalization(self):
-        assert normalize_layout("struct-of-arrays") == "soa"
-        assert normalize_layout("aosoa") == "blocked"
-        with pytest.raises(ValueError, match="unknown layout"):
-            normalize_layout("csr")
 
     def test_blocked_store_roundtrip(self):
         rng = np.random.default_rng(0)
@@ -180,57 +129,35 @@ class TestLayouts:
         assert fp["priors"] == g.priors.nbytes()
 
 
-class TestAutotuner:
-    def test_deterministic_under_seed(self):
-        g = make_loopy_graph(seed=7, n_nodes=60, n_edges=120)
-        first = autotune_layout(g, seed=7)
-        second = autotune_layout(g, seed=7)
-        assert first.layout == second.layout
-        assert first.scores == second.scores
-        assert first.layout in LAYOUTS
-        assert set(first.scores) == set(LAYOUTS)
-
-    def test_decision_is_auditable(self):
-        decision = autotune_layout(make_loopy_graph(seed=7), seed=0)
-        payload = decision.as_dict()
-        assert payload["layout"] == decision.layout
-        assert 0.0 <= payload["locality"] <= 1.0
-
-
 class TestPlanIntegration:
     def test_qualified_suffix_grammar(self):
         from repro.credo.runner import ExecutionPlan
 
-        # compiled is the default executor: only the pinned interpreted
-        # reference is spelled out
         assert ExecutionPlan("c-node", "sync").qualified == "c-node:sync"
-        assert ExecutionPlan("c-node", "sync", executor="compiled").qualified == (
-            "c-node:sync"
-        )
-        plan = ExecutionPlan("c-node", "sync", executor="interpreted", layout="soa")
-        assert plan.qualified == "c-node:sync!interpreted%soa"
         sharded = ExecutionPlan(
             "sharded", "sync", shards=4, partitioner="bfs",
-            policy="async", staleness=2, executor="interpreted",
+            policy="async", staleness=2,
         )
-        assert sharded.qualified == "sharded:sync@4xbfs+async~2!interpreted"
+        assert sharded.qualified == "sharded:sync@4xbfs+async~2"
 
     def test_qualified_spec_round_trips(self):
         from repro.credo.runner import Credo, parse_qualified
 
-        assert parse_qualified("c-edge:sync!compiled%soa") == {
+        assert parse_qualified("c-edge:sync") == {
             "backend": "c-edge", "schedule": "sync",
-            "executor": "compiled", "layout": "soa",
         }
         assert parse_qualified("sharded:sync@4xbfs+async~2") == {
             "backend": "sharded", "schedule": "sync", "shards": 4,
             "partitioner": "bfs", "policy": "async", "staleness": 2,
         }
+        # the retired executor and layout suffixes no longer parse
+        for retired in ("c-node:sync!compiled", "c-node:sync%soa"):
+            with pytest.raises(ValueError, match="grammar"):
+                parse_qualified(retired, strict=True)
         credo = Credo()
         g = _graph(True, seed=11)
-        plan = credo.plan(g, backend="c-node:sync!compiled%soa")
-        assert (plan.backend, plan.schedule) == ("c-node", "sync")
-        assert (plan.executor, plan.layout) == ("compiled", "soa")
+        plan = credo.plan(g, backend="c-node:sync")
+        assert (plan.backend, plan.schedule, plan.shards) == ("c-node", "sync", 1)
         # the rendered spelling plans back to the same decision
         again = credo.plan(g, backend=plan.qualified)
         assert again == plan
@@ -241,20 +168,12 @@ class TestPlanIntegration:
         credo = Credo()
         g = _graph(True, seed=13)
         ref = credo.run(g.copy(), backend="c-edge", schedule="sync")
-        got = credo.run(g.copy(), backend="c-edge:sync!compiled")
+        got = credo.run(g.copy(), backend="c-edge:sync")
         assert got.iterations == ref.iterations
         np.testing.assert_array_equal(
             np.asarray(got.beliefs), np.asarray(ref.beliefs)
         )
-        assert got.detail.get("executor") == "compiled"
-
-    def test_selector_compiles_every_uniform_graph(self):
-        from repro.credo.selector import CredoSelector
-
-        sel = CredoSelector()
-        small = make_loopy_graph(seed=1, n_nodes=20, n_edges=30)
-        assert sel.select_executor(small, "c-node") == "compiled"
-        assert sel.select_executor(small, "reference") == "interpreted"
+        assert "executor" not in got.detail
 
     def test_credo_run_compiled_matches_default(self):
         from repro.credo.runner import Credo
@@ -262,10 +181,20 @@ class TestPlanIntegration:
         credo = Credo()
         g = _graph(True, seed=31)
         ref = credo.run(g.copy(), backend="c-node")
-        got = credo.run(g.copy(), backend="c-node", executor="compiled",
-                        layout="auto")
+        got = credo.run(g.copy(), backend="c-node", executor="compiled")
         assert got.iterations == ref.iterations
         np.testing.assert_array_equal(
             np.asarray(got.beliefs), np.asarray(ref.beliefs)
         )
-        assert got.detail.get("executor") == "compiled"
+        plan = credo.plan(g, backend="c-node", executor="compiled")
+        assert plan == credo.plan(g, backend="c-node")
+        # "compiled" is the only executor left
+        for call in (credo.run, credo.plan):
+            with pytest.raises(ValueError, match="unknown executor"):
+                call(g.copy(), backend="c-node", executor="interpreted")
+
+    def test_make_executor_lowers_against_state(self):
+        from repro.core.state import LoopyState
+
+        ex = make_executor(LoopyState(_graph()))
+        assert ex.build_seconds >= 0.0

@@ -316,12 +316,29 @@ class TestCredoSharding:
         assert np.abs(sharded.beliefs - base.beliefs).max() <= PARITY_TOL
         assert sharded.detail["n_shards"] == 3
 
-    def test_selector_keeps_small_graphs_unsharded(self):
-        from repro.credo.selector import SHARD_AUTO_MIN_EDGES, CredoSelector
+    def test_unpinned_plan_never_shards(self):
+        # plan and run agree: an unpinned run never shards, so an
+        # unpinned plan must not either, however large the graph
+        from repro.credo.runner import Credo
+        from repro.serve import ServerConfig
+        from repro.serve.registry import ModelRegistry
 
-        sel = CredoSelector()
-        assert sel.select_sharding(_graph()) == 1
-        assert SHARD_AUTO_MIN_EDGES >= 100_000  # deliberately conservative
+        n = 100_000
+        ids = np.arange(n)
+        edges = np.concatenate(
+            [np.stack([ids, (ids + k) % n], axis=1) for k in (1, 2, 3)]
+        )
+        priors = np.full((n, 2), 0.5)
+        g = BeliefGraph.from_undirected(priors, edges, attractive_potential(2, 0.7))
+        assert g.uniform and g.n_edges >= 500_000
+        credo = Credo()
+        plan = credo.plan(g)
+        assert plan.shards == 1 and not plan.sharded
+        # the serving knobs no longer hand the decision to a selector
+        with pytest.raises(ValueError, match="shards"):
+            ServerConfig(shards=None)
+        with pytest.raises(ValueError, match="shards"):
+            ModelRegistry(credo, shards=None)
 
     def test_partition_features_memoized(self):
         from repro.credo.features import extract_partition_features

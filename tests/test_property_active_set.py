@@ -21,7 +21,7 @@ indistinguishable:
   of at least ``MIN_CHUNK_EDGES`` edges, and keeps the ``linspace``
   bounds of ``chunks`` equal chunks for any sweep of at least
   ``chunks * MIN_CHUNK_EDGES`` edges;
-* the compiled executor's fused partial sweeps equal the interpreted
+* the compiled executor's fused partial sweeps equal the reference
   kernels bit for bit, feeding every destination's accumulation the
   same rows in the same order, and the default plan stays exact on
   trees against the junction-tree oracle.
@@ -49,8 +49,9 @@ from repro.core.scheduler import RelaxedPrioritySchedule, ResidualSchedule, Work
 from repro.core.state import LoopyState
 from repro.credo.runner import Credo
 from repro.graphs.grids import grid_graph
-from repro.kernels.executor import make_executor
+from repro.kernels.compiled import make_executor
 from repro.stream import GraphDelta, IncrementalEngine
+from tests.conftest import InterpretedExecutor
 
 SETTINGS = dict(
     max_examples=40,
@@ -433,12 +434,15 @@ def sweep_cases(draw):
 
 
 def _sweep(name, state, paradigm, active, options, chunks, sparse):
-    """One sweep of executor ``name`` on a copy of ``state``: (outputs,
-    state snapshot, per-destination scatter log)."""
+    """One sweep of executor ``name`` (``"interpreted"``, the reference
+    kernels, or ``"compiled"``) on a copy of ``state``: (outputs, state
+    snapshot, per-destination scatter log)."""
     twin = copy.deepcopy(state)
     log = {}
     with forced_path(sparse), recorded_scatter(log):
-        executor = make_executor(name, twin, paradigm=paradigm, chunks=chunks)
+        executor = (
+            InterpretedExecutor() if name == "interpreted" else make_executor(twin)
+        )
         if paradigm == "node":
             out = executor.node_sweep(twin, active, **options)
         else:
@@ -537,7 +541,6 @@ class TestDefaultPlanOnTrees:
         # floor and some trees never settle under it
         credo = Credo(criterion=ConvergenceCriterion(threshold=1e-6, max_iterations=500))
         plan = credo.plan(g, backend=f"c-{paradigm}:{schedule}")
-        assert plan.executor == "compiled"
         result = credo.run(g.copy(), plan=plan)
         assert result.converged
         np.testing.assert_allclose(result.beliefs, junction_tree_marginals(g), atol=1e-5)

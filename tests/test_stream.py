@@ -14,7 +14,6 @@ Three load-bearing guarantees:
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +41,7 @@ from repro.stream import (
     apply_delta,
     load_graph_stream,
 )
+from tests.conftest import assert_bitwise_run, interpreted_sweeps
 
 PARADIGMS = ("node", "edge")
 
@@ -549,22 +549,23 @@ class TestIncrementalEngine:
     def test_reused_compiled_lowering_reads_live_evidence(self, schedule, paradigm):
         # evidence deltas flip free_mask in place under a cached compiled
         # executor: its sweeps must see the new observations, bit for bit
-        # like the interpreted kernels
+        # like the reference kernels
         deltas = [
             GraphDelta().observe_node("7", 1),
             GraphDelta().observe_node("12", 0),
             GraphDelta().release_node("7"),
         ]
-        runs = {}
-        for executor in ("interpreted", "compiled"):
-            cfg = replace(tight_config(schedule, paradigm, threshold=1e-8),
-                          executor=executor)
+
+        def run():
+            cfg = tight_config(schedule, paradigm, threshold=1e-8)
             eng = IncrementalEngine(grid_graph(5, 5, seed=3), cfg)
             eng.converge()
-            runs[executor] = [eng.apply(delta).result for delta in deltas]
-        for ref, got in zip(runs["interpreted"], runs["compiled"]):
-            assert got.delta_history == ref.delta_history
-            np.testing.assert_array_equal(got.beliefs, ref.beliefs)
+            return [eng.apply(delta).result for delta in deltas]
+
+        with interpreted_sweeps():
+            reference = run()
+        for ref, got in zip(reference, run()):
+            assert_bitwise_run(got, ref)
 
     @pytest.mark.parametrize("layout", ["aos", "soa", "blocked"])
     def test_patched_evidence_equals_dense_state(self, layout):

@@ -358,20 +358,20 @@ class TestProfileCli:
         assert "backend" in captured.out
         assert "parity: traced == untraced" in captured.err
 
-    def test_verify_parity_baseline_runs_interpreted(self, tmp_path, capsys,
-                                                     monkeypatch):
-        # a graph large enough that the default run is compiled: the
-        # parity baseline must still be the interpreted reference
+    def test_verify_parity_baseline_is_untraced_same_plan(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # the parity baseline re-runs the traced run's frozen plan with
+        # tracing off, so the check isolates what tracing does to a run
         from repro.credo.cli import main
         from repro.io.mtx import write_mtx_graph
 
         nodes, edges = tmp_path / "g.nodes", tmp_path / "g.edges"
         write_mtx_graph(grid_graph(30, 30, n_states=2, seed=5), nodes, edges)
-        pinned = []
+        calls = []
         run = Credo.run
 
         def recording_run(self, graph, **kwargs):
-            pinned.append(kwargs.get("executor"))
+            calls.append((kwargs.get("plan"), get_tracer().enabled))
             return run(self, graph, **kwargs)
 
         monkeypatch.setattr(Credo, "run", recording_run)
@@ -381,10 +381,12 @@ class TestProfileCli:
             "--no-summary",
         ])
         assert code == 0
-        assert pinned == ["interpreted", None]
+        (traced_plan, traced), (baseline_plan, baseline_traced) = calls
+        assert traced_plan is not None and baseline_plan is traced_plan
+        assert traced and not baseline_traced
         captured = capsys.readouterr()
-        assert "executor      compiled" in captured.out
-        assert "parity: traced == untraced (baseline executor interpreted)" in captured.err
+        assert (f"parity: traced == untraced (plan {traced_plan.qualified})"
+                in captured.err)
 
     def test_run_trace_flag(self, tmp_path):
         from repro.credo.cli import main
