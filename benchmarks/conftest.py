@@ -19,7 +19,9 @@ def profile():
 def _rows_for(device: str):
     """Build (or load from the on-disk cache) the §4.3 labelled dataset
     at paper scale.  The convergence probes take a few minutes; set
-    REPRO_REFRESH=1 to force a rebuild."""
+    REPRO_REFRESH=1 to force a rebuild.  A cache that no longer loads
+    (written by an older checkout, or truncated) is rebuilt and
+    rewritten."""
     import os
     import pickle
 
@@ -29,8 +31,11 @@ def _rows_for(device: str):
     cache_dir.mkdir(exist_ok=True)
     cache = cache_dir / f"rows_{device}.pkl"
     if cache.exists() and not os.environ.get("REPRO_REFRESH"):
-        with open(cache, "rb") as fh:
-            return pickle.load(fh)
+        try:
+            with open(cache, "rb") as fh:
+                return pickle.load(fh)
+        except Exception:  # stale or corrupt pickle: rebuild below
+            pass
     rows = build_training_set_paper_scale(device)
     with open(cache, "wb") as fh:
         pickle.dump(rows, fh)

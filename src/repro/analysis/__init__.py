@@ -1,16 +1,10 @@
-"""repro.analysis: project-aware static checker + shard race detector.
+"""repro.analysis: project-aware static checker.
 
-Two complementary halves:
-
-* :mod:`repro.analysis.framework` + :mod:`repro.analysis.rules` — an
-  AST lint pass with rules that encode *this repo's* invariants
-  (epsilon-clamped logs and divisions, serve-layer lock discipline,
-  registry-resolvable backend qualifiers, live ``LoopyConfig`` kwargs).
-  Run it as ``python -m repro.analysis src`` or ``credo lint``.
-* :mod:`repro.analysis.races` — a dynamic lockset/epoch race detector
-  that instruments :class:`~repro.core.sharded.ShardedLoopyBP` state
-  arrays and reports unsynchronized same-epoch accesses from different
-  threads.
+:mod:`repro.analysis.framework` + :mod:`repro.analysis.rules` — an AST
+lint pass with rules that encode *this repo's* invariants
+(epsilon-clamped logs and divisions, serve-layer lock discipline,
+registry-resolvable backend qualifiers, live ``LoopyConfig`` kwargs).
+Run it as ``python -m repro.analysis src`` or ``credo lint``.
 """
 
 from repro.analysis.framework import (
@@ -27,7 +21,6 @@ from repro.analysis.framework import (
     render_text,
     write_baseline,
 )
-from repro.analysis.races import Access, RaceDetector, RaceError, TrackedArray
 
 __all__ = [
     "Analyzer",
@@ -42,8 +35,4 @@ __all__ = [
     "apply_baseline",
     "render_text",
     "render_json",
-    "RaceDetector",
-    "RaceError",
-    "TrackedArray",
-    "Access",
 ]

@@ -1,7 +1,7 @@
 """API-hygiene rules (RPR3xx).
 
 These rules are *project-aware*: they import the live registries
-(backends, schedules, partitioners, ``LoopyConfig``) and validate
+(backends, schedules, ``LoopyConfig``) and validate
 string literals and keyword arguments against them, so a typo'd
 ``"c-nod:residual"`` or a ``LoopyConfig(paradgim=...)`` fails CI
 instead of a production selection path.  When the project itself is
@@ -15,12 +15,6 @@ import ast
 from typing import Iterator
 
 from repro.analysis.framework import Finding, Module, Rule, register
-
-#: deprecation shims removed in repro 2.0 — importing them is now an error
-_REMOVED_MODULES = {
-    "repro.core.residual": "repro.core.scheduler (ResidualBP)",
-    "repro.core.workqueue": "repro.core.scheduler (WorkQueue)",
-}
 
 #: BeliefGraph fields a registered model's master graph freezes; writes
 #: must go through the GraphDelta API (repro.stream.delta) instead
@@ -43,23 +37,20 @@ _FROZEN_GRAPH_FIELDS = {
 
 
 def _registries():
-    """(BACKENDS, normalize_schedule, normalize_partitioner, parse) or None."""
+    """(BACKENDS, normalize_schedule, parse_qualified) or None."""
     try:
         from repro.backends.registry import BACKENDS
         from repro.core.scheduler import normalize_schedule
         from repro.credo.runner import parse_qualified
-        from repro.partition import normalize_partitioner
     except Exception:  # pragma: no cover - detached checkout
         return None
-    return BACKENDS, normalize_schedule, normalize_partitioner, parse_qualified
+    return BACKENDS, normalize_schedule, parse_qualified
 
 
 def validate_qualifier(spec: str) -> str | None:
     """Human-readable error for an unresolvable backend qualifier, else None.
 
-    The grammar
-    ``<backend>[:<schedule>][@<K>x<METHOD>]``
-    is owned by
+    The grammar ``<backend>[:<schedule>]`` is owned by
     :func:`repro.credo.runner.parse_qualified` — the linter calls it in
     strict mode instead of keeping a second copy of the regex, so the
     checker can never drift from what the runner actually accepts.
@@ -67,7 +58,7 @@ def validate_qualifier(spec: str) -> str | None:
     registries = _registries()
     if registries is None:
         return None
-    backends, normalize_schedule, normalize_partitioner, parse_qualified = registries
+    backends, normalize_schedule, parse_qualified = registries
     try:
         fields = parse_qualified(spec, strict=True)
     except ValueError as exc:
@@ -81,12 +72,6 @@ def validate_qualifier(spec: str) -> str | None:
             normalize_schedule(schedule)
         except (KeyError, ValueError) as exc:
             return f"bad schedule qualifier in {spec!r}: {exc}"
-    method = fields.get("partitioner")
-    if method is not None:
-        try:
-            normalize_partitioner(method)
-        except (KeyError, ValueError) as exc:
-            return f"bad partitioner in {spec!r}: {exc}"
     return None
 
 
@@ -94,63 +79,12 @@ def _validate_schedule(name: str) -> str | None:
     registries = _registries()
     if registries is None:
         return None
-    _, normalize_schedule, _, _ = registries
+    _, normalize_schedule, _ = registries
     try:
         normalize_schedule(name)
     except (KeyError, ValueError) as exc:
         return str(exc)
     return None
-
-
-@register
-class DeprecatedShimRule(Rule):
-    """RPR301: imports of removed 2.0 shim modules / deprecated kwargs."""
-
-    id = "RPR301"
-    name = "deprecated-shim"
-    severity = "warning"
-    description = (
-        "import of a module removed in repro 2.0 (repro.core.residual / "
-        "repro.core.workqueue) or use of the edge_cut_fraction kwarg"
-    )
-
-    def check(self, module: Module) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name in _REMOVED_MODULES:
-                        yield self._shim_finding(module, node, alias.name)
-            elif isinstance(node, ast.ImportFrom):
-                if node.module in _REMOVED_MODULES:
-                    yield self._shim_finding(module, node, node.module)
-            elif isinstance(node, ast.Call):
-                func_name = self._call_name(node)
-                if func_name is not None and func_name.endswith("Backend"):
-                    for kw in node.keywords:
-                        if kw.arg == "edge_cut_fraction":
-                            yield self.finding(
-                                module,
-                                node,
-                                "edge_cut_fraction= is deprecated (removal: "
-                                "repro 2.0); pass a measured Partition "
-                                "(repro.partition.make_partition) instead",
-                            )
-
-    def _shim_finding(self, module: Module, node: ast.AST, name: str) -> Finding:
-        return self.finding(
-            module,
-            node,
-            f"import of {name}, removed in repro 2.0; "
-            f"import from {_REMOVED_MODULES[name]} instead",
-        )
-
-    @staticmethod
-    def _call_name(call: ast.Call) -> str | None:
-        if isinstance(call.func, ast.Name):
-            return call.func.id
-        if isinstance(call.func, ast.Attribute):
-            return call.func.attr
-        return None
 
 
 @register
@@ -160,8 +94,8 @@ class UnresolvableQualifierRule(Rule):
     id = "RPR302"
     name = "unresolvable-qualifier"
     description = (
-        "backend name, ':schedule' or '@KxMETHOD' qualifier literal that "
-        "does not resolve against the live registries"
+        "backend name or ':schedule' qualifier literal that does not "
+        "resolve against the live registries"
     )
 
     def check(self, module: Module) -> Iterator[Finding]:
@@ -205,14 +139,11 @@ class UnresolvableQualifierRule(Rule):
 
 @register
 class UnknownConfigKwargRule(Rule):
-    """RPR303: ``LoopyConfig(...)`` kwargs that don't exist (or are shims)."""
+    """RPR303: ``LoopyConfig(...)`` kwargs that don't exist."""
 
     id = "RPR303"
     name = "unknown-config-kwarg"
-    description = (
-        "LoopyConfig called with a keyword that is not a config field, "
-        "or with the deprecated work_queue= boolean shim"
-    )
+    description = "LoopyConfig called with a keyword that is not a config field"
 
     def _fields(self) -> set[str] | None:
         try:
@@ -241,15 +172,7 @@ class UnknownConfigKwargRule(Rule):
             for kw in node.keywords:
                 if kw.arg is None:  # **kwargs — can't check statically
                     continue
-                if kw.arg == "work_queue":
-                    yield self.finding(
-                        module,
-                        node,
-                        "LoopyConfig(work_queue=...) is a deprecated shim "
-                        "(removal: repro 2.0); use schedule='work_queue' / "
-                        "schedule='sync'",
-                    )
-                elif kw.arg not in fields:
+                if kw.arg not in fields:
                     yield self.finding(
                         module,
                         node,

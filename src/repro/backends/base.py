@@ -95,9 +95,8 @@ class Backend:
     platform: str = "cpu"
     #: ``"node"``, ``"edge"`` or ``None`` (backend-chosen)
     paradigm: str | None = None
-    #: schedule used when ``run`` gets neither ``schedule`` nor the
-    #: deprecated ``work_queue``; registry variants like
-    #: ``"c-node:residual"`` override it per instance
+    #: schedule used when ``run`` gets no ``schedule``; registry variants
+    #: like ``"c-node:residual"`` override it per instance
     default_schedule: str = "work_queue"
 
     def __init_subclass__(cls, **kwargs):
@@ -112,13 +111,12 @@ class Backend:
         *,
         criterion: ConvergenceCriterion | None = None,
         schedule: str | None = None,
-        work_queue: bool | None = None,
         update_rule: str = "sum_product",
     ) -> RunResult:
         """Execute BP on ``graph`` (beliefs are updated in place).
 
         ``schedule`` is any name :func:`repro.core.scheduler.make_schedule`
-        accepts; ``work_queue`` is the deprecated boolean shim.
+        accepts.
         """
         raise NotImplementedError
 
@@ -133,21 +131,11 @@ class Backend:
         criterion: ConvergenceCriterion | None,
         schedule: str | None,
         update_rule: str,
-        work_queue: bool | None = None,
     ) -> LoopyConfig:
-        crit = criterion or ConvergenceCriterion()
-        if work_queue is not None:
-            # legacy path: LoopyConfig owns the deprecation warning
-            return LoopyConfig(  # noqa: RPR303
-                paradigm=paradigm,
-                update_rule=update_rule,
-                criterion=crit,
-                work_queue=work_queue,
-            )
         return LoopyConfig(
             paradigm=paradigm,
             update_rule=update_rule,
-            criterion=crit,
+            criterion=criterion or ConvergenceCriterion(),
             schedule=schedule or self.default_schedule,
         )
 

@@ -35,13 +35,10 @@ class _CBackend(Backend):
         *,
         criterion: ConvergenceCriterion | None = None,
         schedule: str | None = None,
-        work_queue: bool | None = None,
         update_rule: str = "sum_product",
     ) -> RunResult:
         assert self.paradigm is not None
-        config = self._loopy_config(
-            self.paradigm, criterion, schedule, update_rule, work_queue
-        )
+        config = self._loopy_config(self.paradigm, criterion, schedule, update_rule)
         loopy, wall = self._timed(LoopyBP(config).run, graph)
         gather_bytes = 4.0 * graph.n_states
         lines = graph.beliefs.cache_lines_per_access()

@@ -36,12 +36,25 @@ _FSIZE = 4
 _ISIZE = 8
 
 
-def _graph_device_bytes(graph: BeliefGraph, schedule: str = "work_queue") -> dict[str, int]:
-    """Device buffers a BP run needs, named as a real implementation would
-    name its cudaMallocs.  The scheduling policy decides the bookkeeping
-    buffers: queues hold element indices; priority schedules additionally
-    keep a per-element residual key array."""
-    n, m, b = graph.n_nodes, graph.n_edges, graph.n_states
+def _edge_potential_bytes(graph: BeliefGraph) -> int | None:
+    """Global-memory bytes of the per-edge potential stacks; None when the
+    graph shares one matrix (that one is staged separately, §3.6)."""
+    return None if graph.potentials.shared else graph.potentials.nbytes()
+
+
+def _graph_device_bytes(
+    n: int,
+    m: int,
+    b: int,
+    schedule: str = "work_queue",
+    potential_bytes: int | None = None,
+) -> dict[str, int]:
+    """Device buffers a BP run over ``n`` nodes, ``m`` directed edges and
+    ``b`` states needs, named as a real implementation would name its
+    cudaMallocs.  The scheduling policy decides the bookkeeping buffers:
+    queues hold element indices; priority schedules additionally keep a
+    per-element residual key array.  ``potential_bytes`` sizes the
+    per-edge potential stacks (see :func:`_edge_potential_bytes`)."""
     buffers = {
         "beliefs": n * b * _FSIZE,
         "beliefs_prev": n * b * _FSIZE,
@@ -60,8 +73,8 @@ def _graph_device_bytes(graph: BeliefGraph, schedule: str = "work_queue") -> dic
         buffers["queue_next"] = max(n, m) * _ISIZE
     if schedule in ("residual", "relaxed"):
         buffers["priority"] = max(n, m) * _FSIZE
-    if not graph.potentials.shared:
-        buffers["potentials"] = graph.potentials.nbytes()
+    if potential_bytes is not None:
+        buffers["potentials"] = potential_bytes
     return buffers
 
 
@@ -83,7 +96,10 @@ class _CudaBackend(Backend):
         if not graph.uniform:
             return False
         # worst-case footprint: priority schedules carry the extra key array
-        total = sum(_graph_device_bytes(graph, schedule="residual").values())
+        total = sum(_graph_device_bytes(
+            graph.n_nodes, graph.n_edges, graph.n_states, "residual",
+            _edge_potential_bytes(graph),
+        ).values())
         return total <= self.device_spec.vram_bytes
 
     def run(
@@ -92,15 +108,15 @@ class _CudaBackend(Backend):
         *,
         criterion: ConvergenceCriterion | None = None,
         schedule: str | None = None,
-        work_queue: bool | None = None,
         update_rule: str = "sum_product",
     ) -> RunResult:
         assert self.paradigm is not None
-        config = self._loopy_config(
-            self.paradigm, criterion, schedule, update_rule, work_queue
-        )
+        config = self._loopy_config(self.paradigm, criterion, schedule, update_rule)
         device = GpuDevice(self.device_spec)
-        buffers = _graph_device_bytes(graph, config.schedule)
+        buffers = _graph_device_bytes(
+            graph.n_nodes, graph.n_edges, graph.n_states, config.schedule,
+            _edge_potential_bytes(graph),
+        )
         try:
             for name, nbytes in buffers.items():
                 device.alloc(name, nbytes)

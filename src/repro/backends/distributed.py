@@ -13,8 +13,7 @@ bulk-synchronous distributed BP:
   :class:`~repro.partition.Partition` (default random hash — the
   paper's related work had to "reprocess the graph into a form amenable
   to this distributed environment"; pick ``partitioner="bfs"`` etc. to
-  see what a smarter split buys).  The legacy ``edge_cut_fraction``
-  override is deprecated in favour of measured cuts;
+  see what a smarter split buys);
 * every iteration, each worker sweeps its local subgraph (CPU cost model
   over its share of the work) and then exchanges boundary messages: one
   latency-bound round plus bandwidth for ``cut × message`` bytes
@@ -28,7 +27,6 @@ The E14 benchmark uses it to regenerate the §5.1 comparison table.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 from repro.backends.base import Backend, RunResult
@@ -103,22 +101,12 @@ class DistributedBackend(Backend):
         *,
         paradigm: str = "node",
         partitioner: str = "hash",
-        edge_cut_fraction: float | None = None,
         messages_per_round: int | None = None,
         seed: int = 0,
     ):
-        if edge_cut_fraction is not None:
-            warnings.warn(
-                "edge_cut_fraction is deprecated: DistributedBackend now "
-                "measures the cut of a real partition; pass partitioner="
-                "'bfs'/'greedy'/... instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         self.cluster = cluster
         self.paradigm = paradigm
         self.partitioner = partitioner
-        self.edge_cut_fraction = edge_cut_fraction
         self.messages_per_round = messages_per_round
         self.seed = seed
 
@@ -133,8 +121,6 @@ class DistributedBackend(Backend):
         expectation for random hash partitioning, ``1 − 1/ranks`` —
         which is why the related work had to reprocess their graphs.
         """
-        if self.edge_cut_fraction is not None:
-            return self.edge_cut_fraction
         if partition is not None:
             return partition.cut_fraction
         return 1.0 - 1.0 / self.cluster.ranks
@@ -145,18 +131,15 @@ class DistributedBackend(Backend):
         *,
         criterion: ConvergenceCriterion | None = None,
         schedule: str | None = None,
-        work_queue: bool | None = None,
         update_rule: str = "sum_product",
         partition: Partition | None = None,
     ) -> RunResult:
-        config = self._loopy_config(
-            self.paradigm, criterion, schedule, update_rule, work_queue
-        )
+        config = self._loopy_config(self.paradigm, criterion, schedule, update_rule)
         loopy, wall = self._timed(LoopyBP(config).run, graph)
 
         cluster = self.cluster
         b = graph.n_states
-        if partition is None and self.edge_cut_fraction is None and graph.n_nodes:
+        if partition is None and graph.n_nodes:
             partition = make_partition(
                 graph,
                 min(cluster.ranks, graph.n_nodes),
@@ -196,7 +179,7 @@ class DistributedBackend(Backend):
             modeled,
             cluster=cluster.name,
             ranks=cluster.ranks,
-            edge_cut_fraction=cut,
+            cut_fraction=cut,
             measured_partition=partition is not None,
             partitioner=partition.method if partition is not None else self.partitioner,
             shard_balance=partition.balance if partition is not None else None,

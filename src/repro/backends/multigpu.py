@@ -3,11 +3,14 @@
 The single-GPU backends (§3.6) hit the VRAM wall on the paper's TW/OR
 graphs; the escape hatch is the same partition layer the CPU sharded
 backend uses, with each shard resident on its own simulated device.
-Rounds are lockstep, the one sharded execution model (DESIGN.md §12):
-every device launches its shard's sweep kernels (the straggler sets the
-round time — the measured balance of the partition, not an assumption),
-then halo beliefs and ghost messages move peer-to-peer over NVLink or
-PCIe (:mod:`repro.gpusim.multi`).
+Like ``sharded`` and ``distributed``, it solves once with
+:class:`~repro.core.loopy.LoopyBP` and prices the shards from the
+measured :class:`~repro.partition.Partition`: every device allocates its
+shard's local rows (owned plus halo nodes, owned plus ghost edges),
+launches its share of each sweep in lockstep rounds (the straggler sets
+the round time — the measured balance of the partition, not an
+assumption), then halo beliefs and ghost messages move peer-to-peer over
+NVLink or PCIe (:mod:`repro.gpusim.multi`).
 
 ``supports`` admits graphs whose *sharded* footprint fits the device
 fleet even when a single device cannot hold them — the capacity story
@@ -17,16 +20,16 @@ that motivates multi-GPU BP in the first place.
 from __future__ import annotations
 
 from repro.backends.base import Backend, BackendUnsupportedError, RunResult
-from repro.backends.cuda_backends import _graph_device_bytes
+from repro.backends.cuda_backends import _edge_potential_bytes, _graph_device_bytes
+from repro.backends.sharded import _partition, split_sweep
 from repro.core.convergence import ConvergenceCriterion
 from repro.core.graph import BeliefGraph
-from repro.core.sharded import ShardedGraph, ShardedLoopyBP
+from repro.core.loopy import LoopyBP
 from repro.gpusim.arch import DeviceSpec, get_device
 from repro.gpusim.device import GpuOutOfMemoryError
 from repro.gpusim.multi import InterconnectSpec, MultiGpuDevice, get_interconnect
 from repro.gpusim.transfer import DEFAULT_CONVERGENCE_BATCH
-from repro.partition import Partition, make_partition
-from repro.telemetry import get_metrics
+from repro.partition import Partition
 
 __all__ = ["MultiGpuBackend"]
 
@@ -68,7 +71,10 @@ class MultiGpuBackend(Backend):
         # each shard holds ~1/n of the graph plus its halo; admit when the
         # fleet-wide capacity covers the worst-case (priority) footprint
         # with headroom for boundary duplication
-        total = sum(_graph_device_bytes(graph, schedule="residual").values())
+        total = sum(_graph_device_bytes(
+            graph.n_nodes, graph.n_edges, graph.n_states, "residual",
+            _edge_potential_bytes(graph),
+        ).values())
         return total * 1.25 <= self.n_devices * self.device_spec.vram_bytes
 
     def run(
@@ -77,27 +83,26 @@ class MultiGpuBackend(Backend):
         *,
         criterion: ConvergenceCriterion | None = None,
         schedule: str | None = None,
-        work_queue: bool | None = None,
         update_rule: str = "sum_product",
         partition: Partition | None = None,
     ) -> RunResult:
-        config = self._loopy_config(
-            self.paradigm, criterion, schedule, update_rule, work_queue
-        )
-        if partition is None:
-            partition = make_partition(
-                graph, min(self.n_devices, max(graph.n_nodes, 1)),
-                self.partitioner, seed=self.seed,
-            )
-        sharded = ShardedGraph.build(graph, partition)
+        config = self._loopy_config(self.paradigm, criterion, schedule, update_rule)
+        partition = _partition(graph, partition, self.n_devices, self.partitioner, self.seed)
+        profile = partition.shard_profile(graph)
         fleet = MultiGpuDevice(
             self.device_spec,
-            n_devices=sharded.n_shards,
+            n_devices=profile.n_shards,
             interconnect=self.interconnect,
         )
 
+        # per-edge potential stacks are uniform: a shard holds its share
+        stacks = _edge_potential_bytes(graph)
         shard_buffers = [
-            _graph_device_bytes(sh.graph, config.schedule) for sh in sharded.shards
+            _graph_device_bytes(
+                int(n), int(m), graph.n_states, config.schedule,
+                None if stacks is None else stacks * int(m) // max(graph.n_edges, 1),
+            )
+            for n, m in zip(profile.local_nodes, profile.local_edges)
         ]
 
         def alloc_all(device, buffers):
@@ -119,7 +124,7 @@ class MultiGpuBackend(Backend):
         except GpuOutOfMemoryError as exc:
             raise BackendUnsupportedError(
                 f"{self.name}: a shard does not fit in "
-                f"{self.device_spec.name} VRAM at {sharded.n_shards} devices"
+                f"{self.device_spec.name} VRAM at {profile.n_shards} devices"
             ) from exc
 
         # bulk per-device upload of the resident shard (§3.6 lifecycle)
@@ -132,15 +137,15 @@ class MultiGpuBackend(Backend):
             ]
         )
 
-        result, wall = self._timed(ShardedLoopyBP(config).run, sharded)
+        result, wall = self._timed(LoopyBP(config).run, graph)
 
-        profile = sharded.exchange_profile()
+        bytes_per_round, max_device_bytes = profile.exchange_bytes(graph.n_states)
         belief_bytes = 4.0 * graph.n_states
         barrier_idle = 0.0
-        for i, shard_stats in enumerate(result.per_shard_stats, start=1):
+        for i, sweep in enumerate(result.run_stats.per_iteration, start=1):
             before = [d.elapsed for d in fleet.devices]
             dt = fleet.launch_round(
-                shard_stats,
+                split_sweep(sweep, profile),
                 threads_per_block=self.threads_per_block,
                 random_access_bytes=belief_bytes,
             )
@@ -148,28 +153,25 @@ class MultiGpuBackend(Backend):
                 dt - (d.elapsed - b)
                 for d, b in zip(fleet.devices, before)
             )
-            if sharded.n_shards > 1 and profile["bytes_per_round"] > 0:
-                fleet.exchange(
-                    profile["bytes_per_round"], profile["max_device_bytes"]
-                )
+            if profile.n_shards > 1 and bytes_per_round > 0:
+                fleet.exchange(bytes_per_round, max_device_bytes)
             if i % self.convergence_batch == 0:
-                fleet.lockstep([lambda d: d.d2h(_FSIZE)] * sharded.n_shards)
+                fleet.lockstep([lambda d: d.d2h(_FSIZE)] * profile.n_shards)
         # final posterior read-back: each device ships its owned rows
         fleet.lockstep(
             [
-                lambda d, sh=sh: d.d2h(sh.n_owned * graph.n_states * _FSIZE)
-                for sh in sharded.shards
+                lambda d, n=int(n): d.d2h(n * graph.n_states * _FSIZE)
+                for n in profile.owned_nodes
             ]
         )
 
-        get_metrics().histogram("sharded.barrier_idle_s").record(barrier_idle)
         return self._result_from_loopy(
             self.name,
             result,
             wall,
             fleet.elapsed,
             device=self.device_spec.name,
-            n_devices=sharded.n_shards,
+            n_devices=profile.n_shards,
             interconnect=fleet.interconnect.name,
             schedule=config.schedule,
             partitioner=partition.method,

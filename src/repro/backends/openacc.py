@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.backends.base import Backend, BackendUnsupportedError, RunResult
-from repro.backends.cuda_backends import _graph_device_bytes
+from repro.backends.cuda_backends import _edge_potential_bytes, _graph_device_bytes
 from repro.core.convergence import ConvergenceCriterion
 from repro.core.graph import BeliefGraph
 from repro.core.loopy import LoopyBP
@@ -59,7 +59,10 @@ class OpenACCBackend(Backend):
     def supports(self, graph: BeliefGraph) -> bool:
         if not graph.uniform:
             return False
-        total = sum(_graph_device_bytes(graph, schedule="sync").values())
+        total = sum(_graph_device_bytes(
+            graph.n_nodes, graph.n_edges, graph.n_states, "sync",
+            _edge_potential_bytes(graph),
+        ).values())
         return total <= self.device_spec.vram_bytes
 
     def run(
@@ -68,7 +71,7 @@ class OpenACCBackend(Backend):
         *,
         criterion: ConvergenceCriterion | None = None,
         schedule: str | None = None,  # coerced to sync: queues need finer
-        work_queue: bool | None = None,  # grained control than OpenACC offers (§3.5)
+        # grained control than OpenACC offers (§3.5)
         update_rule: str = "sum_product",
     ) -> RunResult:
         assert self.paradigm is not None
@@ -80,7 +83,10 @@ class OpenACCBackend(Backend):
         )
 
         device = GpuDevice(self.device_spec)
-        buffers = _graph_device_bytes(graph, schedule="sync")
+        buffers = _graph_device_bytes(
+            graph.n_nodes, graph.n_edges, graph.n_states, "sync",
+            _edge_potential_bytes(graph),
+        )
         try:
             for name, nbytes in buffers.items():
                 device.alloc(name, nbytes)

@@ -138,15 +138,12 @@ class OpenMPBackend(Backend):
         *,
         criterion: ConvergenceCriterion | None = None,
         schedule: str | None = None,
-        work_queue: bool | None = None,
         update_rule: str = "sum_product",
     ) -> RunResult:
         """``schedule`` here is the BP scheduling policy; the *OMP loop*
         schedule (static/dynamic) is the constructor's ``schedule``."""
         assert self.paradigm is not None
-        config = self._loopy_config(
-            self.paradigm, criterion, schedule, update_rule, work_queue
-        )
+        config = self._loopy_config(self.paradigm, criterion, schedule, update_rule)
         loopy, wall = self._timed(LoopyBP(config).run, graph)
         modeled = sum(
             self._parallel_sweep_time(graph, sweep)

@@ -38,7 +38,6 @@ class ReferenceBackend(Backend):
         *,
         criterion: ConvergenceCriterion | None = None,
         schedule: str | None = None,  # accepted for interface parity; unused
-        work_queue: bool | None = None,  # deprecated shim; unused
         update_rule: str = "sum_product",
     ) -> RunResult:
         crit = criterion or ConvergenceCriterion()

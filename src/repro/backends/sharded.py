@@ -1,40 +1,60 @@
-"""Shard-parallel CPU backend over a measured partition (DESIGN.md §9).
+"""Shard-parallel CPU cost model over a measured partition (DESIGN.md §9).
 
-Runs :class:`~repro.core.sharded.ShardedLoopyBP` on a thread pool — one
-worker per shard — and models the wall clock of a bulk-synchronous
-multi-core execution: per round, the *slowest* shard's sweep time (the
-measured straggler, not an assumed 1.3×) plus the boundary exchange
-through shared memory and a barrier.
+Solves once with :class:`~repro.core.loopy.LoopyBP` and prices a
+bulk-synchronous multi-core execution of the same run from the measured
+:class:`~repro.partition.Partition`: each iteration's sweep work is split
+across the shards by their share of the owned edges
+(:func:`split_sweep`), the *slowest* shard sets the round time, and every
+round adds the boundary exchange through shared memory plus a barrier.
+The posteriors are the unsharded run's, bit for bit.
 
-This is the execution engine behind ``credo run --shards N`` and the
-serving layer's shard-parallel path; shard sweeps overlap on the pool
-because the BLAS matmuls inside the kernels release the GIL.
-
-The time shards spend waiting at the barrier for the straggler is
-reported as ``barrier_idle_s`` in the result detail and in the
-process-wide metrics registry, so ``credo profile`` can show it.
+The time shards would spend waiting at the barrier for the straggler is
+reported as ``barrier_idle_s`` in the result detail.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 from repro.backends.base import Backend, RunResult
 from repro.backends.cpu_cost import CpuSpec, I7_7700HQ, cpu_sweep_time
 from repro.core.convergence import ConvergenceCriterion
 from repro.core.graph import BeliefGraph
-from repro.core.sharded import ShardedGraph, ShardedLoopyBP
-from repro.partition import Partition, make_partition
-from repro.telemetry import get_metrics
+from repro.core.loopy import LoopyBP
+from repro.core.sweepstats import SweepStats
+from repro.partition import Partition, ShardProfile, make_partition
 
-__all__ = ["ShardedCpuBackend"]
+__all__ = ["ShardedCpuBackend", "split_sweep"]
 
 #: modeled cost of one pthread-barrier round per participating shard level
 _BARRIER_SECONDS = 2e-6
 
+#: per-sweep counters that scale with a shard's share of the work; every
+#: shard still launches the whole sweep's kernels
+_SCALED = tuple(f.name for f in fields(SweepStats) if f.name != "kernel_launches")
+
+
+def split_sweep(stats: SweepStats, profile: ShardProfile) -> list[SweepStats]:
+    """One sweep's counts, divided across the populated shards of
+    ``profile`` by :attr:`~repro.partition.ShardProfile.work_share`."""
+    shards = []
+    for share in profile.work_share:
+        part = SweepStats(kernel_launches=stats.kernel_launches)
+        for name in _SCALED:
+            setattr(part, name, int(round(getattr(stats, name) * share)))
+        shards.append(part)
+    return shards
+
+
+def _partition(graph: BeliefGraph, partition, n_shards, method, seed) -> Partition:
+    if partition is not None:
+        return partition
+    return make_partition(graph, min(n_shards, max(graph.n_nodes, 1)), method, seed=seed)
+
 
 class ShardedCpuBackend(Backend):
-    """Partition → per-shard schedules → thread-pool sweeps, on one host."""
+    """One unsharded solve, priced as partition → per-shard sweeps on one host."""
 
     name = "sharded"
     platform = "cpu"
@@ -46,7 +66,6 @@ class ShardedCpuBackend(Backend):
         partitioner: str = "bfs",
         paradigm: str = "node",
         cpu: CpuSpec = I7_7700HQ,
-        max_workers: int | None = None,
         seed: int = 0,
     ):
         if n_shards < 1:
@@ -55,7 +74,6 @@ class ShardedCpuBackend(Backend):
         self.partitioner = partitioner
         self.paradigm = paradigm
         self.cpu = cpu
-        self.max_workers = max_workers
         self.seed = seed
 
     def supports(self, graph: BeliefGraph) -> bool:
@@ -67,27 +85,31 @@ class ShardedCpuBackend(Backend):
         *,
         criterion: ConvergenceCriterion | None = None,
         schedule: str | None = None,
-        work_queue: bool | None = None,
         update_rule: str = "sum_product",
         partition: Partition | None = None,
     ) -> RunResult:
-        config = self._loopy_config(
-            self.paradigm, criterion, schedule, update_rule, work_queue
-        )
-        if partition is None:
-            partition = make_partition(
-                graph, min(self.n_shards, max(graph.n_nodes, 1)),
-                self.partitioner, seed=self.seed,
-            )
-        sharded = ShardedGraph.build(graph, partition)
-        workers = self.max_workers or sharded.n_shards
-        driver = ShardedLoopyBP(
-            config, max_workers=workers if workers > 1 else None
-        )
-        result, wall = self._timed(driver.run, sharded)
-        modeled, barrier_idle = self._model(sharded, result, 4.0 * graph.n_states)
+        config = self._loopy_config(self.paradigm, criterion, schedule, update_rule)
+        partition = _partition(graph, partition, self.n_shards, self.partitioner, self.seed)
+        profile = partition.shard_profile(graph)
+        result, wall = self._timed(LoopyBP(config).run, graph)
 
-        get_metrics().histogram("sharded.barrier_idle_s").record(barrier_idle)
+        bytes_per_round, _ = profile.exchange_bytes(graph.n_states)
+        exchange = bytes_per_round / self.cpu.stream_bandwidth
+        barrier = _BARRIER_SECONDS * max(
+            1, int(math.ceil(math.log2(max(profile.n_shards, 2))))
+        )
+        gather_bytes = 4.0 * graph.n_states
+        modeled = 0.0
+        barrier_idle = 0.0
+        for sweep in result.run_stats.per_iteration:
+            times = [
+                cpu_sweep_time(self.cpu, s, gather_bytes=gather_bytes)
+                for s in split_sweep(sweep, profile)
+            ]
+            slowest = max(times, default=0.0)
+            modeled += slowest + exchange + barrier
+            barrier_idle += sum(slowest - t for t in times)
+
         return self._result_from_loopy(
             self.name,
             result,
@@ -95,32 +117,9 @@ class ShardedCpuBackend(Backend):
             modeled,
             schedule=config.schedule,
             partitioner=partition.method,
-            n_shards=sharded.n_shards,
+            n_shards=profile.n_shards,
             cut_fraction=partition.cut_fraction,
             shard_balance=partition.balance,
-            exchange_bytes=result.exchange_bytes,
-            workers=workers,
+            exchange_bytes=bytes_per_round * result.iterations,
             barrier_idle_s=barrier_idle,
         )
-
-    # ------------------------------------------------------------------
-    def _model(self, sharded, result, gather_bytes):
-        """Bulk-synchronous wall clock: per round, the straggler's sweep +
-        shared-memory exchange + barrier.  Barrier idle is everyone else's
-        wait for the straggler, summed over rounds."""
-        profile = sharded.exchange_profile()
-        exchange = profile["bytes_per_round"] / self.cpu.stream_bandwidth
-        barrier = _BARRIER_SECONDS * max(
-            1, int(math.ceil(math.log2(max(sharded.n_shards, 2))))
-        )
-        modeled = 0.0
-        barrier_idle = 0.0
-        for shard_stats in result.per_shard_stats:
-            times = [
-                cpu_sweep_time(self.cpu, s, gather_bytes=gather_bytes)
-                for s in shard_stats
-            ]
-            slowest = max(times, default=0.0)
-            modeled += slowest + exchange + barrier
-            barrier_idle += sum(slowest - t for t in times)
-        return modeled, barrier_idle

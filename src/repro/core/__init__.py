@@ -3,9 +3,8 @@
 This subpackage implements the paper's primary contribution: loopy belief
 propagation with per-node and per-edge processing paradigms (§3.3), the
 shared joint-probability-matrix refinement (§2.2), AoS/SoA belief storage
-(§3.4), work queues (§3.5), the original three-phase tree algorithm (§2.1),
-sharded execution over measured graph partitions (DESIGN.md §9) and an
-exact-enumeration oracle used by the test suite.
+(§3.4), work queues (§3.5), the original three-phase tree algorithm (§2.1)
+and an exact-enumeration oracle used by the test suite.
 """
 
 from repro.core.beliefs import BeliefStore, AoSBeliefStore, SoABeliefStore
@@ -24,10 +23,8 @@ from repro.core.scheduler import (
     ResidualSchedule,
     RelaxedPrioritySchedule,
     WorkQueue,
-    ResidualBP,
     make_schedule,
 )
-from repro.core.sharded import ShardedGraph, ShardedLoopyBP, ShardedResult
 from repro.core.junction import JunctionTree, junction_tree_marginals
 from repro.core.bethe import bethe_free_energy, bethe_log_partition
 
@@ -56,10 +53,6 @@ __all__ = [
     "ResidualSchedule",
     "RelaxedPrioritySchedule",
     "make_schedule",
-    "ResidualBP",
-    "ShardedGraph",
-    "ShardedLoopyBP",
-    "ShardedResult",
     "JunctionTree",
     "junction_tree_marginals",
     "bethe_free_energy",

@@ -27,7 +27,6 @@ Two update rules are available:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -66,11 +65,6 @@ class LoopyConfig:
 
     ``batch_fraction``, ``relaxation`` and ``schedule_seed`` parameterize
     the priority schedules; the others ignore them.
-
-    ``work_queue`` is a **deprecated** boolean shim: ``True`` maps to
-    ``schedule="work_queue"``, ``False`` to ``schedule="sync"`` (with a
-    :class:`DeprecationWarning`).  After normalization it is reset to
-    ``None``; read ``schedule`` instead.
     """
 
     paradigm: str = "node"
@@ -78,7 +72,6 @@ class LoopyConfig:
     semiring: str = "sum"
     criterion: ConvergenceCriterion = field(default_factory=ConvergenceCriterion)
     schedule: str = "work_queue"
-    work_queue: bool | None = None
     requeue_downstream: bool = True
     damping: float = 0.0
     edge_chunks: int = 8
@@ -101,17 +94,6 @@ class LoopyConfig:
             raise ValueError("batch_fraction must lie in (0, 1]")
         if self.relaxation < 1:
             raise ValueError("relaxation must be at least 1")
-        if self.work_queue is not None:
-            warnings.warn(
-                "LoopyConfig(work_queue=...) is deprecated; use "
-                "schedule='work_queue' / schedule='sync'",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            object.__setattr__(
-                self, "schedule", "work_queue" if self.work_queue else "sync"
-            )
-            object.__setattr__(self, "work_queue", None)
         object.__setattr__(self, "schedule", normalize_schedule(self.schedule))
 
 

@@ -36,35 +36,20 @@ Every schedule is a small amount of state over a flat priority/activity
 view of the elements (nodes for the per-node paradigm, directed edges
 for the per-edge paradigm); the numerical kernels never change.
 
-Schedules also expose :meth:`Schedule.reactivate` for *external*
-invalidation — elements whose inputs changed outside the driver's own
-sweep.  The sharded driver (:mod:`repro.core.sharded`) uses it after
-each boundary exchange: halo beliefs and ghost messages arriving from
-other shards re-enqueue the owned elements they feed, so a drained shard
-wakes up when its neighbours are still moving.
-
-The §3.5 :class:`WorkQueue` and the legacy :class:`ResidualBP` entry
-point live here too; the ``repro.core.workqueue`` and
-``repro.core.residual`` deprecation shims that once re-exported them
-were removed in 2.0 — this module is the only home.
+The §3.5 :class:`WorkQueue` lives here too; the ``repro.core.workqueue``
+and ``repro.core.residual`` modules that once re-exported it are gone —
+this module is the only home.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.convergence import ConvergenceCriterion
 from repro.core.indexset import SlotMap, is_sparse
 from repro.core.sweepstats import SweepStats
 from repro.telemetry import get_tracer
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (loopy imports us)
-    from repro.core.graph import BeliefGraph
-    from repro.core.loopy import LoopyResult
 
 __all__ = [
     "SCHEDULES",
@@ -74,7 +59,6 @@ __all__ = [
     "ResidualSchedule",
     "RelaxedPrioritySchedule",
     "WorkQueue",
-    "ResidualBP",
     "make_schedule",
     "normalize_schedule",
 ]
@@ -190,21 +174,6 @@ class WorkQueue:
                 span.set(pushed=int(len(self._active)), round=self.rounds)
         return self._active
 
-    def merge(self, elements: np.ndarray) -> int:
-        """Enqueue ``elements`` (duplicates fine) into the active set
-        without clearing it — the cross-shard reactivation path.  Returns
-        the number of *new* entries."""
-        if not len(elements):
-            return 0
-        with get_tracer().span("queue.merge", cat="schedule") as span:
-            before = len(self.active)
-            self._active = self._slots.unique(self._active, elements)
-            added = len(self._active) - before
-            self.pushes += added
-            if span:
-                span.set(offered=int(len(elements)), added=added)
-        return added
-
     def seed(self, elements: np.ndarray) -> None:
         """Replace the active set with ``elements`` (duplicates fine).
 
@@ -286,19 +255,6 @@ class Schedule:
         :attr:`wants_priority`.
         """
 
-    def reactivate(
-        self, elements: np.ndarray, priorities: np.ndarray | None = None
-    ) -> None:
-        """Re-enqueue elements invalidated from *outside* the sweep.
-
-        The sharded driver calls this after a boundary exchange: halo
-        beliefs / ghost messages that changed upstream re-activate the
-        owned elements they feed, waking a drained shard.  ``priorities``
-        (aligned, optional) carries the upstream change magnitude for the
-        priority schedules.  Synchronous schedules ignore it — they
-        process everything anyway.
-        """
-
     def restrict(
         self, elements: np.ndarray, priorities: np.ndarray | None = None
     ) -> None:
@@ -353,7 +309,6 @@ class WorkQueueSchedule(Schedule):
         super().__init__(n_elements, element_threshold)
         self.queue = WorkQueue(n_elements, element_threshold)
         self._last_processed = n_elements
-        self._reactivated = 0
 
     @property
     def active(self) -> np.ndarray:
@@ -363,9 +318,6 @@ class WorkQueueSchedule(Schedule):
         self._last_processed = len(processed)
         self.queue.repopulate(deltas, downstream)
 
-    def reactivate(self, elements, priorities=None):
-        self._reactivated += self.queue.merge(np.asarray(elements, dtype=np.int64))
-
     def restrict(self, elements, priorities=None):
         self.queue.seed(np.asarray(elements, dtype=np.int64))
 
@@ -374,11 +326,9 @@ class WorkQueueSchedule(Schedule):
         return self.queue.empty
 
     def charge(self, stats: SweepStats) -> None:
-        # clear + atomic pushes (§3.5): one compare-and-push per survivor,
-        # plus any cross-shard reactivations merged since the last sweep
-        stats.queue_ops += self._last_processed + len(self.queue) + self._reactivated
-        stats.atomic_ops += len(self.queue) + self._reactivated
-        self._reactivated = 0
+        # clear + atomic pushes (§3.5): one compare-and-push per survivor
+        stats.queue_ops += self._last_processed + len(self.queue)
+        stats.atomic_ops += len(self.queue)
 
 
 class ResidualSchedule(Schedule):
@@ -392,7 +342,7 @@ class ResidualSchedule(Schedule):
 
     The eligible set (``priority >= element_threshold``, ascending) is
     kept incrementally while it is small: :meth:`update`,
-    :meth:`reactivate` and :meth:`restrict` re-examine only the indices
+    and :meth:`restrict` re-examine only the indices
     they write, so a round over a small frontier costs O(frontier), not
     O(n_elements).  A large set (see :mod:`repro.core.indexset`) is kept
     as a mask rebuilt in one pass.
@@ -421,7 +371,6 @@ class ResidualSchedule(Schedule):
         self._n_eligible = n_elements
         self._last_processed = 0
         self._last_pushes = 0
-        self._reactivated = 0
 
     # -- eligible set ----------------------------------------------------
     def _eligible_set(self) -> np.ndarray:
@@ -497,20 +446,6 @@ class ResidualSchedule(Schedule):
             self._refresh(processed)
         self._last_pushes = pushes
 
-    def reactivate(self, elements, priorities=None):
-        elements = np.asarray(elements, dtype=np.int64)
-        if not len(elements):
-            return
-        if priorities is None:
-            keys = np.full(len(elements), self.element_threshold)
-        else:
-            # clamp to the threshold so a reactivated element is always
-            # eligible, however small the upstream change that woke it
-            keys = np.maximum(np.asarray(priorities, dtype=float), self.element_threshold)
-        np.maximum.at(self.priority, elements, keys)
-        self._refresh(elements)
-        self._reactivated += len(elements)
-
     def restrict(self, elements, priorities=None):
         # zero out the optimistic +inf start, then mark only the dirty
         # region eligible — the lazy-heap equivalent of seeding the queue
@@ -538,10 +473,8 @@ class ResidualSchedule(Schedule):
         # an atomic-visible compare-exchange — the contention the relaxed
         # literature (Aksenov et al.) removes
         depth = max(1, int(math.ceil(math.log2(max(self.n_elements, 2)))))
-        pushes = self._last_pushes + self._reactivated
-        stats.queue_ops += self._last_processed + pushes
-        stats.atomic_ops += pushes * depth
-        self._reactivated = 0
+        stats.queue_ops += self._last_processed + self._last_pushes
+        stats.atomic_ops += self._last_pushes * depth
 
 
 class RelaxedPrioritySchedule(ResidualSchedule):
@@ -586,10 +519,8 @@ class RelaxedPrioritySchedule(ResidualSchedule):
     def charge(self, stats: SweepStats) -> None:
         # relaxed queues: O(1) per push, no serialized heap root — each
         # push is a single atomic to one of many independent queues
-        pushes = self._last_pushes + self._reactivated
-        stats.queue_ops += self._last_processed + pushes
-        stats.atomic_ops += pushes
-        self._reactivated = 0
+        stats.queue_ops += self._last_processed + self._last_pushes
+        stats.atomic_ops += self._last_pushes
 
 
 def make_schedule(
@@ -619,29 +550,3 @@ def make_schedule(
         seed=seed,
     )
 
-
-@dataclass
-class ResidualBP:
-    """Max-residual edge scheduling (legacy alias over the unified driver).
-
-    Residual scheduling used to live in ``repro.core.residual`` as a
-    standalone driver with its own result type; it is now just
-    ``LoopyBP(paradigm="edge", schedule="residual")``.  This class
-    survives for callers of the old entry point; results are plain
-    :class:`~repro.core.loopy.LoopyResult` objects.
-    """
-
-    criterion: ConvergenceCriterion = field(default_factory=ConvergenceCriterion)
-    damping: float = 0.0
-    batch_fraction: float = 0.5
-
-    def run(self, graph: "BeliefGraph") -> "LoopyResult":
-        from repro.core.loopy import LoopyBP  # deferred: loopy imports us
-
-        return LoopyBP(
-            paradigm="edge",
-            schedule="residual",
-            criterion=self.criterion,
-            damping=self.damping,
-            batch_fraction=self.batch_fraction,
-        ).run(graph)

@@ -36,20 +36,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("sync", "work_queue", "residual", "relaxed"),
         help="scheduling policy (default: selector's choice)",
     )
-    run.add_argument(
-        "--no-work-queue", action="store_true",
-        help="deprecated: same as --schedule sync",
-    )
-    run.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="shard-parallel execution over N graph partitions "
-             "(default: unsharded)",
-    )
-    run.add_argument(
-        "--partitioner", default=None,
-        choices=("hash", "range", "bfs", "greedy"),
-        help="partitioning strategy for --shards (default bfs)",
-    )
     run.add_argument("--top", type=int, default=10, help="print the first N posteriors")
     run.add_argument(
         "--train", action="store_true",
@@ -73,9 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="simulated GPU (gtx1070/v100/a100)")
     prof.add_argument("--schedule", default=None,
                       choices=("sync", "work_queue", "residual", "relaxed"))
-    prof.add_argument("--shards", type=int, default=None, metavar="N")
-    prof.add_argument("--partitioner", default=None,
-                      choices=("hash", "range", "bfs", "greedy"))
     prof.add_argument("--threshold", type=float, default=1e-3)
     prof.add_argument("--max-iterations", type=int, default=200)
     prof.add_argument("--trace", default="trace.json", metavar="OUT.json",
@@ -133,14 +116,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="result-cache entries (0 disables caching)")
     serve.add_argument("--deadline-s", type=float, default=None,
                        help="default per-request deadline")
-    serve.add_argument("--shards", type=int, default=1, metavar="N",
-                       help="partition every registered model N ways and sweep "
-                            "shard-parallel (1 disables)")
-    serve.add_argument("--partitioner", default=None,
-                       choices=("hash", "range", "bfs", "greedy"),
-                       help="partitioning strategy for --shards (default bfs)")
-    serve.add_argument("--shard-threads", type=int, default=None,
-                       help="shard-sweep worker threads (default: --shards)")
     serve.add_argument("--stats", action="store_true",
                        help="print a metrics snapshot on exit")
     serve.add_argument("--trace", default=None, metavar="OUT.json",
@@ -230,10 +205,7 @@ def _cmd_profile(args) -> int:
 
     tracer = Tracer()
     with use_tracer(tracer):
-        plan = credo.plan(
-            graph, backend=args.backend,
-            shards=args.shards, partitioner=args.partitioner,
-        )
+        plan = credo.plan(graph, backend=args.backend)
         result = credo.run(graph.copy(), plan=plan)
 
     print(f"backend       {result.backend}")
@@ -247,11 +219,6 @@ def _cmd_profile(args) -> int:
         build_s = build["mean_s"] * build["count"]
         print(f"kernel build  {build_s:.6f}s across {int(build['count'])} "
               f"lowering(s); sweeps {max(result.wall_time - build_s, 0.0):.4f}s")
-    idle = get_metrics().histogram("sharded.barrier_idle_s").snapshot()
-    if idle.get("count"):
-        print(f"barrier idle  count {int(idle['count'])}, "
-              f"mean {idle['mean_s']:.6f}s, p95 {idle['p95_s']:.6f}s, "
-              f"max {idle['max_s']:.6f}s")
     if not args.no_summary:
         print()
         print(summary_table(tracer.events))
@@ -292,9 +259,6 @@ def _cmd_serve(args) -> int:
         max_batch=args.max_batch,
         cache_capacity=args.cache_capacity,
         default_deadline_s=args.deadline_s,
-        shards=args.shards,
-        partitioner=args.partitioner,
-        shard_threads=args.shard_threads,
     )
     tracer = None
     if args.trace is not None:
@@ -519,15 +483,12 @@ def main(argv: list[str] | None = None) -> int:
     from repro.core.convergence import ConvergenceCriterion
     from repro.credo.runner import Credo
 
-    schedule = args.schedule
-    if args.no_work_queue and schedule is None:
-        schedule = "sync"
     credo = Credo(
         device=args.device,
         criterion=ConvergenceCriterion(
             threshold=args.threshold, max_iterations=args.max_iterations
         ),
-        schedule=schedule,
+        schedule=args.schedule,
     )
     if args.train:
         credo.train(profile="smoke", use_cases=("binary",))
@@ -536,24 +497,12 @@ def main(argv: list[str] | None = None) -> int:
 
         tracer = Tracer()
         with use_tracer(tracer):
-            result = credo.run_file(
-                args.path, args.edge_path, backend=args.backend,
-                shards=args.shards, partitioner=args.partitioner,
-            )
+            result = credo.run_file(args.path, args.edge_path, backend=args.backend)
         _write_trace(tracer, args.trace)
     else:
-        result = credo.run_file(
-            args.path, args.edge_path, backend=args.backend,
-            shards=args.shards, partitioner=args.partitioner,
-        )
+        result = credo.run_file(args.path, args.edge_path, backend=args.backend)
     print(f"backend       {result.backend}")
     print(f"schedule      {result.detail.get('schedule', '-')}")
-    if "n_shards" in result.detail or "n_devices" in result.detail:
-        shards = result.detail.get("n_shards", result.detail.get("n_devices"))
-        print(f"shards        {shards} ({result.detail.get('partitioner', '-')}, "
-              f"cut {result.detail.get('cut_fraction', 0.0):.3f})")
-    if "barrier_idle_s" in result.detail:
-        print(f"barrier idle  {result.detail['barrier_idle_s']:.6f}s")
     print(f"iterations    {result.iterations}")
     print(f"converged     {result.converged}")
     print(f"wall time     {result.wall_time:.4f}s")

@@ -20,10 +20,8 @@ from repro.telemetry import get_tracer
 
 __all__ = [
     "FEATURE_NAMES",
-    "PARTITION_FEATURE_NAMES",
     "SCHEDULE_FEATURE_NAMES",
     "extract_features",
-    "extract_partition_features",
     "extract_schedule_features",
     "feature_matrix",
 ]
@@ -42,13 +40,6 @@ FEATURE_NAMES = (
 SCHEDULE_FEATURE_NAMES = FEATURE_NAMES + (
     "degree_cv",
     "hub_mass",
-)
-
-#: features informing the *sharding* decision (DESIGN.md §9): how much
-#: boundary traffic and straggler imbalance a given split would cost
-PARTITION_FEATURE_NAMES = (
-    "cut_fraction",
-    "shard_balance",
 )
 
 
@@ -148,31 +139,6 @@ def extract_schedule_features(graph: BeliefGraph) -> np.ndarray:
         hub_mass = 0.0
     feats = np.concatenate([base, [cv, hub_mass]])
     cache["schedule"] = feats
-    return feats.copy()
-
-
-def extract_partition_features(
-    graph: BeliefGraph, n_shards: int, method: str = "bfs"
-) -> np.ndarray:
-    """``(cut_fraction, shard_balance)`` of splitting ``graph`` ``n_shards``
-    ways with ``method`` — what a sharding decision trades off: boundary
-    traffic per round vs the straggler factor at the barrier.
-
-    Partitions are structural (never belief-dependent), so the measured
-    pair is memoized on the graph alongside the §3.7 features and shared
-    by :meth:`~repro.core.graph.BeliefGraph.copy` clones.
-    """
-    from repro.partition import make_partition, normalize_partitioner
-
-    method = normalize_partitioner(method)
-    cache = _cache(graph)
-    key = f"partition:{method}:{int(n_shards)}"
-    cached = cache.get(key)
-    if cached is not None:
-        return cached.copy()
-    part = make_partition(graph, n_shards, method)
-    feats = np.array([part.cut_fraction, part.balance], dtype=np.float64)
-    cache[key] = feats
     return feats.copy()
 
 

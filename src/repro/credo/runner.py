@@ -31,13 +31,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = ["Credo", "ExecutionPlan", "parse_qualified"]
 
 #: the full qualified-spec grammar, mirroring the RPR302 lint validator:
-#: ``<backend>[:<schedule>][@<K>x<method>]`` — exactly
-#: what ``ExecutionPlan.qualified`` renders, so plans round-trip through
-#: their string spelling
+#: ``<backend>[:<schedule>]`` — exactly what ``ExecutionPlan.qualified``
+#: renders, so plans round-trip through their string spelling
 _QUALIFIED_RE = re.compile(
     r"^(?P<backend>[a-z][a-z0-9_-]*)"
-    r"(?::(?P<schedule>[a-z][a-z0-9_-]*))?"
-    r"(?:@(?P<shards>\d+)x(?P<partitioner>[a-z][a-z0-9_-]*))?$"
+    r"(?::(?P<schedule>[a-z][a-z0-9_-]*))?$"
 )
 
 
@@ -54,30 +52,26 @@ def parse_qualified(name: str, *, strict: bool = False) -> dict:
     """Split a qualified backend spec into its plan fields.
 
     Returns a dict holding only the groups present in ``name``
-    (``backend`` always; ``schedule``/``shards``/``partitioner`` when
-    spelled).
+    (``backend`` always; ``schedule`` when spelled).
     Specs outside the grammar fall back to the historical
     ``"<name>:<qualifier>"`` split so unknown names still surface their
     errors at the backend/schedule registries — unless ``strict`` is
     set, in which case they raise :class:`ValueError` instead (this is
     what the linter's config rules use to validate spellings without
-    duplicating the grammar).  A malformed shard suffix (anything after
-    ``@`` beyond ``<K>x<METHOD>``, such as the retired ``+async~2``)
-    raises in either mode: no registry would catch it.
+    duplicating the grammar).  An ``@`` suffix (the retired shard
+    grammar ``@<K>x<METHOD>``) raises in either mode: no registry would
+    catch it.
     """
     match = _QUALIFIED_RE.match(name)
     if match is None:
         if strict or "@" in name:
             raise ValueError(
                 f"{name!r} does not match the qualified-spec grammar "
-                "<backend>[:<sched>][@Kx<METHOD>]"
+                "<backend>[:<sched>]"
             )
         base, _, qualifier = name.partition(":")
         return {"backend": base, **({"schedule": qualifier} if qualifier else {})}
-    spec = {k: v for k, v in match.groupdict().items() if v is not None}
-    if "shards" in spec:
-        spec["shards"] = int(spec["shards"])
-    return spec
+    return {k: v for k, v in match.groupdict().items() if v is not None}
 
 
 @dataclass(frozen=True)
@@ -88,20 +82,10 @@ class ExecutionPlan:
     *registered graph* instead of per query: :meth:`Credo.plan` runs the
     selection once and every subsequent :meth:`Credo.run` with ``plan=``
     skips feature extraction and classification entirely.
-
-    ``shards > 1`` freezes a sharded execution: the graph is split by
-    ``partitioner`` and swept shard-parallel (DESIGN.md §9) on the
-    platform the selected backend implies, in lockstep rounds.
     """
 
     backend: str
     schedule: str
-    shards: int = 1
-    partitioner: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.shards < 1:
-            raise ValueError("shards must be at least 1")
 
     @property
     def paradigm(self) -> str:
@@ -112,17 +96,9 @@ class ExecutionPlan:
         return tail if tail in ("node", "edge") else "node"
 
     @property
-    def sharded(self) -> bool:
-        return self.shards > 1
-
-    @property
     def qualified(self) -> str:
-        """The ``"<backend>:<schedule>"`` registry-style name; sharded
-        plans carry an ``@<shards>x<partitioner>`` suffix."""
-        base = f"{self.backend}:{self.schedule}"
-        if self.sharded:
-            base = f"{base}@{self.shards}x{self.partitioner or 'bfs'}"
-        return base
+        """The ``"<backend>:<schedule>"`` registry-style name."""
+        return f"{self.backend}:{self.schedule}"
 
 
 class Credo:
@@ -142,27 +118,19 @@ class Credo:
         selector: CredoSelector | None = None,
         criterion: ConvergenceCriterion | None = None,
         schedule: str | None = None,
-        work_queue: bool | None = None,
     ):
         """``schedule`` pins a scheduling policy for every run; ``None``
-        lets the selector pick per graph.  ``work_queue`` is the
-        deprecated boolean (True → ``"work_queue"``, False → ``"sync"``)
-        and is forwarded to the backend, which warns through
-        :class:`~repro.core.loopy.LoopyConfig`."""
+        lets the selector pick per graph."""
         self.device = get_device(device)
         self.selector = selector or CredoSelector()
         self.criterion = criterion or ConvergenceCriterion()
         self.schedule = schedule
-        self.work_queue = work_queue
         self._backends: dict[str, Backend] = {
             "c-node": CNodeBackend(),
             "c-edge": CEdgeBackend(),
             "cuda-node": CudaNodeBackend(self.device),
             "cuda-edge": CudaEdgeBackend(self.device),
         }
-        # shard-parallel engines, built lazily per (backend, shards,
-        # partitioner) the first time a sharded plan executes
-        self._sharded: dict[tuple, Backend] = {}
 
     @classmethod
     def from_server_config(cls, config: "ServerConfig") -> "Credo":
@@ -245,8 +213,6 @@ class Credo:
         graph: BeliefGraph,
         *,
         backend: str | None = None,
-        shards: int | None = None,
-        partitioner: str | None = None,
         executor: str | None = None,
     ) -> ExecutionPlan:
         """Run selection once and freeze the decision for reuse.
@@ -256,60 +222,16 @@ class Credo:
         re-selection; ``backend=`` pins the backend and only the schedule
         is chosen.  It accepts the full qualified grammar
         (:attr:`ExecutionPlan.qualified`), so a plan's string spelling
-        round-trips back into an equivalent plan.  ``shards=`` pins the
-        shard count; ``None`` and 1 run unsharded, as :meth:`run` does.
-        ``executor=`` accepts only ``"compiled"``, the one sweep executor.
+        round-trips back into an equivalent plan.  ``executor=`` accepts only ``"compiled"``, the one sweep executor.
         """
         _check_executor(executor)
         with get_tracer().span("credo.plan", cat="credo") as sp:
             spec = parse_qualified(backend or self.select(graph))
             base_name = spec["backend"]
             schedule = spec.get("schedule") or self.select_schedule(graph, base_name)
-            # suffix-spelled fields fill in wherever no kwarg pinned them
-            if shards is None:
-                shards = spec.get("shards", 1)
-            if partitioner is None:
-                partitioner = spec.get("partitioner")
-            if shards > 1 and not graph.uniform:
-                raise ValueError("sharded execution requires a uniform graph")
             if sp:
-                sp.set(backend=base_name, schedule=schedule, shards=shards)
-        return ExecutionPlan(
-            backend=base_name,
-            schedule=schedule,
-            shards=shards,
-            partitioner=(partitioner or "bfs") if shards > 1 else partitioner,
-        )
-
-    def _sharded_backend(self, plan: ExecutionPlan) -> Backend:
-        """The shard-parallel engine a sharded plan executes on, cached.
-
-        The platform follows the selected backend: CUDA selections run
-        one simulated device per shard (:class:`MultiGpuBackend`), CPU
-        selections a thread-pool :class:`ShardedCpuBackend`.
-        """
-        key = (plan.backend, plan.shards, plan.partitioner)
-        engine = self._sharded.get(key)
-        if engine is None:
-            from repro.backends.multigpu import MultiGpuBackend
-            from repro.backends.sharded import ShardedCpuBackend
-
-            partitioner = plan.partitioner or "bfs"
-            if plan.backend.startswith("cuda"):
-                engine = MultiGpuBackend(
-                    self.device,
-                    n_devices=plan.shards,
-                    partitioner=partitioner,
-                    paradigm=plan.paradigm,
-                )
-            else:
-                engine = ShardedCpuBackend(
-                    n_shards=plan.shards,
-                    partitioner=partitioner,
-                    paradigm=plan.paradigm,
-                )
-            self._sharded[key] = engine
-        return engine
+                sp.set(backend=base_name, schedule=schedule)
+        return ExecutionPlan(backend=base_name, schedule=schedule)
 
     def run(
         self,
@@ -318,51 +240,27 @@ class Credo:
         backend: str | None = None,
         schedule: str | None = None,
         plan: ExecutionPlan | None = None,
-        shards: int | None = None,
-        partitioner: str | None = None,
         executor: str | None = None,
     ) -> RunResult:
         """Select (or honour ``backend=``/``schedule=``/``plan=``) and
         execute BP.
 
         ``backend`` accepts the full qualified grammar a plan renders
-        (``"c-node:residual"``, ``"sharded:sync@4xbfs"`` — see
-        :attr:`ExecutionPlan.qualified`); suffix-spelled fields win
-        unless the matching keyword argument is given explicitly.
+        (``"c-node:residual"`` — see :attr:`ExecutionPlan.qualified`); a
+        spelled schedule wins unless ``schedule=`` is given explicitly.
         ``plan`` short-circuits selection entirely (amortized serving
-        path); it is mutually exclusive with the other two.
-        ``shards``/``partitioner`` request shard-parallel execution
-        (equivalent to planning with the same values).  ``executor=``
+        path); it is mutually exclusive with the other two.  ``executor=``
         accepts only ``"compiled"``, the one sweep executor.
         """
         _check_executor(executor)
         if plan is not None:
-            if backend is not None or schedule is not None or shards is not None:
+            if backend is not None or schedule is not None:
                 raise ValueError(
-                    "plan= is mutually exclusive with backend=/schedule=/shards="
+                    "plan= is mutually exclusive with backend=/schedule="
                 )
-        else:
-            if backend is not None:
-                spec = parse_qualified(backend)
-                backend = spec["backend"]
-                if spec.get("schedule"):
-                    backend = f"{backend}:{spec['schedule']}"
-                if shards is None:
-                    shards = spec.get("shards")
-                if partitioner is None:
-                    partitioner = spec.get("partitioner")
-            if shards is not None and shards > 1:
-                plan = self.plan(graph, backend=backend, shards=shards,
-                                 partitioner=partitioner)
-        if plan is not None:
-            if plan.sharded:
-                engine = self._sharded_backend(plan)
-                result = engine.run(
-                    graph, criterion=self.criterion, schedule=plan.schedule,
-                )
-                result.detail["selected"] = plan.backend
-                return result
             backend, schedule = plan.backend, plan.schedule
+        elif backend is not None:
+            parse_qualified(backend)  # rejects the retired "@" suffix
         name = backend or self.select(graph)
         base_name, _, qualifier = name.partition(":")
         try:
@@ -372,14 +270,8 @@ class Credo:
                 f"unknown backend {base_name!r}; Credo dispatches "
                 f"{sorted(self._backends)}"
             ) from None
-        if self.work_queue is not None and schedule is None and not qualifier:
-            # legacy boolean flows to the backend, which warns via LoopyConfig
-            result = engine.run(
-                graph, criterion=self.criterion, work_queue=self.work_queue,
-            )
-        else:
-            chosen = schedule or qualifier or self.select_schedule(graph, base_name)
-            result = engine.run(graph, criterion=self.criterion, schedule=chosen)
+        chosen = schedule or qualifier or self.select_schedule(graph, base_name)
+        result = engine.run(graph, criterion=self.criterion, schedule=chosen)
         result.detail["selected"] = base_name
         return result
 
@@ -402,13 +294,8 @@ class Credo:
         edge_path: str | Path | None = None,
         *,
         backend: str | None = None,
-        shards: int | None = None,
-        partitioner: str | None = None,
         executor: str | None = None,
     ) -> RunResult:
         """Load a graph file (BIF / XML-BIF / MTX dual-file) and run it."""
         graph = load_graph(path, edge_path)
-        return self.run(
-            graph, backend=backend, shards=shards, partitioner=partitioner,
-            executor=executor,
-        )
+        return self.run(graph, backend=backend, executor=executor)

@@ -1,20 +1,19 @@
 """Graph partitioning: node → shard maps with measured cut/balance stats.
 
-The partition layer (DESIGN.md §9) turns the distributed/sharded story
-from *assumed* quantities (the old ``edge_cut_fraction`` knob) into
-*measured* ones: every partitioner returns a
-:class:`~repro.partition.partitioners.Partition` whose cut fraction and
-shard balance are computed on the actual graph, and every consumer —
-``ShardedLoopyBP``, the distributed cost model, the multi-GPU simulator,
-Credo's selector and the serving layer — reads those numbers instead of
-guessing.
+The partition layer (DESIGN.md §9) feeds the distributed and sharded
+cost models *measured* quantities: every partitioner returns a
+:class:`~repro.partition.partitioners.Partition` whose cut fraction,
+shard balance and per-shard boundary traffic
+(:meth:`~repro.partition.partitioners.Partition.shard_profile`) are
+computed on the actual graph, and the ``distributed``, ``sharded`` and
+``cuda-multi`` backends read those numbers instead of guessing.
 """
 
 from repro.partition.partitioners import (
     PARTITIONERS,
     Partition,
+    ShardProfile,
     bfs_partition,
-    extend_partition,
     greedy_partition,
     hash_partition,
     make_partition,
@@ -25,8 +24,8 @@ from repro.partition.partitioners import (
 __all__ = [
     "PARTITIONERS",
     "Partition",
+    "ShardProfile",
     "bfs_partition",
-    "extend_partition",
     "greedy_partition",
     "hash_partition",
     "make_partition",

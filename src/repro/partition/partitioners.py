@@ -1,7 +1,7 @@
 """Graph partitioners producing *measured* shard assignments.
 
 The distributed comparison of §5.1 (Gonzalez et al.'s cluster BP) and
-the sharded executors (DESIGN.md §9) need a node → shard map whose cut
+the sharded cost models (DESIGN.md §9) need a node → shard map whose cut
 size and balance are **measured on the actual graph**, not assumed.  A
 :class:`Partition` therefore carries the assignment plus the derived
 statistics every cost model downstream consumes:
@@ -15,12 +15,15 @@ statistics every cost model downstream consumes:
     straggler factor of a bulk-synchronous round (the slowest shard sets
     the pace).
 
+:meth:`Partition.shard_profile` adds the per-shard sizes a sharded
+execution would hold (owned plus halo nodes, owned plus ghost edges) and
+the boundary rows each shard would send and receive per exchange round.
+
 Four partitioners cover the quality/cost ladder:
 
 ``hash``
     Multiplicative-hash pseudo-random assignment — O(n), no structure
-    used; the baseline whose expected cut is ``1 − 1/k`` (the analytic
-    default the old ``edge_cut_fraction`` knob assumed).
+    used; the baseline whose expected cut is ``1 − 1/k``.
 
 ``range``
     Contiguous id blocks — O(n); exploits locality only when node ids
@@ -52,8 +55,8 @@ if TYPE_CHECKING:  # pragma: no cover - repro.core imports this package
 __all__ = [
     "PARTITIONERS",
     "Partition",
+    "ShardProfile",
     "bfs_partition",
-    "extend_partition",
     "greedy_partition",
     "hash_partition",
     "make_partition",
@@ -119,9 +122,41 @@ class Partition:
             return 1.0
         return float(self.shard_nodes.max()) / (total / self.n_shards)
 
-    def nodes_of(self, shard: int) -> np.ndarray:
-        """Global ids of the nodes assigned to ``shard`` (ascending)."""
-        return np.flatnonzero(self.assignment == shard).astype(np.int64)
+    def shard_profile(self, graph: BeliefGraph) -> "ShardProfile":
+        """Per-shard local sizes and boundary rows, populated shards only.
+
+        Ownership follows destinations: shard ``s`` owns its nodes and
+        every directed edge into them.  A cut edge ``u → v`` makes ``u`` a
+        halo node of ``v``'s shard (one belief row per distinct
+        ``(shard, u)`` pair) and its reverse ``v → u`` a ghost edge there
+        (one message row).  Each row is sent by the shard owning it and
+        received by the shard holding the copy.  Empty shards are dropped.
+        """
+        if len(self.assignment) != graph.n_nodes:
+            raise ValueError("partition does not match the graph")
+        k, n = self.n_shards, graph.n_nodes
+        owner = self.assignment
+        cut = np.flatnonzero(owner[graph.src] != owner[graph.dst])
+        src_owner = owner[graph.src[cut]]
+        dst_owner = owner[graph.dst[cut]]
+        # halo rows: distinct (receiving shard, source node) pairs
+        halo = np.unique(dst_owner * n + graph.src[cut])
+        halo_in = np.bincount(halo // n, minlength=k)
+        halo_out = np.bincount(owner[halo % n], minlength=k)
+        # ghost rows: the reverse of every paired cut edge
+        paired = graph.reverse_edge[cut] >= 0
+        ghost_in = np.bincount(dst_owner[paired], minlength=k)
+        ghost_out = np.bincount(src_owner[paired], minlength=k)
+        keep = self.shard_nodes > 0
+        return ShardProfile(
+            owned_nodes=self.shard_nodes[keep],
+            owned_edges=self.shard_edges[keep],
+            halo_nodes=halo_in[keep],
+            ghost_edges=ghost_in[keep],
+            outbound_rows=(halo_out + ghost_out)[keep],
+            # every cut edge opens its (sender, receiver) lane
+            n_routes=len(np.unique(src_owner * k + dst_owner)),
+        )
 
     def stats(self) -> dict:
         """The measured numbers the cost models and Credo features read."""
@@ -139,6 +174,58 @@ class Partition:
             f"Partition(method={self.method!r}, n_shards={self.n_shards}, "
             f"cut={self.cut_fraction:.3f}, balance={self.balance:.2f})"
         )
+
+
+@dataclass(frozen=True, eq=False)
+class ShardProfile:
+    """Sizes and boundary traffic of each populated shard of a partition.
+
+    Every array is indexed by populated shard, in shard-id order.  A row
+    is one float32 belief or message vector of the graph's width.
+    """
+
+    owned_nodes: np.ndarray
+    owned_edges: np.ndarray
+    halo_nodes: np.ndarray
+    ghost_edges: np.ndarray
+    #: rows this shard sends per exchange round
+    outbound_rows: np.ndarray
+    #: distinct (sender, receiver) shard pairs with rows to move
+    n_routes: int
+
+    @property
+    def n_shards(self) -> int:
+        return len(self.owned_nodes)
+
+    @property
+    def local_nodes(self) -> np.ndarray:
+        """Owned plus halo nodes: the belief rows a shard holds."""
+        return self.owned_nodes + self.halo_nodes
+
+    @property
+    def local_edges(self) -> np.ndarray:
+        """Owned plus ghost edges: the message rows a shard holds."""
+        return self.owned_edges + self.ghost_edges
+
+    @property
+    def inbound_rows(self) -> np.ndarray:
+        """Rows this shard receives per exchange round."""
+        return self.halo_nodes + self.ghost_edges
+
+    @property
+    def work_share(self) -> np.ndarray:
+        """Each shard's fraction of a sweep's work: its share of the
+        owned edges, or of the nodes on an edgeless graph."""
+        owned = self.owned_edges if self.owned_edges.sum() else self.owned_nodes
+        return owned / max(owned.sum(), 1)
+
+    def exchange_bytes(self, n_states: int) -> tuple[int, int]:
+        """``(bytes_per_round, max_device_bytes)``: the boundary payload
+        of one exchange round, and the heaviest shard's in+out share."""
+        row_bytes = 4 * n_states
+        total = int(self.inbound_rows.sum()) * row_bytes
+        heaviest = self.inbound_rows + self.outbound_rows
+        return total, (int(heaviest.max()) * row_bytes if self.n_shards else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -265,38 +352,6 @@ def make_partition(
     else:
         assignment = _STRATEGIES[canonical](graph, n_shards, seed)
     return _measure(graph, assignment, n_shards, canonical)
-
-
-def extend_partition(partition: Partition, graph: BeliefGraph) -> Partition:
-    """Re-measure ``partition`` on a mutated ``graph``, placing new nodes.
-
-    The incremental-repartition path (DESIGN.md §15): existing
-    assignments are preserved verbatim — a small delta must not reshuffle
-    the shards the serving layer has generation keys for — while nodes
-    beyond the old assignment's length are placed greedily by neighbour
-    affinity (the LDG objective of :func:`greedy_partition`, least-loaded
-    tie-break).  Cut and balance statistics are recomputed on the new
-    structure, so downstream consumers keep reading measured numbers.
-    """
-    old = np.asarray(partition.assignment, dtype=np.int64)
-    n_old, n_new = len(old), graph.n_nodes
-    if n_new < n_old:
-        raise ValueError("graphs never shrink; detach nodes instead of dropping them")
-    n_shards = partition.n_shards
-    assignment = np.full(n_new, -1, dtype=np.int64)
-    assignment[:n_old] = old
-    if n_new > n_old:
-        load = np.bincount(old, minlength=n_shards).astype(float)
-        for v in range(n_old, n_new):
-            neigh = assignment[
-                np.concatenate((graph.parents(v), graph.children(v)))
-            ]
-            placed = neigh[neigh >= 0]
-            affinity = np.bincount(placed, minlength=n_shards).astype(float)
-            best = int(np.argmax(affinity - 1e-9 * load))  # tie-break: least loaded
-            assignment[v] = best
-            load[best] += 1.0
-    return _measure(graph, assignment, n_shards, partition.method)
 
 
 def hash_partition(graph: BeliefGraph, n_shards: int, *, seed: int = 0) -> Partition:

@@ -3,7 +3,8 @@
 Posteriors are pure functions of ``(graph, evidence, convergence config,
 backend, schedule)``, so identical queries against an unchanged model can
 be answered without running BP at all.  The *model generation* — bumped
-by :meth:`repro.serve.registry.ModelRegistry.reload` — is part of the
+by :meth:`repro.serve.registry.ModelRegistry.reload` and
+:meth:`~repro.serve.registry.ModelRegistry.update` — is part of the
 key, which makes invalidation-on-reload automatic: entries for a stale
 generation can never be hit again and age out of the LRU.
 """
@@ -20,7 +21,7 @@ __all__ = ["ResultCache", "cache_key", "freeze_evidence", "copy_posteriors"]
 
 def cache_key(
     model: str,
-    generation: int | tuple,
+    generation: int,
     evidence: tuple[tuple[int, int], ...],
     threshold: float,
     max_iterations: int,
@@ -29,13 +30,10 @@ def cache_key(
 ) -> tuple:
     """Canonical cache key; ``evidence`` must be sorted (node, state) pairs.
 
-    ``generation`` is either the plain registration generation or a
-    mutable model's full generation *signature* — the registration
-    generation plus every per-shard update generation
-    (:meth:`~repro.serve.registry.RegisteredModel.generation_signature`).
-    Any delta bump anywhere changes the signature, so stale posteriors
-    are unreachable after an ``update``: BP posteriors are globally
-    coupled, and the key must reflect the whole graph's state.
+    ``generation`` is the model's generation, which every ``reload`` and
+    non-empty ``update`` bumps, so stale posteriors are unreachable
+    after either: BP posteriors are globally coupled, and the key must
+    reflect the whole graph's state.
     """
     return (model, generation, evidence, threshold, max_iterations, backend,
             schedule)

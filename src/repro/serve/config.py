@@ -45,14 +45,6 @@ class ServerConfig:
     default_deadline_s:
         Deadline applied to requests that do not carry their own;
         ``None`` means no deadline.
-    shards, partitioner:
-        Shard-parallel execution (DESIGN.md §9): every registered model
-        is partitioned ``shards`` ways at registration time and queries
-        sweep the shards on a thread pool.  ``shards=1`` (default)
-        disables sharding.
-    shard_threads:
-        Worker threads in the engine's shard pool; ``None`` sizes it to
-        the largest registered shard count.
     """
 
     device: str = "gtx1070"
@@ -64,9 +56,6 @@ class ServerConfig:
     max_batch: int = 16
     cache_capacity: int = 256
     default_deadline_s: float | None = None
-    shards: int = 1
-    partitioner: str | None = None
-    shard_threads: int | None = None
 
     def __post_init__(self) -> None:
         if self.queue_capacity < 1:
@@ -77,14 +66,6 @@ class ServerConfig:
             raise ValueError("cache_capacity must be non-negative")
         if self.default_deadline_s is not None and self.default_deadline_s < 0:
             raise ValueError("default_deadline_s must be non-negative")
-        if self.shards is None or self.shards < 1:
-            raise ValueError("shards must be at least 1")
-        if self.shard_threads is not None and self.shard_threads < 1:
-            raise ValueError("shard_threads must be at least 1")
-        if self.partitioner is not None:
-            from repro.partition import normalize_partitioner
-
-            normalize_partitioner(self.partitioner)  # raises on unknown
 
     def criterion(self) -> ConvergenceCriterion:
         """The convergence criterion every served query runs under."""

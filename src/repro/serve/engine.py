@@ -7,21 +7,16 @@ and returns index-aligned outcomes.  The pipeline per batch:
    queries fail individually, never the batch);
 2. split cache hits out (keyed by graph generation + frozen evidence +
    convergence config + plan);
-3. run the misses — shard-parallel on the model's pre-built
-   :class:`~repro.core.sharded.ShardedGraph` when the plan is sharded
-   (evidence on cheap ``instance()`` views, sweeps on the engine's
-   thread pool), micro-batched through
+3. run the misses — micro-batched through
    :func:`repro.serve.batch.run_batched` on uniform graphs when batching
    is enabled, otherwise one isolated :meth:`Credo.run` per query on a
-   ``BeliefGraph.copy`` — evidence never touches the master graph in any
-   of the three;
+   ``BeliefGraph.copy`` — evidence never touches the master graph in
+   either;
 4. fill the cache and the metrics (batch sizes, per-backend iterations).
 """
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,34 +59,6 @@ class QueryEngine:
         self.cache = cache
         self.metrics = metrics
         self.config = config
-        # shard-sweep workers, created lazily on the first sharded query
-        # and reused across models (sized to the widest plan seen)
-        self._pool: ThreadPoolExecutor | None = None
-        self._pool_width = 0
-        self._pool_lock = threading.Lock()
-        #: optional RaceDetector-style hook object (repro.analysis.races)
-        #: threaded into every sharded run; None in production
-        self.instrument = None
-
-    def _shard_pool(self, width: int) -> ThreadPoolExecutor:
-        target = self.config.shard_threads or width
-        with self._pool_lock:
-            if self._pool is None or self._pool_width < target:
-                if self._pool is not None:
-                    self._pool.shutdown(wait=False)
-                self._pool = ThreadPoolExecutor(
-                    max_workers=target, thread_name_prefix="credo-shard"
-                )
-                self._pool_width = target
-            return self._pool
-
-    def close(self) -> None:
-        """Release the shard pool (server shutdown)."""
-        with self._pool_lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
-                self._pool_width = 0
 
     # ------------------------------------------------------------------
     def execute(self, model: RegisteredModel, queries: list[dict]) -> list[QueryOutcome]:
@@ -140,8 +107,7 @@ class QueryEngine:
                 self._run_misses(model, misses, outcomes)
                 if sp:
                     sp.set(model=model.name, queries=len(queries),
-                           cache_hits=hits, cache_misses=len(misses),
-                           sharded=model.sharded is not None)
+                           cache_hits=hits, cache_misses=len(misses))
         elif hits and get_tracer().enabled:
             get_tracer().instant(
                 "serve.cache_hit", cat="serve",
@@ -172,7 +138,7 @@ class QueryEngine:
     def _key(self, model: RegisteredModel, frozen: tuple) -> tuple:
         return cache_key(
             model.name,
-            model.generation_signature(),
+            model.generation,
             frozen,
             self.config.threshold,
             self.config.max_iterations,
@@ -193,9 +159,6 @@ class QueryEngine:
     # ------------------------------------------------------------------
     def _run_misses(self, model, misses, outcomes) -> None:
         plan = model.plan
-        if model.sharded is not None:
-            self._run_sharded(model, misses, outcomes)
-            return
         batchable = model.graph.uniform and self.config.max_batch > 1
         if batchable:
             evidences = [list(frozen) for _, frozen, _ in misses]
@@ -230,45 +193,6 @@ class QueryEngine:
                 for node, state in frozen:
                     observe(view, node, state)
                 result = self.credo.run(view, plan=plan)
-            except Exception as exc:  # per-query isolation
-                outcomes[i] = QueryOutcome(ok=False, error="run_failed", detail=str(exc))
-                self.metrics.record_error()
-                continue
-            posteriors = np.asarray(result.beliefs, dtype=np.float32)
-            outcomes[i] = QueryOutcome(
-                ok=True,
-                posteriors=posteriors,
-                iterations=result.iterations,
-                converged=result.converged,
-                batch_size=1,
-            )
-            self.metrics.record_query(plan.backend, result.iterations)
-            if use_cache:
-                self.cache.put(
-                    self._key(model, frozen),
-                    (copy_posteriors(posteriors), result.iterations, result.converged),
-                )
-
-    def _run_sharded(self, model, misses, outcomes) -> None:
-        """Shard-parallel path: evidence lands on a cheap ``instance()``
-        view of the pre-partitioned master; shard sweeps run on the
-        engine's thread pool.  Per-query isolation semantics match the
-        solo path exactly."""
-        from repro.core.sharded import ShardedLoopyBP
-
-        plan = model.plan
-        driver = ShardedLoopyBP(
-            self._loopy_config(model),
-            pool=self._shard_pool(plan.shards),
-            instrument=self.instrument,
-        )
-        for i, frozen, use_cache in misses:
-            self.metrics.record_batch(1)
-            try:
-                view = model.sharded.instance()
-                for node, state in frozen:
-                    view.observe(node, state)
-                result = driver.run(view)
             except Exception as exc:  # per-query isolation
                 outcomes[i] = QueryOutcome(ok=False, error="run_failed", detail=str(exc))
                 self.metrics.record_error()

@@ -22,8 +22,8 @@ One JSON object per line, request → response.  Operations:
     the payload forms accepted by
     :meth:`~repro.stream.delta.GraphDelta.from_payload`.  Evidence keys
     (``observe``/``release``) are rejected: registered masters stay
-    evidence-free, evidence travels with queries.  Bumps the per-shard
-    update generations of the shards the delta touches.
+    evidence-free, evidence travels with queries.  A non-empty delta
+    bumps the model's generation.
 ``{"op": "shutdown"}``
     Stop the server loop.
 

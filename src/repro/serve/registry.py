@@ -9,12 +9,10 @@ metadata features, and freezes Credo's backend + schedule choice into an
 against that graph.
 
 Every registered model carries a monotonically increasing *generation*;
-:meth:`reload` bumps it, which atomically invalidates result-cache
-entries (the generation is part of the cache key).  Mutable models
-additionally carry per-shard update generations: :meth:`update` applies
-a :class:`~repro.stream.delta.GraphDelta` in place, bumping only the
-slots of the shards the delta touches — the full signature
-(:meth:`RegisteredModel.generation_signature`) is what cache keys embed.
+:meth:`reload` and a non-empty :meth:`update` (a
+:class:`~repro.stream.delta.GraphDelta` applied in place) bump it, which
+atomically invalidates result-cache entries (the generation is part of
+the cache key).
 """
 
 from __future__ import annotations
@@ -53,13 +51,6 @@ class RegisteredModel:
     load_time_s: float = 0.0
     select_time_s: float = 0.0
     registered_at: float = field(default_factory=time.time)
-    #: the partitioned master (``repro.core.sharded.ShardedGraph``) when
-    #: the plan is sharded — built once at registration, queries take
-    #: cheap :meth:`~repro.core.sharded.ShardedGraph.instance` views
-    sharded: Any = None
-    #: per-shard update generations (one slot for unsharded models);
-    #: ``update`` bumps only the slots a delta's dirty region touches
-    shard_generations: tuple = ()
     #: cumulative ``update`` deltas applied since registration
     updates_applied: int = 0
     #: per-batch-width replica graphs, reused across micro-batches
@@ -68,25 +59,11 @@ class RegisteredModel:
     #: serializes execution against this model's cached unions
     lock: threading.Lock = field(default_factory=threading.Lock)
 
-    def generation_signature(self) -> tuple:
-        """The cache-key generation component: registration generation
-        plus every per-shard update generation.
-
-        BP posteriors are globally coupled — a structural change anywhere
-        can, in principle, move any posterior — so cached results must
-        key on the *full* signature: any shard bump invalidates every
-        entry for the model.  The per-shard scoping pays off elsewhere:
-        execution-state reuse (partition extension, preserved compiled
-        lowerings) and observability of which shards churn.
-        """
-        return (self.generation, *self.shard_generations)
-
     def describe(self) -> dict:
         """Plain-dict summary (the ``{"op": "models"}`` response)."""
-        info = {
+        return {
             "name": self.name,
             "generation": self.generation,
-            "shard_generations": list(self.shard_generations),
             "updates_applied": int(self.updates_applied),
             "n_nodes": int(self.graph.n_nodes),
             "n_edges": int(self.graph.n_edges),
@@ -97,34 +74,14 @@ class RegisteredModel:
             "load_time_s": self.load_time_s,
             "select_time_s": self.select_time_s,
         }
-        if self.sharded is not None:
-            part = self.sharded.partition
-            info.update(
-                shards=int(self.sharded.n_shards),
-                partitioner=part.method,
-                cut_fraction=float(part.cut_fraction),
-                shard_balance=float(part.balance),
-            )
-        return info
 
 
 class ModelRegistry:
     """Thread-safe name → :class:`RegisteredModel` map."""
 
-    def __init__(
-        self,
-        credo: Credo,
-        *,
-        backend: str | None = None,
-        shards: int = 1,
-        partitioner: str | None = None,
-    ):
-        if shards is None or shards < 1:
-            raise ValueError("shards must be at least 1")
+    def __init__(self, credo: Credo, *, backend: str | None = None):
         self._credo = credo
         self._backend = backend  # optional pin forwarded to Credo.plan
-        self._shards = shards  # 1 = never shard
-        self._partitioner = partitioner
         self._models: dict[str, RegisteredModel] = {}
         self._lock = threading.Lock()
         self._generation = 0
@@ -155,22 +112,7 @@ class ModelRegistry:
             )
         start = time.perf_counter()
         features = extract_features(graph)
-        plan = self._credo.plan(
-            graph,
-            backend=self._backend,
-            # sharding needs uniform beliefs; heterogeneous networks fall
-            # back to the single-engine path rather than failing to load
-            shards=self._shards if graph.uniform else 1,
-            partitioner=self._partitioner,
-        )
-        sharded = None
-        if plan.sharded:
-            # partition once, here — every query takes an instance() view
-            from repro.core.sharded import ShardedGraph
-
-            sharded = ShardedGraph.build(
-                graph, n_shards=plan.shards, method=plan.partitioner or "bfs"
-            )
+        plan = self._credo.plan(graph, backend=self._backend)
         select_time = time.perf_counter() - start
         with self._lock:
             self._generation += 1
@@ -181,9 +123,6 @@ class ModelRegistry:
                 features=features,
                 generation=self._generation,
                 select_time_s=select_time,
-                sharded=sharded,
-                shard_generations=(0,)
-                * (sharded.partition.n_shards if sharded is not None else 1),
             )
             self._models[name] = model
         return model
@@ -191,14 +130,9 @@ class ModelRegistry:
     def update(self, name: str, delta) -> tuple[RegisteredModel, Any]:
         """Apply a :class:`~repro.stream.delta.GraphDelta` to a model.
 
-        Only the per-shard generations of the shards the delta's dirty
-        region touches are bumped (the generation signature still
-        changes as a whole — see
-        :meth:`RegisteredModel.generation_signature`).  On sharded
-        models, structural deltas extend the existing partition
-        (:func:`repro.partition.extend_partition`) instead of
-        repartitioning, so untouched shards keep their node sets.
-        Returns ``(model, DeltaResult)``.
+        A non-empty delta bumps the model's generation: BP posteriors are
+        globally coupled, so a change anywhere retires every cached
+        result for the model.  Returns ``(model, DeltaResult)``.
         """
         from repro.stream.delta import GraphDelta, apply_delta
 
@@ -212,27 +146,10 @@ class ModelRegistry:
         model = self.get(name)
         with model.lock:
             result = apply_delta(model.graph, delta)
-            if model.sharded is not None:
-                from repro.core.sharded import ShardedGraph
-
-                from repro.partition import extend_partition
-
-                part = extend_partition(model.sharded.partition, result.graph)
-                touched = (
-                    {int(s) for s in np.unique(part.assignment[result.dirty_nodes])}
-                    if len(result.dirty_nodes)
-                    else set()
-                )
-                model.sharded = ShardedGraph.build(result.graph, part)
-                width = part.n_shards
-            else:
-                touched = {0} if not delta.empty else set()
-                width = 1
-            gens = list(model.shard_generations)
-            gens.extend(0 for _ in range(width - len(gens)))
-            for shard in touched:
-                gens[shard] += 1
-            model.shard_generations = tuple(gens)
+            if not delta.empty:
+                with self._lock:
+                    self._generation += 1
+                    model.generation = self._generation
             model.graph = result.graph
             model.features = extract_features(result.graph)
             model.union_cache.clear()

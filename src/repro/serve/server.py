@@ -49,12 +49,7 @@ class InferenceServer:
         self.credo = credo or Credo.from_server_config(self.config)
         self.metrics = ServerMetrics()
         self.cache = ResultCache(self.config.cache_capacity)
-        self.registry = ModelRegistry(
-            self.credo,
-            backend=self.config.backend,
-            shards=self.config.shards,
-            partitioner=self.config.partitioner,
-        )
+        self.registry = ModelRegistry(self.credo, backend=self.config.backend)
         self.engine = QueryEngine(self.credo, self.cache, self.metrics, self.config)
         self.admission = AdmissionQueue(self.config.queue_capacity)
         self.metrics.queue_depth_fn = self.admission.depth
@@ -80,7 +75,6 @@ class InferenceServer:
         if self._worker is not None:
             self._worker.join(timeout)
             self._worker = None
-        self.engine.close()
 
     def __enter__(self) -> "InferenceServer":
         self.start()
@@ -105,7 +99,7 @@ class InferenceServer:
         """Apply a :class:`~repro.stream.delta.GraphDelta` (or its payload
         dict) to a registered model; returns ``(model, DeltaResult)``.
 
-        The generation-signature bump already makes stale cache entries
+        The generation bump already makes stale cache entries
         unreachable — the eager invalidation only frees their memory.
         """
         model, result = self.registry.update(name, delta)

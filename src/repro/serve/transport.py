@@ -94,7 +94,6 @@ def handle_op(server: InferenceServer, payload: dict) -> tuple[dict, bool]:
                 "added_nodes": int(result.added_nodes),
                 "added_edges": int(result.added_edges),
                 "removed_edges": int(result.removed_edges),
-                "generation_signature": list(model.generation_signature()),
             },
         }
         if request.id is not None:

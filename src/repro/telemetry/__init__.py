@@ -35,9 +35,9 @@ from repro.telemetry.tracer import (
     use_tracer,
 )
 
-#: process-wide metrics registry — the sharded backends publish
-#: barrier-idle histograms here so ``credo profile``
-#: can read them without plumbing a registry through every layer
+#: process-wide metrics registry — the kernel lowering publishes its
+#: build-time histogram here so ``credo profile`` can read it without
+#: plumbing a registry through every layer
 _METRICS = MetricsRegistry()
 
 

@@ -110,8 +110,8 @@ def interpreted_sweeps():
     """Run every sweep inside the block on the reference kernels.
 
     Replaces :func:`repro.core.loopy.cached_executor`, which the single
-    engine, the sharded driver and the incremental engine all lower
-    through, so every one of them sweeps interpreted.
+    engine and the incremental engine both lower through, so each of
+    them sweeps interpreted.
     """
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("repro.core.loopy.cached_executor", _interpreted_executor)

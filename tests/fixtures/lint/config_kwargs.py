@@ -11,8 +11,8 @@ def bad_unknown():
     return LoopyConfig(n_shards=4)  # FINDING: sharding isn't a config field
 
 
-def bad_deprecated():
-    return LoopyConfig(work_queue=True)  # FINDING: deprecated boolean shim
+def bad_retired():
+    return LoopyConfig(work_queue=True)  # FINDING: retired shim, no longer a field
 
 
 def good_fields():
@@ -20,7 +20,7 @@ def good_fields():
 
 
 def good_suppressed():
-    return LoopyConfig(work_queue=False)  # noqa: RPR303
+    return LoopyConfig(n_shard=2)  # noqa: RPR303
 
 
 def good_splat(kwargs):

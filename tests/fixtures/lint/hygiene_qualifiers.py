@@ -11,8 +11,8 @@ def bad_schedule_qualifier():
     return get_backend("c-node:bogus")  # FINDING: unknown schedule
 
 
-def bad_partitioner(run):
-    return run(backend="c-node:residual@4xmetis")  # FINDING: no such method
+def bad_shard_suffix(run):
+    return run(backend="c-node:residual@4xbfs")  # FINDING: retired grammar
 
 
 def bad_schedule_kwarg(credo):
@@ -24,7 +24,7 @@ def good_plain():
 
 
 def good_qualified(run):
-    return run(backend="cuda-edge:residual@4xbfs")
+    return run(backend="cuda-edge:residual")
 
 
 def good_schedule(credo):

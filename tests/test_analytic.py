@@ -21,7 +21,7 @@ class TestSweepFormulas:
         """The analytic per-sweep counts must equal what the executing
         kernels report for a full sweep."""
         g = make_loopy_graph(seed=81, n_nodes=40, n_edges=80)
-        result = LoopyBP(paradigm=paradigm, work_queue=False).run(g)
+        result = LoopyBP(paradigm=paradigm, schedule="sync").run(g)
         first = result.run_stats.per_iteration[0]
         predicted = full_sweep_stats(g.n_nodes, g.n_edges, g.n_states, paradigm)
         assert first.edges_processed == predicted.edges_processed

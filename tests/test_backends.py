@@ -191,6 +191,6 @@ class TestOpenACC:
 
     def test_ignores_work_queue(self):
         g = make_loopy_graph(seed=55)
-        result = OpenACCBackend().run(g, work_queue=True)
+        result = OpenACCBackend().run(g, schedule="work_queue")
         # queue ops never appear: OpenACC cannot express them (§3.5)
         assert result.stats.queue_ops == 0

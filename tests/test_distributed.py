@@ -53,8 +53,8 @@ class TestDistributedBackend:
         good_be = DistributedBackend(ETHERNET_1G, partitioner="bfs")
         random_part = random_be.run(g.copy())
         good_part = good_be.run(g.copy())
-        assert (good_part.detail["edge_cut_fraction"]
-                < random_part.detail["edge_cut_fraction"])
+        assert (good_part.detail["cut_fraction"]
+                < random_part.detail["cut_fraction"])
         assert good_part.modeled_time < random_part.modeled_time
 
     def test_cluster_spec_validation(self):

@@ -8,7 +8,7 @@ indistinguishable to every consumer:
 
 * they hold the same distinct elements, on random graphs with isolated
   nodes and unpaired edges, for sets on both sides of the crossover;
-* whole node and edge work-queue runs (plain and sharded) repeat
+* whole node and edge work-queue runs repeat
   posteriors, iterations, delta histories and per-sweep stats exactly
   with the crossover forced to the gather;
 * the priority schedules, which need the ragged set aligned with
@@ -31,7 +31,6 @@ from repro.core.loopy import LoopyBP, LoopyConfig, _downstream, _NodePlan
 from repro.core.node_kernel import node_sweep
 from repro.core.potentials import attractive_potential, random_potential
 from repro.core.scheduler import make_schedule
-from repro.core.sharded import ShardedGraph, ShardedLoopyBP
 from repro.core.state import LoopyState
 from repro.kernels.compiled import make_executor
 from tests.conftest import interpreted_sweeps
@@ -170,23 +169,6 @@ class TestRunLevel:
             with frontier_route("gather"):
                 gathered = bp.run(g.copy())
         assert_same_run(shipped, gathered)
-
-    def test_sharded_work_queue_repeats_with_the_gather_forced(self):
-        g = loopy_graph_with_isolated_nodes(seed=5)
-        cfg = LoopyConfig(schedule="work_queue", criterion=self.crit)
-        sharded = ShardedGraph.build(g.copy(), n_shards=3, method="bfs")
-
-        def run():
-            return ShardedLoopyBP(cfg, max_workers=2).run(
-                sharded.instance()
-            )
-
-        shipped = run()
-        with frontier_route("gather"):
-            gathered = run()
-        np.testing.assert_array_equal(shipped.beliefs, gathered.beliefs)
-        assert shipped.iterations == gathered.iterations
-        assert shipped.delta_history == gathered.delta_history
 
     @pytest.mark.parametrize("schedule", ["residual", "relaxed"])
     @pytest.mark.parametrize("paradigm", ["node", "edge"])

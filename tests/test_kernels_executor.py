@@ -4,7 +4,7 @@ The compiled executor is only admissible because it is *bit-exact*
 against the per-call reference kernels (``core/node_kernel``,
 ``core/edge_kernel``, reached through ``tests.conftest``'s interpreted
 adapter) — the parity grid here is the contract: schedules × paradigms ×
-evidence × shard counts, posteriors compared with ``assert_array_equal``
+evidence × state widths, posteriors compared with ``assert_array_equal``
 (no tolerance).  The rest covers the belief-store layouts (conversion,
 blocked store, footprint truthfulness) and the ``executor=`` keyword
 Credo keeps.
@@ -15,9 +15,8 @@ import pytest
 
 from repro.core.beliefs import BLOCK_NODES, make_store
 from repro.core.convergence import ConvergenceCriterion
-from repro.core.loopy import LoopyBP, LoopyConfig
+from repro.core.loopy import LoopyBP
 from repro.core.observation import observe
-from repro.core.sharded import ShardedLoopyBP
 from repro.kernels import LAYOUTS, make_executor, with_layout
 from tests.conftest import assert_bitwise_run, interpreted_sweeps, make_loopy_graph
 
@@ -61,19 +60,6 @@ class TestParityGrid:
             paradigm=paradigm, schedule=schedule, criterion=CRIT,
         ).run(_graph(True, n_states=n_states)))
         assert_bitwise_run(got, ref)
-
-    @pytest.mark.parametrize("evidence", [False, True], ids=["free", "evidence"])
-    @pytest.mark.parametrize("paradigm", ["node", "edge"])
-    def test_four_shards_bitwise(self, paradigm, evidence):
-        def run():
-            g = _graph(evidence, seed=21)
-            engine = ShardedLoopyBP(LoopyConfig(paradigm=paradigm, criterion=CRIT))
-            result = engine.run_graph(g, n_shards=4, method="bfs")
-            return result, g.beliefs.dense().copy()
-
-        (ref_run, ref), (got_run, got) = _both(run)
-        assert_bitwise_run(got_run, ref_run)
-        np.testing.assert_array_equal(got, ref)
 
     def test_damped_sweeps_bitwise(self):
         ref, got = _both(lambda: LoopyBP(
@@ -134,8 +120,7 @@ class TestPlanIntegration:
         from repro.credo.runner import ExecutionPlan
 
         assert ExecutionPlan("c-node", "sync").qualified == "c-node:sync"
-        sharded = ExecutionPlan("sharded", "sync", shards=4, partitioner="bfs")
-        assert sharded.qualified == "sharded:sync@4xbfs"
+        assert ExecutionPlan("sharded", "sync").qualified == "sharded:sync"
 
     def test_qualified_spec_round_trips(self):
         from repro.credo.runner import Credo, parse_qualified
@@ -143,23 +128,22 @@ class TestPlanIntegration:
         assert parse_qualified("c-edge:sync") == {
             "backend": "c-edge", "schedule": "sync",
         }
-        assert parse_qualified("sharded:sync@4xbfs") == {
-            "backend": "sharded", "schedule": "sync", "shards": 4,
-            "partitioner": "bfs",
-        }
-        # the retired executor, layout and shard-policy suffixes no
-        # longer parse
+        # the retired executor, layout, shard-policy and shard-count
+        # suffixes no longer parse
         for retired in ("c-node:sync!compiled", "c-node:sync%soa",
-                        "sharded:sync@4xbfs+async~2", "sharded:sync@4xbfs+sync"):
+                        "sharded:sync@4xbfs+async~2", "sharded:sync@4xbfs+sync",
+                        "sharded:sync@4xbfs", "c-node@2xhash"):
             with pytest.raises(ValueError, match="grammar"):
                 parse_qualified(retired, strict=True)
-        # a malformed shard suffix raises even without strict=
-        with pytest.raises(ValueError, match="grammar"):
-            parse_qualified("sharded:sync@4xbfs+async~2")
+        # an "@" suffix raises even without strict=: no registry would
+        # catch it
+        for retired in ("sharded:sync@4xbfs", "sharded:sync@4xbfs+async~2"):
+            with pytest.raises(ValueError, match="grammar"):
+                parse_qualified(retired)
         credo = Credo()
         g = _graph(True, seed=11)
         plan = credo.plan(g, backend="c-node:sync")
-        assert (plan.backend, plan.schedule, plan.shards) == ("c-node", "sync", 1)
+        assert (plan.backend, plan.schedule) == ("c-node", "sync")
         # the rendered spelling plans back to the same decision
         again = credo.plan(g, backend=plan.qualified)
         assert again == plan

@@ -36,7 +36,8 @@ class TestCorrectness:
     def test_exact_on_trees(self, paradigm, work_queue):
         g = make_tree_graph(seed=11, n_nodes=9)
         expected = exact_marginals(g)
-        result = LoopyBP(paradigm=paradigm, work_queue=work_queue).run(g)
+        schedule = "work_queue" if work_queue else "sync"
+        result = LoopyBP(paradigm=paradigm, schedule=schedule).run(g)
         assert result.converged
         np.testing.assert_allclose(result.beliefs, expected, atol=2e-3)
 
@@ -57,8 +58,8 @@ class TestCorrectness:
     def test_work_queue_matches_full_sweeps(self):
         g = make_loopy_graph(seed=15, n_nodes=30, n_edges=60)
         crit = ConvergenceCriterion(threshold=1e-5, max_iterations=500)
-        with_q = LoopyBP(work_queue=True, criterion=crit).run(g.copy())
-        without_q = LoopyBP(work_queue=False, criterion=crit).run(g.copy())
+        with_q = LoopyBP(schedule="work_queue", criterion=crit).run(g.copy())
+        without_q = LoopyBP(schedule="sync", criterion=crit).run(g.copy())
         np.testing.assert_allclose(with_q.beliefs, without_q.beliefs, atol=1e-3)
 
     def test_updates_graph_in_place(self):
@@ -103,7 +104,7 @@ class TestTermination:
 
     def test_deltas_eventually_decrease(self):
         g = make_loopy_graph(seed=21)
-        result = LoopyBP(work_queue=False).run(g)
+        result = LoopyBP(schedule="sync").run(g)
         assert result.delta_history[-1] < result.delta_history[0]
 
     def test_edgeless_graph_converges_immediately(self):
@@ -123,8 +124,8 @@ class TestTermination:
 class TestStats:
     def test_work_queue_reduces_processed_elements(self):
         g = make_loopy_graph(seed=22, n_nodes=50, n_edges=100)
-        with_q = LoopyBP(paradigm="node", work_queue=True).run(g.copy())
-        without_q = LoopyBP(paradigm="node", work_queue=False).run(g.copy())
+        with_q = LoopyBP(paradigm="node", schedule="work_queue").run(g.copy())
+        without_q = LoopyBP(paradigm="node", schedule="sync").run(g.copy())
         assert (
             with_q.run_stats.total.nodes_processed
             < without_q.run_stats.total.nodes_processed
@@ -132,7 +133,7 @@ class TestStats:
 
     def test_edge_paradigm_reports_atomics(self):
         g = make_loopy_graph(seed=23)
-        result = LoopyBP(paradigm="edge", work_queue=False).run(g)
+        result = LoopyBP(paradigm="edge", schedule="sync").run(g)
         assert result.run_stats.total.atomic_ops > 0
 
     def test_per_iteration_stats_recorded(self):

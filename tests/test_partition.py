@@ -1,10 +1,11 @@
-"""The graph-partition layer and sharded execution (DESIGN.md §9).
+"""The graph-partition layer and the sharded cost models (DESIGN.md §9).
 
-The headline guarantee: ``ShardedLoopyBP`` under the synchronous schedule
-computes the *same posteriors* as unsharded sync BP — for every
-partitioner, any shard count, both paradigms, with or without evidence —
-because sharding only changes where rows live, never the update order a
-Jacobi sweep observes.
+Partitions are measured; shards are priced, not run.  ``sharded`` and
+``cuda-multi`` solve once with :class:`LoopyBP` and price the shards
+from :meth:`Partition.shard_profile`, so their posteriors equal the
+unsharded solve bit for bit — for every partitioner, shard count,
+paradigm and schedule, with or without evidence — and their exchange
+accounting equals the per-round boundary traffic the profile measures.
 """
 
 import numpy as np
@@ -15,15 +16,13 @@ from repro.core.graph import BeliefGraph
 from repro.core.loopy import LoopyBP, LoopyConfig
 from repro.core.observation import observe
 from repro.core.potentials import attractive_potential
-from repro.core.sharded import ShardedGraph, ShardedLoopyBP
+from repro.core.scheduler import SCHEDULES
 from repro.partition import (
     PARTITIONERS,
     Partition,
     make_partition,
     normalize_partitioner,
 )
-
-PARITY_TOL = 1e-6
 
 
 def _graph(n=60, extra=150, b=3, seed=0, names=False):
@@ -39,17 +38,21 @@ def _graph(n=60, extra=150, b=3, seed=0, names=False):
     )
 
 
-def _sync_config(paradigm, threshold=1e-5, max_iterations=200):
-    return LoopyConfig(
-        paradigm=paradigm,
-        schedule="sync",
-        # one chunk = pure Jacobi: the edge paradigm then matches node
-        # sync numerically, shard-invariantly
-        edge_chunks=1,
-        criterion=ConvergenceCriterion(
-            threshold=threshold, max_iterations=max_iterations
-        ),
-    )
+CRITERION = ConvergenceCriterion(threshold=1e-5, max_iterations=200)
+
+
+def _loopy(graph, paradigm="node", schedule="sync"):
+    """The unsharded solve under the config the backends build."""
+    config = LoopyConfig(paradigm=paradigm, schedule=schedule, criterion=CRITERION)
+    return LoopyBP(config).run(graph)
+
+
+def _sharded(graph, n_shards=4, method="bfs", paradigm="node", schedule="sync"):
+    from repro.backends import get_backend
+
+    backend = get_backend("sharded", n_shards=n_shards, partitioner=method,
+                          paradigm=paradigm)
+    return backend.run(graph, criterion=CRITERION, schedule=schedule)
 
 
 class TestPartitioners:
@@ -110,121 +113,139 @@ class TestPartitioners:
 
 
 class TestShardedGraphStructure:
+    """What a sharded execution would hold, as the profile measures it."""
+
     def test_owned_nodes_partition_the_graph(self):
         g = _graph()
-        sharded = ShardedGraph.build(g, n_shards=4, method="bfs")
-        owned = np.concatenate([sh.owned_nodes for sh in sharded.shards])
-        assert sorted(owned.tolist()) == list(range(g.n_nodes))
+        profile = make_partition(g, 4, "bfs").shard_profile(g)
+        assert profile.owned_nodes.sum() == g.n_nodes
+        assert np.all(profile.local_nodes >= profile.owned_nodes)
 
     def test_owned_edges_partition_the_edges(self):
         g = _graph()
-        sharded = ShardedGraph.build(g, n_shards=3, method="hash")
-        owned = np.concatenate([sh.owned_edges for sh in sharded.shards])
-        assert sorted(owned.tolist()) == list(range(g.n_edges))
+        profile = make_partition(g, 3, "hash").shard_profile(g)
+        assert profile.owned_edges.sum() == g.n_edges
+        assert np.all(profile.local_edges >= profile.owned_edges)
 
     def test_exchange_profile_accounts_boundary_rows(self):
         g = _graph()
-        sharded = ShardedGraph.build(g, n_shards=4, method="bfs")
-        profile = sharded.exchange_profile()
+        profile = make_partition(g, 4, "bfs").shard_profile(g)
+        total, heaviest = profile.exchange_bytes(g.n_states)
         row_bytes = 4 * g.n_states
-        assert profile["bytes_per_round"] == profile["boundary_rows"] * row_bytes
-        assert profile["max_device_bytes"] <= profile["bytes_per_round"]
+        assert total == profile.inbound_rows.sum() * row_bytes
+        # every row one shard receives, another sends
+        assert profile.inbound_rows.sum() == profile.outbound_rows.sum()
+        assert 0 < heaviest <= total
         # single shard: nothing crosses
-        solo = ShardedGraph.build(g, n_shards=1)
-        assert solo.exchange_profile()["bytes_per_round"] == 0
+        solo = make_partition(g, 1).shard_profile(g)
+        assert solo.exchange_bytes(g.n_states) == (0, 0)
+        assert solo.n_routes == 0
 
-    def test_instance_isolates_evidence_from_master(self):
-        g = _graph(names=True)
-        sharded = ShardedGraph.build(g, n_shards=2, method="bfs")
-        view = sharded.instance()
-        view.observe("v5", 1)
-        assert not g.observed.any()
-        assert not any(sh.graph.observed.any() for sh in sharded.shards)
+    def test_empty_shards_are_dropped(self):
+        g = _graph(n=5, extra=0)
+        profile = make_partition(g, 7, "range").shard_profile(g)
+        assert profile.n_shards == 5
+        assert np.all(profile.owned_nodes == 1)
 
-    def test_observe_unknown_node_raises(self):
-        sharded = ShardedGraph.build(_graph(names=True), n_shards=2)
-        with pytest.raises(KeyError):
-            sharded.observe("nope", 0)
+
+class TestShardProfilePinned:
+    """Pinned to the per-shard subgraphs and routes the retired
+    shard-parallel driver built for the same partitions."""
+
+    @pytest.mark.parametrize("k, total, heaviest", [
+        (2, 30_592, 30_592), (4, 73_920, 52_256), (8, 157_888, 57_248),
+    ])
+    def test_grid_bfs(self, k, total, heaviest):
+        from repro.graphs.grids import grid_graph
+
+        g = grid_graph(160, 160, n_states=8, seed=3)
+        profile = make_partition(g, k, "bfs").shard_profile(g)
+        assert profile.exchange_bytes(g.n_states) == (total, heaviest)
+        if k == 4:
+            local = list(zip(profile.local_nodes.tolist(),
+                             profile.local_edges.tolist()))
+            assert local == [(6514, 25600), (6673, 26048),
+                             (6673, 26048), (6514, 25600)]
+
+    def test_kronecker_hash(self):
+        from repro.graphs.kronecker import kronecker_graph
+
+        g = kronecker_graph(12, 20_000, seed=2)
+        profile = make_partition(g, 3, "hash").shard_profile(g)
+        assert profile.exchange_bytes(g.n_states) == (214_496, 150_416)
+        local = list(zip(profile.local_nodes.tolist(),
+                         profile.local_edges.tolist()))
+        assert local == [(2719, 20834), (2641, 18946), (2578, 17468)]
 
 
 class TestShardedParity:
-    """Posteriors match unsharded sync BP to 1e-6 (usually bit-exact)."""
+    """The priced backends return the unsharded posteriors, bit for bit."""
 
     @pytest.mark.parametrize("method", PARTITIONERS)
     @pytest.mark.parametrize("n_shards", [1, 2, 4, 7])
     def test_node_paradigm(self, method, n_shards):
         g = _graph()
-        expected = LoopyBP(_sync_config("node")).run(g.copy()).beliefs
-        sharded = ShardedGraph.build(g.copy(), n_shards=n_shards, method=method)
-        result = ShardedLoopyBP(_sync_config("node")).run(sharded)
-        assert np.abs(result.beliefs - expected).max() <= PARITY_TOL
+        expected = _loopy(g.copy()).beliefs
+        result = _sharded(g.copy(), n_shards, method)
+        np.testing.assert_array_equal(result.beliefs, expected)
+        assert result.detail["n_shards"] == n_shards
 
     @pytest.mark.parametrize("method", PARTITIONERS)
     @pytest.mark.parametrize("n_shards", [1, 2, 4, 7])
     def test_edge_paradigm(self, method, n_shards):
         g = _graph()
-        expected = LoopyBP(_sync_config("edge")).run(g.copy()).beliefs
-        sharded = ShardedGraph.build(g.copy(), n_shards=n_shards, method=method)
-        result = ShardedLoopyBP(_sync_config("edge")).run(sharded)
-        assert np.abs(result.beliefs - expected).max() <= PARITY_TOL
+        expected = _loopy(g.copy(), "edge").beliefs
+        result = _sharded(g.copy(), n_shards, method, "edge")
+        np.testing.assert_array_equal(result.beliefs, expected)
 
     @pytest.mark.parametrize("method", PARTITIONERS)
     def test_with_observed_evidence(self, method):
         g = _graph(names=True)
-        reference = g.copy()
-        observe(reference, "v3", 1)
-        observe(reference, "v41", 0)
-        expected = LoopyBP(_sync_config("node")).run(reference).beliefs
-
-        sharded = ShardedGraph.build(g, n_shards=4, method=method)
-        view = sharded.instance()
-        view.observe("v3", 1)
-        view.observe("v41", 0)
-        result = ShardedLoopyBP(_sync_config("node")).run(view)
-        assert np.abs(result.beliefs - expected).max() <= PARITY_TOL
-
-    def test_thread_pool_matches_serial(self):
-        g = _graph()
-        sharded = ShardedGraph.build(g, n_shards=4, method="greedy")
-        serial = ShardedLoopyBP(_sync_config("node")).run(sharded.instance())
-        pooled = ShardedLoopyBP(_sync_config("node"), max_workers=4).run(
-            sharded.instance()
-        )
-        np.testing.assert_array_equal(serial.beliefs, pooled.beliefs)
-        assert serial.iterations == pooled.iterations
+        observe(g, "v3", 1)
+        observe(g, "v41", 0)
+        expected = _loopy(g.copy()).beliefs
+        result = _sharded(g.copy(), 4, method)
+        np.testing.assert_array_equal(result.beliefs, expected)
 
     def test_writes_back_to_source_graph(self):
         g = _graph()
-        sharded = ShardedGraph.build(g, n_shards=2, method="bfs")
-        result = ShardedLoopyBP(_sync_config("node")).run(sharded)
-        np.testing.assert_allclose(g.beliefs.dense(), result.beliefs, atol=1e-6)
+        result = _sharded(g, 2, "bfs")
+        np.testing.assert_array_equal(g.beliefs.dense(), result.beliefs)
 
     @pytest.mark.parametrize("schedule", ["work_queue", "residual", "relaxed"])
     def test_priority_schedules_reach_the_same_fixed_point(self, schedule):
-        # the priority schedules are approximate by design; they must
-        # still land on the sync fixed point within the convergence
-        # threshold's tolerance
         g = _graph()
-        cfg = _sync_config("node", threshold=1e-5)
-        expected = LoopyBP(cfg).run(g.copy()).beliefs
-        sharded = ShardedGraph.build(g.copy(), n_shards=4, method="bfs")
-        sched_cfg = LoopyConfig(
-            paradigm="node", schedule=schedule, criterion=cfg.criterion
-        )
-        result = ShardedLoopyBP(sched_cfg).run(sharded)
-        assert np.abs(result.beliefs - expected).max() < 1e-3
+        expected = _loopy(g.copy(), schedule=schedule)
+        result = _sharded(g.copy(), 4, "bfs", schedule=schedule)
+        np.testing.assert_array_equal(result.beliefs, expected.beliefs)
+        assert result.iterations == expected.iterations
 
     def test_exchange_bytes_accounted(self):
         g = _graph()
-        sharded = ShardedGraph.build(g, n_shards=4, method="hash")
-        result = ShardedLoopyBP(_sync_config("node")).run(sharded)
-        profile = sharded.exchange_profile()
-        assert result.exchange_bytes > 0
-        assert result.exchange_bytes == profile["bytes_per_round"] * result.iterations
-        assert len(result.per_shard_stats) == result.iterations
+        result = _sharded(g.copy(), 4, "hash")
+        total, _ = make_partition(g, 4, "hash").shard_profile(g).exchange_bytes(
+            g.n_states
+        )
+        assert result.detail["exchange_bytes"] > 0
+        assert result.detail["exchange_bytes"] == total * result.iterations
 
 
 class TestShardedBackends:
+    @pytest.mark.parametrize("paradigm", ["node", "edge"])
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_priced_backends_match_loopy_bitwise(self, schedule, paradigm):
+        from repro.backends import get_backend
+
+        g = _graph()
+        expected = _loopy(g.copy(), paradigm, schedule)
+        for name, kw in (("sharded", {"n_shards": 3}),
+                         ("cuda-multi", {"n_devices": 3})):
+            backend = get_backend(name, paradigm=paradigm, **kw)
+            result = backend.run(g.copy(), criterion=CRITERION, schedule=schedule)
+            np.testing.assert_array_equal(result.beliefs, expected.beliefs)
+            assert result.iterations == expected.iterations
+            assert result.delta_history == expected.delta_history
+
     def test_sharded_cpu_backend_detail(self):
         from repro.backends import get_backend
 
@@ -232,12 +253,13 @@ class TestShardedBackends:
         ref = get_backend("c-node").run(g.copy(), schedule="sync")
         be = get_backend("sharded", n_shards=4, partitioner="bfs")
         result = be.run(g.copy(), schedule="sync")
-        assert np.abs(result.beliefs - ref.beliefs).max() <= PARITY_TOL
+        np.testing.assert_array_equal(result.beliefs, ref.beliefs)
         detail = result.detail
         assert detail["n_shards"] == 4 and detail["partitioner"] == "bfs"
         assert 0.0 <= detail["cut_fraction"] < 1.0
         assert detail["shard_balance"] >= 1.0
         assert detail["exchange_bytes"] > 0
+        assert detail["barrier_idle_s"] >= 0.0
         assert result.modeled_time > 0
 
     def test_multigpu_backend_matches_and_costs_exchange(self):
@@ -247,7 +269,7 @@ class TestShardedBackends:
         ref = get_backend("c-node").run(g.copy(), schedule="sync")
         be = get_backend("cuda-multi", n_devices=4, interconnect="nvlink")
         result = be.run(g.copy(), schedule="sync")
-        assert np.abs(result.beliefs - ref.beliefs).max() <= PARITY_TOL
+        np.testing.assert_array_equal(result.beliefs, ref.beliefs)
         assert result.detail["n_devices"] == 4
         assert result.detail["exchange_bytes"] > 0
         assert 0.0 < result.detail["exchange_fraction"] < 1.0
@@ -274,130 +296,17 @@ class TestShardedBackends:
         assert result.detail["measured_partition"] is True
         assert result.detail["partitioner"] == "bfs"
         assert result.detail["shard_balance"] >= 1.0
-        assert 0.0 <= result.detail["edge_cut_fraction"] <= 1.0
-
-    def test_distributed_edge_cut_fraction_deprecated(self):
-        from repro.backends.distributed import DistributedBackend
-
-        with pytest.warns(DeprecationWarning, match="edge_cut_fraction"):
-            be = DistributedBackend(edge_cut_fraction=0.05)
-        result = be.run(_graph())
-        assert result.detail["edge_cut_fraction"] == 0.05
-        assert result.detail["measured_partition"] is False
+        assert 0.0 <= result.detail["cut_fraction"] <= 1.0
 
 
 class TestCredoSharding:
-    def test_plan_freezes_sharding(self):
-        from repro.credo.runner import Credo
-
-        g = _graph()
-        plan = Credo().plan(g, backend="c-node:sync", shards=4, partitioner="greedy")
-        assert plan.sharded and plan.shards == 4
-        assert plan.partitioner == "greedy"
-        assert plan.qualified == "c-node:sync@4xgreedy"
-
     def test_plan_paradigm_for_unsuffixed_backends(self):
         from repro.credo.runner import ExecutionPlan
 
         assert ExecutionPlan("c-edge", "sync").paradigm == "edge"
         # backends without a -node/-edge suffix sweep per node
-        assert ExecutionPlan("cuda-multi", "sync", shards=4).paradigm == "node"
-        assert ExecutionPlan("sharded", "sync", shards=2).paradigm == "node"
-
-    def test_run_with_shards_matches_unsharded(self):
-        from repro.credo.runner import Credo
-
-        g = _graph()
-        credo = Credo()
-        base = credo.run(g.copy(), backend="c-node", schedule="sync")
-        sharded = credo.run(
-            g.copy(), backend="c-node:sync", shards=3, partitioner="bfs"
-        )
-        assert np.abs(sharded.beliefs - base.beliefs).max() <= PARITY_TOL
-        assert sharded.detail["n_shards"] == 3
-
-    def test_unpinned_plan_never_shards(self):
-        # plan and run agree: an unpinned run never shards, so an
-        # unpinned plan must not either, however large the graph
-        from repro.credo.runner import Credo
-        from repro.serve import ServerConfig
-        from repro.serve.registry import ModelRegistry
-
-        n = 100_000
-        ids = np.arange(n)
-        edges = np.concatenate(
-            [np.stack([ids, (ids + k) % n], axis=1) for k in (1, 2, 3)]
-        )
-        priors = np.full((n, 2), 0.5)
-        g = BeliefGraph.from_undirected(priors, edges, attractive_potential(2, 0.7))
-        assert g.uniform and g.n_edges >= 500_000
-        credo = Credo()
-        plan = credo.plan(g)
-        assert plan.shards == 1 and not plan.sharded
-        # the serving knobs no longer hand the decision to a selector
-        with pytest.raises(ValueError, match="shards"):
-            ServerConfig(shards=None)
-        with pytest.raises(ValueError, match="shards"):
-            ModelRegistry(credo, shards=None)
-
-    def test_heavy_tailed_plan_shards_lockstep(self):
-        # sharded plans have one execution model: no selector picks a
-        # second policy on heavy-tailed graphs, and the grammar no
-        # longer spells one
-        from repro.credo.runner import Credo, parse_qualified
-        from repro.graphs.kronecker import kronecker_graph
-
-        plan = Credo().plan(kronecker_graph(10, 4000, seed=1), shards=2)
-        assert plan.sharded and "+" not in plan.qualified
-        with pytest.raises(ValueError):
-            parse_qualified("sharded:sync@4xbfs+async~2")
-
-    def test_partition_features_memoized(self):
-        from repro.credo.features import extract_partition_features
-
-        g = _graph()
-        feats = extract_partition_features(g, 4, "bfs")
-        assert feats.shape == (2,)
-        assert "partition:bfs:4" in g._feature_cache
-        again = extract_partition_features(g, 4, "bfs")
-        np.testing.assert_array_equal(feats, again)
-
-
-class TestServeSharded:
-    def test_sharded_server_matches_unsharded(self):
-        from repro.serve import InferenceServer, ServerConfig
-
-        g = _graph(names=True)
-        sharded_cfg = ServerConfig(
-            shards=2, partitioner="bfs", backend="c-node", schedule="sync"
-        )
-        plain_cfg = ServerConfig(backend="c-node", schedule="sync", max_batch=1)
-        with InferenceServer(sharded_cfg) as s1, InferenceServer(plain_cfg) as s2:
-            s1.register_model("m", g.copy())
-            s2.register_model("m", g.copy())
-            desc = s1.registry.describe()[0]
-            assert desc["shards"] == 2 and desc["partitioner"] == "bfs"
-            assert desc["shard_balance"] >= 1.0
-            r1 = s1.query("m", {"v3": 1})
-            r2 = s2.query("m", {"v3": 1})
-            assert r1.ok and r2.ok
-            for name in r1.posteriors:
-                np.testing.assert_allclose(
-                    r1.posteriors[name], r2.posteriors[name], atol=PARITY_TOL
-                )
-            # cache round-trip on the sharded path
-            assert s1.query("m", {"v3": 1}).cached
-        assert s1.engine._pool is None  # released on stop()
-
-    def test_config_validates_sharding_knobs(self):
-        from repro.serve import ServerConfig
-
-        with pytest.raises(ValueError, match="shards"):
-            ServerConfig(shards=0)
-        with pytest.raises(ValueError, match="shard_threads"):
-            ServerConfig(shard_threads=0)
-        with pytest.raises(ValueError, match="partitioner"):
-            ServerConfig(partitioner="metis")
+        assert ExecutionPlan("cuda-multi", "sync").paradigm == "node"
+        assert ExecutionPlan("sharded", "sync").paradigm == "node"
 
 
 class TestDeprecationShims:
@@ -421,9 +330,9 @@ class TestDeprecationShims:
         sys.modules.pop("repro.core.residual", None)
         with pytest.raises(ImportError):
             importlib.import_module("repro.core.residual")
-        from repro.core.scheduler import ResidualBP  # canonical home
+        from repro.core.scheduler import ResidualSchedule  # canonical home
 
-        assert ResidualBP is not None
+        assert ResidualSchedule is not None
 
 
 def test_partition_repr_mentions_cut():

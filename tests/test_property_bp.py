@@ -101,8 +101,8 @@ class TestInvariants:
     @settings(**SETTINGS)
     def test_work_queue_preserves_fixed_point(self, graph):
         crit = ConvergenceCriterion(threshold=1e-6, max_iterations=400)
-        with_q = LoopyBP(work_queue=True, criterion=crit).run(graph.copy())
-        without_q = LoopyBP(work_queue=False, criterion=crit).run(graph.copy())
+        with_q = LoopyBP(schedule="work_queue", criterion=crit).run(graph.copy())
+        without_q = LoopyBP(schedule="sync", criterion=crit).run(graph.copy())
         if with_q.converged and without_q.converged:
             np.testing.assert_allclose(with_q.beliefs, without_q.beliefs, atol=5e-3)
 

@@ -1,15 +1,12 @@
 """Residual-priority scheduling (extension; Gonzalez et al. line).
 
-Runs through the unified driver — ``LoopyBP(schedule="residual")`` —
-with a couple of checks on the legacy ``ResidualBP`` alias.
+Runs through the unified driver — ``LoopyBP(schedule="residual")``.
 """
 
 import numpy as np
-import pytest
 
-from repro.core import LoopyBP, LoopyResult, exact_marginals
+from repro.core import LoopyBP, exact_marginals
 from repro.core.convergence import ConvergenceCriterion
-from repro.core.scheduler import ResidualBP
 from tests.conftest import make_loopy_graph, make_tree_graph
 
 
@@ -71,29 +68,3 @@ class TestResidualSchedule:
         result = residual_bp(damping=0.3).run(g)
         assert result.converged
         np.testing.assert_allclose(result.beliefs.sum(axis=1), 1.0, atol=1e-4)
-
-
-class TestResidualBPAlias:
-    """The legacy entry point is a thin alias over the unified driver."""
-
-    def test_returns_loopy_result(self):
-        g = make_loopy_graph(seed=77)
-        result = ResidualBP().run(g)
-        assert isinstance(result, LoopyResult)
-        assert result.config.schedule == "residual"
-        assert result.config.paradigm == "edge"
-
-    def test_matches_unified_driver(self):
-        crit = ConvergenceCriterion(threshold=1e-5, max_iterations=400)
-        via_alias = ResidualBP(criterion=crit).run(make_loopy_graph(seed=78))
-        via_loopy = residual_bp(criterion=crit).run(make_loopy_graph(seed=78))
-        np.testing.assert_array_equal(via_alias.beliefs, via_loopy.beliefs)
-        assert via_alias.updates == via_loopy.updates
-
-    def test_residual_module_is_gone(self):
-        import importlib
-        import sys
-
-        sys.modules.pop("repro.core.residual", None)
-        with pytest.raises(ImportError):
-            importlib.import_module("repro.core.residual")

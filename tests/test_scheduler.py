@@ -74,24 +74,12 @@ class TestSchedulerParity:
 
 
 class TestDeprecationShim:
-    def test_true_maps_to_work_queue(self):
-        with pytest.warns(DeprecationWarning, match="work_queue"):
-            cfg = LoopyConfig(work_queue=True)
-        assert cfg.schedule == "work_queue"
-        assert cfg.work_queue is None
-
-    def test_false_maps_to_sync(self):
-        with pytest.warns(DeprecationWarning, match="work_queue"):
-            cfg = LoopyConfig(work_queue=False)
-        assert cfg.schedule == "sync"
-
     def test_shim_selects_matching_schedule_class(self):
         from repro.core.loopy import _NodePlan
         from repro.core.state import LoopyState
 
-        for flag, expected in ((True, WorkQueueSchedule), (False, SynchronousSchedule)):
-            with pytest.warns(DeprecationWarning):
-                cfg = LoopyConfig(work_queue=flag)
+        for name, expected in (("work_queue", WorkQueueSchedule), ("sync", SynchronousSchedule)):
+            cfg = LoopyConfig(schedule=name)
             state = LoopyState(make_tree_graph(seed=1))
             plan = _NodePlan(state, cfg)
             sched = make_schedule(cfg.schedule, plan.n_elements, plan.element_threshold)
@@ -248,7 +236,3 @@ class TestCredoSchedules:
         grid = _grid()
         assert selector.select_schedule(grid, "c-edge") == "work_queue"
 
-    def test_legacy_work_queue_flag_still_flows(self):
-        with pytest.warns(DeprecationWarning, match="work_queue"):
-            result = Credo(work_queue=False).run(_grid())
-        assert result.detail["schedule"] == "sync"

@@ -30,7 +30,6 @@ from repro.core.potentials import attractive_potential
 from repro.io.detect import load_graph
 from repro.io.mtx import MtxFormatError, read_mtx_graph, write_mtx_graph
 from repro.kernels.layout import with_layout
-from repro.partition import extend_partition, make_partition
 from repro.stream import (
     DeltaJournal,
     GraphDelta,
@@ -637,45 +636,3 @@ class TestIncrementalEngine:
             selector.select_update_mode(INCREMENTAL_DIRTY_MAX_FRACTION + 0.01)
             == "full"
         )
-
-
-# ---------------------------------------------------------------------------
-class TestExtendPartition:
-    def test_preserves_existing_assignment(self):
-        g = grid_graph(6, 6, seed=2)
-        part = make_partition(g, 4, "bfs")
-        res = apply_delta(g, GraphDelta().add_node(name="p").add_edge("p", "0"))
-        grown = extend_partition(part, res.graph)
-        assert np.array_equal(grown.assignment[: g.n_nodes], part.assignment)
-        assert grown.n_shards == part.n_shards
-
-    def test_new_nodes_follow_neighbours(self):
-        g = grid_graph(6, 6, seed=2)
-        part = make_partition(g, 4, "bfs")
-        res = apply_delta(g, GraphDelta().add_node(name="p").add_edge("p", "0"))
-        grown = extend_partition(part, res.graph)
-        # the only neighbour of the new node is node 0 — affinity wins
-        assert grown.assignment[-1] == part.assignment[0]
-
-    def test_isolated_new_node_goes_least_loaded(self):
-        g = grid_graph(4, 4, seed=2)
-        part = make_partition(g, 3, "range")
-        res = apply_delta(g, GraphDelta().add_node(name="loner"))
-        grown = extend_partition(part, res.graph)
-        loads = np.bincount(part.assignment, minlength=3)
-        assert grown.assignment[-1] == int(np.argmin(loads))
-
-    def test_statistics_are_remeasured(self):
-        g = grid_graph(5, 5, seed=2)
-        part = make_partition(g, 2, "bfs")
-        res = apply_delta(g, GraphDelta().add_node(name="p").add_edge("p", "24"))
-        grown = extend_partition(part, res.graph)
-        assert grown.n_edges == res.graph.n_edges
-        fresh = make_partition(res.graph, 2, "bfs")
-        assert grown.cut_fraction <= 1.0 and fresh.n_edges == grown.n_edges
-
-    def test_rejects_shrunken_graph(self):
-        g = grid_graph(4, 4, seed=2)
-        part = make_partition(g, 2, "bfs")
-        with pytest.raises(ValueError, match="never shrink"):
-            extend_partition(part, grid_graph(3, 3, seed=2))

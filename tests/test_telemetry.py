@@ -173,15 +173,6 @@ class TestBitExactness:
         assert base.iterations == traced.iterations
         assert base.modeled_time == pytest.approx(traced.modeled_time)
 
-    def test_sharded_traced_equals_untraced(self, small_graph):
-        credo = Credo(criterion=ConvergenceCriterion(max_iterations=50))
-        base = credo.run(small_graph.copy(), backend="c-node", shards=2)
-        with use_tracer(Tracer()) as tracer:
-            traced = credo.run(small_graph.copy(), backend="c-node", shards=2)
-        assert np.array_equal(base.beliefs, traced.beliefs)
-        names = {e.name for e in tracer.events}
-        assert "shard.sweep" in names and "shard.exchange" in names
-
 
 class TestChromeExport:
     def _traced_run(self, graph, backend="cuda-node"):

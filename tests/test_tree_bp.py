@@ -85,7 +85,7 @@ class TestTreeBPOnCycles:
         g = make_loopy_graph(seed=36, n_nodes=10, n_edges=14, coupling=0.6)
         crit = ConvergenceCriterion(threshold=1e-7, max_iterations=500)
         tree_result = TreeBP(criterion=crit).run(g.copy())
-        loopy_result = LoopyBP(criterion=crit, work_queue=False).run(g.copy())
+        loopy_result = LoopyBP(criterion=crit, schedule="sync").run(g.copy())
         np.testing.assert_allclose(
             tree_result.beliefs, loopy_result.beliefs, atol=5e-3
         )
@@ -116,6 +116,6 @@ class TestTreeBPCost:
         TreeBP(criterion=ConvergenceCriterion(max_iterations=3)).run(g.copy())
         tree_time = time.perf_counter() - t0
         t0 = time.perf_counter()
-        LoopyBP(criterion=ConvergenceCriterion(max_iterations=3), work_queue=False).run(g.copy())
+        LoopyBP(criterion=ConvergenceCriterion(max_iterations=3), schedule="sync").run(g.copy())
         loopy_time = time.perf_counter() - t0
         assert tree_time > loopy_time
