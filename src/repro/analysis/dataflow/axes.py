@@ -3,7 +3,7 @@
 The whole-program analyzer does not track concrete sizes — it tracks
 *which project dimension* each array axis ranges over.  The dimensions
 are the handful of named sizes the entire runtime is indexed by
-(``n_nodes``, ``n_edges``, ``n_states``, shard/halo rows); every
+(``n_nodes``, ``n_edges``, ``n_states``); every
 structure array in :class:`~repro.core.state.LoopyState` and
 :class:`~repro.core.graph.BeliefGraph` is a product of them.  Two
 arrays whose axes name *different* dimensions can never be legally
@@ -40,9 +40,7 @@ __all__ = [
 UNKNOWN = "?"
 
 #: the project's named dimensions; pairwise distinct for analysis purposes
-NAMED_AXES = frozenset(
-    {"n_nodes", "n_edges", "n_states", "n_shards", "owned_rows", "halo_rows"}
-)
+NAMED_AXES = frozenset({"n_nodes", "n_edges", "n_states"})
 
 #: dtype promotion ladder (NEP-50 style: python scalars are weak and do
 #: not promote float32 arrays, so they never appear here)

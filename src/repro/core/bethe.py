@@ -33,7 +33,7 @@ def pairwise_pseudo_marginals(state: LoopyState) -> dict[int, np.ndarray]:
     """
     out: dict[int, np.ndarray] = {}
     beliefs = np.asarray(state.beliefs, dtype=np.float64)
-    messages = np.maximum(np.asarray(state.messages, dtype=np.float64), float(TINY))
+    messages = np.maximum(state.message_rows().astype(np.float64), float(TINY))
     for e in range(state.m):
         rev = int(state.rev[e])
         if rev != -1 and e > rev:

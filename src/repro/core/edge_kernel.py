@@ -116,13 +116,13 @@ def edge_sweep(
         else:
             raise ValueError(f"unknown update_rule {update_rule!r}")
         if damping > 0.0:
-            msgs = (1.0 - damping) * msgs + damping * state.messages[chunk]
+            msgs = state.damp_messages(chunk, msgs, damping)
         edge_deltas[lo:hi] = state.store_messages(chunk, msgs)
 
         dirty = slots.unique(state.dst[chunk])
         dirty = dirty[state.free_mask[dirty]]
         if len(dirty):
-            state.beliefs[dirty] = state.combine_nodes(dirty)
+            state.recombine(dirty)
             touched.append(dirty)
         stats.kernel_launches += 2  # message kernel + combine kernel
 

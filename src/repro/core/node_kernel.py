@@ -58,15 +58,9 @@ def node_sweep(
     else:
         raise ValueError(f"unknown update_rule {update_rule!r}")
     if damping > 0.0 and n_edges:
-        msgs = (1.0 - damping) * msgs + damping * state.messages[edge_ids]
+        msgs = state.damp_messages(edge_ids, msgs, damping)
     state.store_messages(edge_ids, msgs)
-
-    old = state.beliefs[active_nodes]
-    new = state.combine_nodes(active_nodes)
-    free = state.free_mask[active_nodes]
-    new[~free] = old[~free]
-    deltas = np.abs(new - old).sum(axis=1).astype(np.float32)
-    state.beliefs[active_nodes] = new
+    deltas = state.recombine(active_nodes)
 
     # --- accounting (§3.3: gathers instead of atomics) -------------------
     stats.nodes_processed = n_active

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core import logodds
 from repro.core.graph import BeliefGraph
 from repro.core.indexset import SlotMap
 from repro.core.numeric import TINY32, safe_log
@@ -51,8 +52,16 @@ class LoopyState:
         Current node beliefs (normalized rows).
     log_priors : (n, b) float32
         log of the clamp-adjusted priors (observed nodes are one-hot).
-    messages : (m, b) float32
-        Current message along each directed edge (normalized rows).
+    messages, log_messages : (m, b) float32
+        Current message along each directed edge (normalized rows) and
+        its log; ``b != 2`` only.
+    log_msg_sum : (n, b) float32
+        Σ_in log m per node; ``b != 2`` only.
+    msg_lo, msg_sum_lo, belief_lo : (m,), (n,), (n,) float32
+        ``b == 2`` only (``binary``): each message as its log-odds
+        ``log(m1 / m0)``, their sum per destination, and each node's
+        belief log-odds, which the sweeps gather (see
+        :mod:`repro.core.logodds`).  ``beliefs`` is kept in step.
     src, dst, rev : (m,) int64
         Directed edge endpoints and reverse-edge ids (−1 when unpaired).
     in_offsets, in_edge_ids : CSR by destination
@@ -70,7 +79,12 @@ class LoopyState:
     in-degree: the constructor fills both from a small table instead of
     taking ``m · b`` logs and ``b`` scatters (see
     :meth:`_start_log_msg_sum`; bit-identical to
-    :meth:`_rebuild_log_msg_sum`).
+    :meth:`_rebuild_log_msg_sum`).  At ``b == 2`` a uniform message has
+    log-odds 0, so the start is all zeros.
+
+    Read messages through :meth:`message_rows` and write them through
+    :meth:`store_messages`; write beliefs through :meth:`recombine` or
+    :meth:`set_beliefs`, which keep ``belief_lo`` in step.
     """
 
     def __init__(self, graph: BeliefGraph):
@@ -116,12 +130,21 @@ class LoopyState:
             self.shared_potential = False
 
         # Uniform starting messages: every edge initially says "no opinion".
-        self.messages = np.full((self.m, self.b), 1.0 / self.b, dtype=_FLOAT)
-        self.log_messages = np.empty((self.m, self.b), dtype=_FLOAT)
-        # Σ_in log m, maintained incrementally by the edge kernel (this is
-        # the accumulator the CUDA edge implementation updates atomically).
-        self.log_msg_sum = np.empty((self.n, self.b), dtype=_FLOAT)
-        self._start_log_msg_sum()
+        # Σ_in log m is maintained incrementally by the sweeps (this is the
+        # accumulator the CUDA edge implementation updates atomically).
+        self.binary = self.b == 2
+        if self.binary:
+            self.msg_lo = np.zeros(self.m, dtype=_FLOAT)
+            self.msg_sum_lo = np.zeros(self.n, dtype=_FLOAT)
+            self.belief_lo = logodds.from_rows(self.beliefs)
+            self.lo_potentials, self.lo_floor = logodds.coefficients(
+                self.potentials, self.shared_potential
+            )
+        else:
+            self.messages = np.full((self.m, self.b), 1.0 / self.b, dtype=_FLOAT)
+            self.log_messages = np.empty((self.m, self.b), dtype=_FLOAT)
+            self.log_msg_sum = np.empty((self.n, self.b), dtype=_FLOAT)
+            self._start_log_msg_sum()
 
     # ------------------------------------------------------------------
     def _start_log_msg_sum(self) -> None:
@@ -145,7 +168,13 @@ class LoopyState:
 
     def _rebuild_log_msg_sum(self) -> None:
         """Recompute the log messages and their per-node sums from
-        ``messages`` — for callers that load non-uniform messages."""
+        ``messages`` (``msg_lo`` at ``b == 2``) — for callers that load
+        non-uniform messages."""
+        if self.binary:
+            self.msg_sum_lo[:] = np.bincount(
+                self.dst, weights=self.msg_lo, minlength=self.n
+            ).astype(_FLOAT)
+            return
         self.log_messages = safe_log(self.messages, TINY)
         self.log_msg_sum[:] = 0.0
         if self.m:
@@ -178,14 +207,27 @@ class LoopyState:
             out[lo:hi] = (source[lo:hi, :, None] * mats).max(axis=1)
         return out
 
+    def lo_coefficients(self, edges) -> tuple:
+        """The closed-form potential coefficients ``(ψ00, ψ01, ψ10, ψ11)``
+        of the edges ``edges`` (a slice or an index array): scalars for a
+        shared potential, columns aligned with ``edges`` otherwise."""
+        if self.shared_potential:
+            return tuple(self.lo_potentials)
+        rows = self.lo_potentials[edges]
+        return rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3]
+
     def propagate_messages(
         self, edge_ids: np.ndarray | None = None, semiring: str = "sum"
     ) -> np.ndarray:
         """m_e = src-belief · J_e for the given edges (broadcast rule).
 
-        Returns normalized ``(len(edge_ids), b)`` messages; does not store.
+        Returns normalized ``(len(edge_ids), b)`` messages — at
+        ``b == 2`` their ``(len(edge_ids),)`` log-odds; does not store.
         """
         ids = np.arange(self.m, dtype=np.int64) if edge_ids is None else edge_ids
+        if self.binary:
+            cavity = self.belief_lo[self.src[ids]]
+            return self._lo_message(cavity, ids, semiring)
         source = self.beliefs[self.src[ids]]
         raw = self._apply_potential(source, ids, semiring)
         return normalize_rows(raw)
@@ -194,11 +236,17 @@ class LoopyState:
         self, edge_ids: np.ndarray | None = None, semiring: str = "sum"
     ) -> np.ndarray:
         """Sum-product messages: exclude the reverse message from the
-        source belief before applying the potential."""
+        source belief before applying the potential (at ``b == 2``,
+        subtract its log-odds)."""
         ids = np.arange(self.m, dtype=np.int64) if edge_ids is None else edge_ids
-        source = self.beliefs[self.src[ids]].astype(_FLOAT)
         rev = self.rev[ids]
         paired = rev >= 0
+        if self.binary:
+            cavity = self.belief_lo[self.src[ids]]
+            if paired.any():
+                cavity[paired] -= self.msg_lo[rev[paired]]
+            return self._lo_message(cavity, ids, semiring)
+        source = self.beliefs[self.src[ids]].astype(_FLOAT)
         if paired.any():
             back = np.maximum(self.messages[rev[paired]], TINY)
             cavity = source.copy()
@@ -207,20 +255,63 @@ class LoopyState:
         raw = self._apply_potential(source, ids, semiring)
         return normalize_rows(raw)
 
+    def _lo_message(self, cavity: np.ndarray, ids, semiring: str) -> np.ndarray:
+        coef = self.lo_coefficients(ids)
+        return logodds.message(cavity, coef, semiring, self.lo_floor, out=np.empty_like(cavity))
+
+    def damp_messages(self, edge_ids, msgs: np.ndarray, damping: float) -> np.ndarray:
+        """``(1 − damping)·msgs + damping·stored``, mixed as probabilities
+        in either layout."""
+        if self.binary:
+            return logodds.damp(msgs, self.msg_lo[edge_ids], damping)
+        return (1.0 - damping) * msgs + damping * self.messages[edge_ids]
+
+    def combined_lo(self, nodes) -> np.ndarray:
+        """``b == 2``: belief log-odds of ``nodes`` (a slice or an index
+        array) from the priors and the in-message sums."""
+        priors = self.log_priors[nodes]
+        lo = np.subtract(priors[:, 1], priors[:, 0])
+        lo += self.msg_sum_lo[nodes]
+        return lo
+
     def combine_full(self) -> np.ndarray:
         """Beliefs of *all* nodes from priors and log-message sums
         (Algorithm 1 lines 10–11: combine_updates + marginalize)."""
-        logits = self.log_priors + self.log_msg_sum
-        logits -= logits.max(axis=1, keepdims=True)
-        out = np.exp(logits, dtype=_FLOAT)
-        return normalize_rows(out, out=out)
+        return self.combine_nodes(slice(None))
 
-    def combine_nodes(self, nodes: np.ndarray) -> np.ndarray:
+    def combine_nodes(self, nodes) -> np.ndarray:
         """Beliefs of the given nodes only."""
+        if self.binary:
+            return logodds.belief_rows(self.combined_lo(nodes))
         logits = self.log_priors[nodes] + self.log_msg_sum[nodes]
         logits -= logits.max(axis=1, keepdims=True)
         out = np.exp(logits, dtype=_FLOAT)
         return normalize_rows(out, out=out)
+
+    def recombine(self, nodes: np.ndarray) -> np.ndarray:
+        """Recompute and store the beliefs of the free nodes among
+        ``nodes`` (observed nodes keep theirs); returns every node's L1
+        belief change."""
+        old = self.beliefs[nodes]
+        if self.binary:
+            lo = self.combined_lo(nodes)
+            new = logodds.belief_rows(lo)
+        else:
+            new = self.combine_nodes(nodes)
+        free = self.free_mask[nodes]
+        new[~free] = old[~free]
+        deltas = np.abs(new - old).sum(axis=1).astype(np.float32)
+        self.beliefs[nodes] = new
+        if self.binary:
+            self.belief_lo[nodes[free]] = lo[free]
+        return deltas
+
+    def set_beliefs(self, nodes, rows: np.ndarray) -> None:
+        """Overwrite the beliefs of ``nodes`` with probability ``rows``
+        (evidence, warm starts)."""
+        self.beliefs[nodes] = rows
+        if self.binary:
+            self.belief_lo[nodes] = logodds.from_rows(self.beliefs[nodes])
 
     def store_messages(self, edge_ids: np.ndarray, new_msgs: np.ndarray) -> np.ndarray:
         """Write messages and incrementally update the per-node log-sums.
@@ -230,11 +321,20 @@ class LoopyState:
         destination row.  Returns the per-edge L1 message change (the
         quantity the edge-paradigm work queue filters on).
 
+        ``new_msgs`` is in the state's layout: ``(k, b)`` rows, or at
+        ``b == 2`` ``(k,)`` log-odds.
+
         A small edge set scatters into its compacted destinations, so
         the cost is O(len(edge_ids)) rather than O(n); either path feeds
         each destination's float64 accumulation the same edges in the
         same order, so the sums are bit-identical.
         """
+        if self.binary:
+            old = self.msg_lo[edge_ids]
+            deltas = logodds.deltas(new_msgs, old)
+            self.scatter_log_delta(self.dst[edge_ids], new_msgs - old)
+            self.msg_lo[edge_ids] = new_msgs
+            return deltas
         old = self.messages[edge_ids]
         deltas = np.abs(new_msgs - old).sum(axis=1)
         new_logs = safe_log(new_msgs, TINY)
@@ -245,29 +345,55 @@ class LoopyState:
         return deltas
 
     def scatter_log_delta(self, dsts: np.ndarray, log_delta: np.ndarray) -> None:
-        """``log_msg_sum[dsts[i]] += log_delta[i]`` for every row i.
+        """``log_msg_sum[dsts[i]] += log_delta[i]`` for every row i
+        (``msg_sum_lo`` and one value per row at ``b == 2``).
 
         Each destination's float64 accumulation sees its rows in the
         order given, whichever path runs: compacted destinations for a
         small set, one ``bincount(minlength=n)`` per state otherwise.
         """
+        if self.binary:
+            sums = self.msg_sum_lo
+            columns = ((sums, log_delta),)
+        else:
+            sums = self.log_msg_sum
+            columns = tuple((sums[:, s], log_delta[:, s]) for s in range(self.b))
         if self.node_slots.sparse(len(dsts)):
             rows, inv = self.node_slots.compact(dsts)
             if inv is None:
                 # one edge per destination: bincount's float64 sum of a
                 # single float32 weight is that weight, so a plain
                 # row add gives the same bits
-                self.log_msg_sum[rows] += log_delta
+                sums[rows] += log_delta
             else:
-                for s in range(self.b):
-                    self.log_msg_sum[rows, s] += np.bincount(
-                        inv, weights=log_delta[:, s], minlength=len(rows)
+                for acc, weights in columns:
+                    acc[rows] += np.bincount(
+                        inv, weights=weights, minlength=len(rows)
                     ).astype(_FLOAT)
         else:
-            for s in range(self.b):
-                self.log_msg_sum[:, s] += np.bincount(
-                    dsts, weights=log_delta[:, s], minlength=self.n
-                ).astype(_FLOAT)
+            for acc, weights in columns:
+                acc += np.bincount(dsts, weights=weights, minlength=self.n).astype(_FLOAT)
+
+    def message_rows(self, edge_ids=None) -> np.ndarray:
+        """The stored messages of ``edge_ids`` (all by default) as
+        ``(k, b)`` probability rows, in either layout."""
+        ids = slice(None) if edge_ids is None else edge_ids
+        if self.binary:
+            return logodds.belief_rows(self.msg_lo[ids])
+        return self.messages[ids].copy()
+
+    def adopt_messages(self, old: "LoopyState", edge_map: np.ndarray) -> None:
+        """Carry ``old``'s messages over to this state's edges:
+        ``edge_map[e]`` is old edge ``e``'s id here, or −1 if it is gone.
+        The per-node sums are rebuilt from the result."""
+        kept_old = np.flatnonzero(edge_map >= 0)
+        if not len(kept_old):
+            return
+        if self.binary:
+            self.msg_lo[edge_map[kept_old]] = old.msg_lo[kept_old]
+        else:
+            self.messages[edge_map[kept_old]] = old.messages[kept_old]
+        self._rebuild_log_msg_sum()
 
     def gather_in_edges(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Edge ids entering each node of ``nodes``, concatenated, plus the

@@ -372,6 +372,25 @@ def read_mtx_graph(
     )
 
 
+def _write_rows(out: IO[str], ids: tuple[np.ndarray, ...], values: np.ndarray) -> None:
+    """Write one line ``<id> … <v_0> …`` per row, :data:`CHUNK_LINES`
+    rows per ``%`` format.
+
+    ``%d`` of an exact float64 id prints the integer, and ``%.8g`` of a
+    float prints what ``f"{v:.8g}"`` does (a float32 value formats as its
+    exact float64), so the bytes equal a per-line writer's.
+    """
+    width = len(ids) + values.shape[1]
+    row = " ".join(["%d"] * len(ids) + ["%.8g"] * values.shape[1]) + "\n"
+    for lo in range(0, len(values), CHUNK_LINES):
+        hi = min(lo + CHUNK_LINES, len(values))
+        table = np.empty((hi - lo, width), dtype=np.float64)
+        for j, col in enumerate(ids):
+            table[:, j] = col[lo:hi]
+        table[:, len(ids):] = values[lo:hi]
+        out.write((row * (hi - lo)) % tuple(table.ravel().tolist()))
+
+
 def write_mtx_graph(
     graph: BeliefGraph,
     node_path: str | Path,
@@ -394,17 +413,12 @@ def write_mtx_graph(
         out.write("%%MatrixMarket matrix coordinate real general\n")
         out.write(f"%credo beliefs: {b}\n")
         out.write(f"{n} {n} {n}\n")
-        priors = graph.priors.dense()
-        for i in range(n):
-            probs = " ".join(f"{p:.8g}" for p in priors[i])
-            out.write(f"{i + 1} {i + 1} {probs}\n")
+        ids = np.arange(1, n + 1)
+        _write_rows(out, (ids, ids), graph.priors.dense())
 
     # Undirected edges: one line per directed pair's lower-id member.
-    undirected = [
-        e
-        for e in range(graph.n_edges)
-        if graph.reverse_edge[e] == -1 or e < graph.reverse_edge[e]
-    ]
+    rev = graph.reverse_edge
+    undirected = np.flatnonzero((rev == -1) | (np.arange(graph.n_edges) < rev))
     with open(edge_path, "w", encoding="utf-8") as out:
         out.write("%%MatrixMarket matrix coordinate real general\n")
         shared_inline = graph.potentials.shared and inline_shared and graph.n_edges > 0
@@ -412,12 +426,12 @@ def write_mtx_graph(
             flat = " ".join(f"{v:.8g}" for v in graph.potentials.matrix(0).reshape(-1))
             out.write(f"%credo shared-potential: {flat}\n")
         out.write(f"{n} {n} {len(undirected)}\n")
-        for e in undirected:
-            u, v = int(graph.src[e]) + 1, int(graph.dst[e]) + 1
-            if shared_inline:
-                out.write(f"{u} {v}\n")
-            else:
-                flat = " ".join(
-                    f"{val:.8g}" for val in np.asarray(graph.potentials.matrix(e)).reshape(-1)
-                )
-                out.write(f"{u} {v} {flat}\n")
+        ends = (graph.src[undirected] + 1, graph.dst[undirected] + 1)
+        if shared_inline or not len(undirected):
+            mats = np.empty((len(undirected), 0), dtype=np.float32)
+        elif graph.potentials.shared:
+            flat = np.asarray(graph.potentials.matrix(0)).reshape(1, -1)
+            mats = np.broadcast_to(flat, (len(undirected), flat.shape[1]))
+        else:
+            mats = graph.potentials.stacked(undirected).reshape(len(undirected), b * b)
+        _write_rows(out, ends, mats)

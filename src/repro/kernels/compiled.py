@@ -19,11 +19,17 @@ isolated nodes left out), and an index array otherwise:
 * a partial edge sweep takes each chunk of the active edges as given,
   exactly the chunks :func:`repro.core.edge_kernel.edge_sweep` walks.
 
+At b = 2 the program runs on message log-odds instead
+(:mod:`repro.core.logodds`, DESIGN.md §13.10): 1-D passes gather
+``belief_lo[src] − msg_lo[rev]``, apply the closed-form 2×2 potential,
+take one log, scatter the delta and combine through ``tanh``.
+
 Scratch is sized by the range, not held at ``(m, b)`` for the life of
-the plan: two ``(k, b)`` blocks per range, each reused for dead values
-in turn.  The source gather becomes the cavity, then the residual, then
-the new log messages; the back-message gather becomes the message, then
-the log delta.  The scatter reuses the state's slot-map compaction
+the plan: two ``(k, b)`` blocks per range (three ``(k,)`` vectors at
+b = 2), each reused for dead values in turn.  The source gather becomes
+the cavity, then the residual, then the new log messages; the
+back-message gather becomes the message, then the log delta.  The
+scatter reuses the state's slot-map compaction
 (:meth:`LoopyState.scatter_log_delta`), so a 7-edge chunk costs O(7).
 
 Why the result is bit-exact
@@ -51,7 +57,7 @@ import time
 
 import numpy as np
 
-from repro.core import indexset
+from repro.core import indexset, logodds
 from repro.core.edge_kernel import chunk_slices
 from repro.core.state import TINY, LoopyState
 from repro.core.sweepstats import SweepStats
@@ -242,6 +248,12 @@ class CompiledExecutor:
         :meth:`LoopyState.store_messages` fused through two blocks.
         Writes per-edge residuals into ``edge_deltas`` when given."""
         k = (edges.stop - edges.start) if isinstance(edges, slice) else len(edges)
+        if state.binary:
+            self._sweep_range_lo(
+                state, edges, k, update_rule=update_rule, semiring=semiring,
+                damping=damping, edge_deltas=edge_deltas,
+            )
+            return
         # two blocks, one name each, through every role they play:
         # cav  — source beliefs → cavity → residual → new log messages
         # msg  — back messages → new messages → log delta
@@ -278,6 +290,49 @@ class CompiledExecutor:
         np.subtract(cav, _rows(state.log_messages, edges, out=msg), out=msg)
         state.scatter_log_delta(state.dst[edges], msg)
         _set_rows(state.log_messages, edges, cav)
+
+    def _sweep_range_lo(
+        self,
+        state: LoopyState,
+        edges,
+        k: int,
+        *,
+        update_rule: str,
+        semiring: str,
+        damping: float,
+        edge_deltas: np.ndarray | None,
+    ) -> None:
+        """:meth:`_sweep_range` at ``b == 2``: 1-D passes over message
+        log-odds (:mod:`repro.core.logodds`), bitwise the reference
+        ``cavity_messages`` / ``propagate_messages``, ``damp_messages``
+        and ``store_messages``."""
+        # three vectors: cav — cavity → old messages; msg — back
+        # messages → new messages; aux — old-message tanh → log delta
+        cav, msg, aux = self._scratch(k, 1)
+        cav, msg = cav.reshape(k), msg.reshape(k)
+        _rows(state.belief_lo, state.src[edges], out=cav)
+        if update_rule == "sum_product":
+            rev = state.rev[edges]
+            if self._all_paired:
+                cav -= _rows(state.msg_lo, rev, out=msg)
+            else:
+                paired = np.flatnonzero(rev >= 0)
+                if len(paired):
+                    cav[paired] -= state.msg_lo[rev[paired]]
+        elif update_rule != "broadcast":
+            raise ValueError(f"unknown update_rule {update_rule!r}")
+
+        new = logodds.message(
+            cav, state.lo_coefficients(edges), semiring, state.lo_floor, out=msg
+        )
+        old = _rows(state.msg_lo, edges, out=cav)
+        if damping > 0.0:
+            new = logodds.damp(new, old, damping)
+        if edge_deltas is not None:
+            logodds.deltas(new, old, out=edge_deltas, scratch=aux)
+        np.subtract(new, old, out=aux)
+        state.scatter_log_delta(state.dst[edges], aux)
+        state.msg_lo[edges] = new
 
     @staticmethod
     def _apply_potential(
@@ -327,10 +382,15 @@ class CompiledExecutor:
                 update_rule=update_rule, semiring=semiring, damping=damping,
             )
 
-        new = _combine(state, nodes)
+        if state.binary:
+            lo = state.combined_lo(nodes)
+            new = logodds.belief_rows(lo)
+        else:
+            new = _combine(state, nodes)
         old = _rows(state.beliefs, nodes)
         free = state.free_mask[nodes]
-        if not free.all():
+        all_free = bool(free.all())
+        if not all_free:
             new[~free] = old[~free]
         # old is dead after the delta (a gathered copy, or the rows about
         # to be overwritten), so it doubles as the diff scratch
@@ -338,6 +398,10 @@ class CompiledExecutor:
         np.abs(old, out=old)
         deltas = _row_sum(old)
         _set_rows(state.beliefs, nodes, new)
+        if state.binary:
+            if not all_free:
+                np.copyto(lo, state.belief_lo[nodes], where=~free)
+            state.belief_lo[nodes] = lo
 
         # accounting: identical to the reference kernel — the abstract
         # machine did the same math; only the dispatch fused
@@ -379,7 +443,12 @@ class CompiledExecutor:
             dirty = slots.unique(state.dst[chunk])
             dirty = dirty[state.free_mask[dirty]]
             if len(dirty):
-                _set_rows(state.beliefs, dirty, _combine(state, dirty))
+                if state.binary:
+                    lo = state.combined_lo(dirty)
+                    _set_rows(state.beliefs, dirty, logodds.belief_rows(lo))
+                    state.belief_lo[dirty] = lo
+                else:
+                    _set_rows(state.beliefs, dirty, _combine(state, dirty))
                 touched.append(dirty)
             stats.kernel_launches += 2  # message kernel + combine kernel
 

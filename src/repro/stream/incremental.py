@@ -139,7 +139,7 @@ class IncrementalEngine:
             dirty = res.dirty_nodes
             free_dirty = dirty[state.free_mask[dirty]] if len(dirty) else dirty
             if len(free_dirty):
-                state.beliefs[free_dirty] = state.combine_nodes(free_dirty)
+                state.recombine(free_dirty)
 
             seed = self._seed_elements(state, dirty)
             result = LoopyBP(self.config).run(
@@ -174,8 +174,8 @@ class IncrementalEngine:
         state.log_priors[dirty] = safe_log(pri, TINY32)
         observed_dirty = dirty[obs]
         if len(observed_dirty):
-            state.beliefs[observed_dirty] = 0.0
-            state.beliefs[observed_dirty, graph.observed_state[observed_dirty]] = 1.0
+            one_hot = np.eye(state.b, dtype=np.float32)[graph.observed_state[observed_dirty]]
+            state.set_beliefs(observed_dirty, one_hot)
 
     def _migrate_state(self, old: LoopyState, res: DeltaResult) -> LoopyState:
         """Rebuild the state for a new structure, keeping converged messages.
@@ -185,12 +185,8 @@ class IncrementalEngine:
         graph's belief store (``apply_delta`` preserved them).
         """
         state = LoopyState(res.graph)
-        edge_map = res.edge_map
-        if edge_map is not None and len(edge_map):
-            kept_old = np.flatnonzero(edge_map >= 0)
-            if len(kept_old):
-                state.messages[edge_map[kept_old]] = old.messages[kept_old]
-                state._rebuild_log_msg_sum()
+        if res.edge_map is not None:
+            state.adopt_messages(old, res.edge_map)
         return state
 
     def _seed_elements(self, state: LoopyState, dirty: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from repro.core import logodds
 from repro.core.edge_kernel import edge_sweep
 from repro.core.graph import BeliefGraph
 from repro.core.node_kernel import node_sweep
@@ -116,6 +117,22 @@ def interpreted_sweeps():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("repro.core.loopy.cached_executor", _interpreted_executor)
         yield
+
+
+def encode_messages(state, rows):
+    """``(k, b)`` probability rows in the layout ``store_messages`` takes:
+    themselves, or at b = 2 their log-odds."""
+    if state.binary:
+        return logodds.from_rows(rows)
+    return np.asarray(rows, dtype=np.float32)
+
+
+def message_state(state):
+    """The arrays a sweep writes, in the state's layout: per-node
+    message sums, messages (with their logs at b != 2), beliefs."""
+    if state.binary:
+        return (state.msg_sum_lo, state.msg_lo, state.belief_lo, state.beliefs)
+    return (state.log_msg_sum, state.messages, state.log_messages, state.beliefs)
 
 
 def assert_bitwise_run(got, ref):

@@ -106,6 +106,14 @@ class TestStartState:
         potential = random_potential(b, rng) if b > 1 else np.ones((1, 1))
         g = BeliefGraph.from_undirected(_priors(n, b), edges, potential)
         state = LoopyState(g)
+        if state.binary:
+            # log-odds start: every message and every sum is 0
+            start = state.msg_sum_lo.copy()
+            state._rebuild_log_msg_sum()
+            np.testing.assert_array_equal(start, state.msg_sum_lo)
+            assert state.msg_lo.shape == (g.n_edges,) and not state.msg_lo.any()
+            assert start.dtype == np.float32 and not start.any()
+            return
         log_messages = state.log_messages.copy()
         log_msg_sum = state.log_msg_sum.copy()
         state._rebuild_log_msg_sum()

@@ -117,7 +117,7 @@ class TestParadigmEquivalence:
         s_edge = _fresh_state(seed=8)
         node_sweep(s_node, np.arange(s_node.n))
         edge_sweep(s_edge, np.arange(s_edge.m), chunks=1)
-        np.testing.assert_allclose(s_node.messages, s_edge.messages, atol=1e-5)
+        np.testing.assert_allclose(s_node.message_rows(), s_edge.message_rows(), atol=1e-5)
         np.testing.assert_allclose(s_node.beliefs, s_edge.beliefs, atol=1e-5)
 
     def test_broadcast_rule_agreement(self):

@@ -5,7 +5,7 @@ through a slot map, by the size of its index set.  The two paths must be
 indistinguishable:
 
 * the compacted and dense ``store_messages`` scatters leave bit-identical
-  state (``log_msg_sum``, ``messages``, ``log_messages``) and return
+  state (the message sums and messages of either layout) and return
   identical deltas — duplicate destinations, the empty set, sets on both
   sides of the crossover, widths b ∈ {1, 2, 3, 8};
 * ``edge_sweep`` returns the same deltas, touched nodes and beliefs on
@@ -51,7 +51,7 @@ from repro.credo.runner import Credo
 from repro.graphs.grids import grid_graph
 from repro.kernels.compiled import make_executor
 from repro.stream import GraphDelta, IncrementalEngine
-from tests.conftest import InterpretedExecutor
+from tests.conftest import InterpretedExecutor, encode_messages, message_state
 
 SETTINGS = dict(
     max_examples=40,
@@ -99,7 +99,7 @@ def states_and_edges(draw):
     state = LoopyState(g)
     # warm, non-uniform messages so log deltas are not all zero
     msgs = rng.dirichlet(np.ones(b), size=state.m).astype(np.float32)
-    state.store_messages(np.arange(state.m), msgs)
+    state.store_messages(np.arange(state.m), encode_messages(state, msgs))
     # any subset in any order: duplicate destinations arise whenever two
     # chosen edges share a head; the empty set is included
     edges = draw(
@@ -109,12 +109,7 @@ def states_and_edges(draw):
 
 
 def _snapshot(state):
-    return (
-        state.log_msg_sum.copy(),
-        state.messages.copy(),
-        state.log_messages.copy(),
-        state.beliefs.copy(),
-    )
+    return tuple(arr.copy() for arr in message_state(state))
 
 
 def _run_on_copy(state, fn, mode):
@@ -130,7 +125,9 @@ class TestScatterPaths:
     def test_compacted_and_dense_scatter_identical(self, drawn):
         state, edges, seed = drawn
         rng = np.random.default_rng(seed + 1)
-        new = rng.dirichlet(np.ones(state.b), size=len(edges)).astype(np.float32)
+        new = encode_messages(
+            state, rng.dirichlet(np.ones(state.b), size=len(edges)).astype(np.float32)
+        )
 
         def store(s):
             return s.store_messages(edges, new)
@@ -396,9 +393,9 @@ def sweep_cases(draw):
     state = LoopyState(g)
     if state.m:
         msgs = rng.dirichlet(np.ones(b), size=state.m).astype(np.float32)
-        state.store_messages(np.arange(state.m), msgs)
+        state.store_messages(np.arange(state.m), encode_messages(state, msgs))
     free = np.flatnonzero(state.free_mask)
-    state.beliefs[free] = rng.dirichlet(np.ones(b), size=len(free))
+    state.set_beliefs(free, rng.dirichlet(np.ones(b), size=len(free)))
 
     paradigm = draw(st.sampled_from(["node", "edge"]))
     size = state.n if paradigm == "node" else state.m

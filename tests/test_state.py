@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core.graph import BeliefGraph
+from repro.core.numeric import safe_log
 from repro.core.observation import observe
 from repro.core.potentials import attractive_potential
 from repro.core.state import LoopyState, normalize_rows
-from tests.conftest import make_loopy_graph
+from tests.conftest import encode_messages, make_loopy_graph
 
 
 class TestNormalizeRows:
@@ -33,7 +34,9 @@ class TestLoopyState:
         with pytest.raises(ValueError, match="constant-width"):
             LoopyState(g)
 
-    def test_initial_messages_uniform(self, loopy_graph):
+    def test_initial_messages_uniform(self):
+        # the general path (b = 3); b = 2 starts at log-odds 0 (below)
+        loopy_graph = make_loopy_graph(n_states=3)
         state = LoopyState(loopy_graph)
         np.testing.assert_allclose(state.messages, 1.0 / state.b)
         expected = np.log(1.0 / state.b) * np.diff(loopy_graph.in_offsets).reshape(-1, 1)
@@ -42,6 +45,15 @@ class TestLoopyState:
             np.broadcast_to(expected, state.log_msg_sum.shape),
             atol=1e-4,
         )
+
+    def test_initial_binary_messages_zero(self, loopy_graph):
+        # b = 2: a uniform message has log-odds 0, and so do their sums;
+        # no (m, 2) message arrays exist
+        state = LoopyState(loopy_graph)
+        np.testing.assert_allclose(state.message_rows(), 1.0 / state.b)
+        assert state.msg_lo.shape == (state.m,) and not state.msg_lo.any()
+        assert state.msg_sum_lo.shape == (state.n,) and not state.msg_sum_lo.any()
+        assert not hasattr(state, "messages") and not hasattr(state, "log_messages")
 
     def test_observed_priors_clamped_in_log_space(self):
         g = make_loopy_graph(seed=2)
@@ -55,17 +67,18 @@ class TestLoopyState:
         state = LoopyState(loopy_graph)
         edge_ids = np.arange(min(4, state.m))
         new = np.tile(np.array([0.9, 0.1], dtype=np.float32), (len(edge_ids), 1))
-        state.store_messages(edge_ids, new)
-        rebuilt = state.log_msg_sum.copy()
+        state.store_messages(edge_ids, encode_messages(state, new))
+        rebuilt = state.msg_sum_lo.copy()
         state._rebuild_log_msg_sum()
-        np.testing.assert_allclose(rebuilt, state.log_msg_sum, atol=1e-3)
+        np.testing.assert_allclose(rebuilt, state.msg_sum_lo, atol=1e-3)
 
     def test_store_messages_returns_l1_delta(self, loopy_graph):
         state = LoopyState(loopy_graph)
         edge_ids = np.array([0])
         new = np.array([[0.9, 0.1]], dtype=np.float32)
-        deltas = state.store_messages(edge_ids, new)
+        deltas = state.store_messages(edge_ids, encode_messages(state, new))
         assert deltas[0] == pytest.approx(0.8, abs=1e-5)
+        np.testing.assert_allclose(state.message_rows(edge_ids), new, atol=1e-6)
 
     def test_combine_full_normalized(self, loopy_graph):
         state = LoopyState(loopy_graph)
@@ -97,16 +110,22 @@ class TestLoopyState:
         state = LoopyState(g)
         # push non-uniform messages so the cavity division matters
         new = np.tile(np.array([0.8, 0.2], dtype=np.float32), (state.m, 1))
-        state.store_messages(np.arange(state.m), new)
-        state.beliefs = state.combine_full()
+        state.store_messages(np.arange(state.m), encode_messages(state, new))
+        state.set_beliefs(slice(None), state.combine_full())
         broadcast = state.propagate_messages()
         cavity = state.cavity_messages()
         assert not np.allclose(broadcast, cavity, atol=1e-4)
 
     def test_max_semiring_messages(self, loopy_graph):
+        # b = 2: the closed form gives the log-odds of max_x b(x)·J[x, ·]
         state = LoopyState(loopy_graph)
         msgs = state.propagate_messages(semiring="max")
-        np.testing.assert_allclose(msgs.sum(axis=1), 1.0, atol=1e-5)
+        raw = (state.beliefs[state.src][:, :, None] * state.potentials).max(axis=1)
+        expected = safe_log(raw[:, 1]) - safe_log(raw[:, 0])
+        np.testing.assert_allclose(msgs, expected, atol=1e-5)
+        wide = LoopyState(make_loopy_graph(n_states=3))
+        rows = wide.propagate_messages(semiring="max")
+        np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-5)
 
     def test_unknown_semiring_raises(self, loopy_graph):
         state = LoopyState(loopy_graph)
