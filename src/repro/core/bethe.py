@@ -54,7 +54,9 @@ def pairwise_pseudo_marginals(state: LoopyState) -> dict[int, np.ndarray]:
 
 
 def bethe_free_energy(graph: BeliefGraph, state: LoopyState | None = None) -> float:
-    """Bethe free energy of the current beliefs (lower is better fit)."""
+    """Bethe free energy of ``state``'s beliefs (lower is better fit); a
+    fresh state from ``graph`` when omitted, which starts from the priors
+    with the evidence clamped."""
     state = state or LoopyState(graph)
     node_beliefs = np.maximum(np.asarray(state.beliefs, dtype=np.float64), EPS)
     log_priors = np.asarray(state.log_priors, dtype=np.float64)

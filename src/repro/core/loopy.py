@@ -11,7 +11,12 @@ max-residual priority, or relaxed priority sampling.
 There is exactly **one** driver loop; the two processing paradigms (§3.3)
 differ only in the element space the schedule ranges over (nodes vs
 directed edges) and the sweep kernel, both captured by a small paradigm
-plan.
+plan.  The loop drives ``K`` independent runs over one state whose
+nodes and edges form ``K`` equal disjoint blocks
+(:meth:`LoopyBP.run_replicas`): each replica keeps its own schedule,
+history and stopping point, and every sweep covers all live replicas in
+one kernel call.  A solo run is ``K = 1``; serve's micro-batch
+(:mod:`repro.serve.batch`) is ``K`` queries.
 
 Two update rules are available:
 
@@ -34,7 +39,7 @@ import numpy as np
 from repro.core import indexset
 from repro.core.convergence import ConvergenceCriterion
 from repro.core.graph import BeliefGraph
-from repro.core.scheduler import SCHEDULES, make_schedule, normalize_schedule
+from repro.core.scheduler import make_schedule, normalize_schedule
 from repro.core.state import LoopyState
 from repro.core.sweepstats import RunStats, SweepStats
 from repro.kernels.compiled import cached_executor
@@ -180,24 +185,66 @@ def _downstream(
     return np.flatnonzero(marked), None
 
 
+def _union(live: list[int], parts: list[np.ndarray], size: int) -> np.ndarray:
+    """The live replicas' element sets in union ids: replica ``q``'s
+    local ids shifted by ``q · size``, concatenated in replica order.  A
+    lone replica 0 (every solo run) is passed through uncopied."""
+    if len(live) == 1:
+        q = live[0]
+        return parts[0] + q * size if q else parts[0]
+    return np.concatenate([part + q * size for q, part in zip(live, parts)])
+
+
+def _by_block(
+    ids: np.ndarray, aligned: np.ndarray | None, live: list[int], size: int
+) -> list[tuple[np.ndarray, np.ndarray | None]]:
+    """Split union ``ids`` (and the ``aligned`` array beside them) into
+    one ``(local ids, aligned part)`` pair per live replica.
+
+    ``ids`` must list replica blocks in order: ascending (a mask route,
+    a sorted set) or gathered from replica-ordered nodes (the ragged
+    route).  That is all ``searchsorted`` needs, because whether an
+    entry lies below ``q · size`` is then true for a prefix of ``ids``
+    and false after it.
+    """
+    if len(live) == 1:
+        q = live[0]
+        return [(ids - q * size if q else ids, aligned)]
+    cuts = np.searchsorted(ids, np.asarray(live[1:], dtype=np.int64) * size).tolist()
+    bounds = [0, *cuts, len(ids)]
+    return [
+        (ids[lo:hi] - q * size, None if aligned is None else aligned[lo:hi])
+        for q, lo, hi in zip(live, bounds, bounds[1:])
+    ]
+
+
+def _by_length(values: np.ndarray, parts: list[np.ndarray]) -> list[np.ndarray]:
+    """Consecutive runs of ``values``, as long as each of ``parts``."""
+    if len(parts) == 1:
+        return [values]
+    return np.split(values, np.cumsum([len(part) for part in parts[:-1]]))
+
+
 @dataclass
 class _Step:
-    """One sweep's outcome, as the driver and schedule see it."""
+    """One replica's share of a sweep, as its schedule and the driver
+    see it (in replica-local element ids)."""
 
     deltas: np.ndarray
     global_delta: float
     downstream: np.ndarray | None
     downstream_priority: np.ndarray | None
-    stats: SweepStats
 
 
 class _NodePlan:
     """Per-node paradigm: elements are nodes, deltas are belief deltas."""
 
-    def __init__(self, state: LoopyState, cfg: LoopyConfig, executor_cache=None):
+    def __init__(
+        self, state: LoopyState, cfg: LoopyConfig, executor_cache=None, replicas: int = 1
+    ):
         self.state = state
         self.cfg = cfg
-        self.n_elements = state.n
+        self.n_elements = state.n // replicas
         self.executor = cached_executor(executor_cache, state, paradigm="node")
         # Per-element convergence threshold (§3.5): an element whose own
         # delta is below the global threshold drops out of the schedule.
@@ -209,12 +256,18 @@ class _NodePlan:
         )
 
     def sweep(
-        self, active: np.ndarray, want_downstream: bool, want_priority: bool
-    ) -> _Step:
-        """Sweep ``active``; with ``want_downstream``, also return the
-        nodes downstream of the ones still changing, and with
-        ``want_priority`` their priorities (see :class:`Schedule`)."""
-        state, cfg = self.state, self.cfg
+        self,
+        live: list[int],
+        actives: list[np.ndarray],
+        want_downstream: bool,
+        want_priority: bool,
+    ) -> tuple[list[_Step], SweepStats]:
+        """Sweep each live replica's ``actives`` in one kernel call; with
+        ``want_downstream``, also find the nodes downstream of the ones
+        still changing, and with ``want_priority`` their priorities (see
+        :class:`Schedule`).  One :class:`_Step` per live replica."""
+        state, cfg, n = self.state, self.cfg, self.n_elements
+        active = _union(live, actives, n)
         deltas, stats = self.executor.node_sweep(
             state,
             active,
@@ -222,25 +275,33 @@ class _NodePlan:
             semiring=cfg.semiring,
             damping=cfg.damping,
         )
-        downstream = downstream_priority = None
+        downstream = [(None, None)] * len(live)
         if want_downstream and len(active):
             dirty_mask = deltas >= self.element_threshold
             dirty = active[dirty_mask]
             if len(dirty):
-                downstream, downstream_priority = _downstream(
+                found, priority = _downstream(
                     state, dirty, deltas[dirty_mask], to_nodes=True, with_priority=want_priority
                 )
-        return _Step(deltas, float(deltas.sum()), downstream, downstream_priority, stats)
+                downstream = _by_block(found, priority, live, n)
+        steps = [
+            _Step(part, float(part.sum()), *down)
+            for part, down in zip(_by_length(deltas, actives), downstream)
+        ]
+        return steps, stats
 
 
 class _EdgePlan:
     """Per-edge paradigm: elements are directed edges, deltas are message
     deltas; the global criterion still reduces over node beliefs."""
 
-    def __init__(self, state: LoopyState, cfg: LoopyConfig, executor_cache=None):
+    def __init__(
+        self, state: LoopyState, cfg: LoopyConfig, executor_cache=None, replicas: int = 1
+    ):
         self.state = state
         self.cfg = cfg
-        self.n_elements = state.m
+        self.n_nodes = state.n // replicas
+        self.n_elements = state.m // replicas
         self.executor = cached_executor(
             executor_cache, state, paradigm="edge", chunks=cfg.edge_chunks
         )
@@ -249,19 +310,27 @@ class _EdgePlan:
         # per-node perturbation of fully-pruned edges then stays within
         # the criterion.  (Belief deltas use the plain threshold; message
         # deltas accumulate degree-fold into a belief.)
-        mean_in_degree = max(state.m / max(state.n, 1), 1.0)
+        mean_in_degree = max(self.n_elements / max(self.n_nodes, 1), 1.0)
         self.node_threshold = cfg.criterion.effective_threshold()
         self.element_threshold = max(
             self.node_threshold / mean_in_degree, _element_threshold_floor(state.b)
         )
 
     def sweep(
-        self, active: np.ndarray, want_downstream: bool, want_priority: bool
-    ) -> _Step:
-        """As :meth:`_NodePlan.sweep`, over directed edges."""
+        self,
+        live: list[int],
+        actives: list[np.ndarray],
+        want_downstream: bool,
+        want_priority: bool,
+    ) -> tuple[list[_Step], SweepStats]:
+        """As :meth:`_NodePlan.sweep`, over directed edges.  Each replica
+        keeps its solo chunk bounds (``segments``), so the freshness
+        later chunks see within the sweep is its solo run's."""
         state, cfg = self.state, self.cfg
+        active = _union(live, actives, self.n_elements)
         # Snapshot the beliefs this sweep can change, for the global
-        # convergence reduction (Alg. 1 line 12).
+        # convergence reduction (Alg. 1 line 12).  They come sorted, so
+        # grouped by replica.
         candidates = state.node_slots.unique(state.dst[active])
         before = state.beliefs[candidates].copy()
         edge_deltas, _touched, stats = self.executor.edge_sweep(
@@ -271,24 +340,27 @@ class _EdgePlan:
             semiring=cfg.semiring,
             damping=cfg.damping,
             chunks=cfg.edge_chunks,
+            segments=[len(a) for a in actives],
         )
         node_deltas = np.abs(state.beliefs[candidates] - before).sum(axis=1)
-        downstream = downstream_priority = None
+        downstream = [(None, None)] * len(live)
         if want_downstream and len(candidates):
             changed_mask = node_deltas >= self.node_threshold
             changed = candidates[changed_mask]
             if len(changed):
-                downstream, downstream_priority = _downstream(
+                found, priority = _downstream(
                     state, changed, node_deltas[changed_mask],
                     to_nodes=False, with_priority=want_priority,
                 )
-        return _Step(
-            edge_deltas,
-            float(node_deltas.sum()),
-            downstream,
-            downstream_priority,
-            stats,
-        )
+                downstream = _by_block(found, priority, live, self.n_elements)
+        changes = _by_block(candidates, node_deltas, live, self.n_nodes)
+        steps = [
+            _Step(part, float(change.sum()), *down)
+            for part, (_, change), down in zip(
+                _by_length(edge_deltas, actives), changes, downstream
+            )
+        ]
+        return steps, stats
 
 
 class LoopyBP:
@@ -320,96 +392,124 @@ class LoopyBP:
         both are the incremental re-convergence hooks (DESIGN.md §15).
         """
         state = state or LoopyState(graph)
-        result = self._run(state, active_seed=active_seed, executor_cache=executor_cache)
+        [result] = self.run_replicas(
+            state, 1, active_seed=active_seed, executor_cache=executor_cache
+        )
         state.export_beliefs()
         return result
 
     # ------------------------------------------------------------------
-    def _run(
+    def run_replicas(
         self,
         state: LoopyState,
+        replicas: int,
         *,
         active_seed: np.ndarray | None = None,
         executor_cache: dict | None = None,
-    ) -> LoopyResult:
-        """The single driver loop, parameterized by (paradigm, schedule)."""
+    ) -> list[LoopyResult]:
+        """The single driver loop: ``replicas`` independent runs over one
+        state whose nodes and edges form that many equal disjoint blocks
+        (replica ``q`` owns nodes ``[q·n, (q+1)·n)`` and edges
+        ``[q·m, (q+1)·m)``).
+
+        Each replica keeps the schedule, history and stopping test a solo
+        run on its block would; every sweep covers all live replicas in
+        one kernel call.  A replica's beliefs are snapshotted when *its*
+        run stops.  Results are per replica; their ``run_stats`` is the
+        one shared record of every sweep.  The state's beliefs are not
+        exported.
+        """
         cfg = self.config
         crit = cfg.criterion
-        plan = (
-            _NodePlan(state, cfg, executor_cache)
-            if cfg.paradigm == "node"
-            else _EdgePlan(state, cfg, executor_cache)
+        plan = (_NodePlan if cfg.paradigm == "node" else _EdgePlan)(
+            state, cfg, executor_cache, replicas
         )
-        schedule = make_schedule(
-            cfg.schedule,
-            plan.n_elements,
-            plan.element_threshold,
-            batch_fraction=cfg.batch_fraction,
-            relaxation=cfg.relaxation,
-            seed=cfg.schedule_seed,
-        )
+        schedules = [
+            make_schedule(
+                cfg.schedule,
+                plan.n_elements,
+                plan.element_threshold,
+                batch_fraction=cfg.batch_fraction,
+                relaxation=cfg.relaxation,
+                seed=cfg.schedule_seed,
+            )
+            for _ in range(replicas)
+        ]
         if active_seed is not None:
-            schedule.restrict(np.asarray(active_seed, dtype=np.int64))
-        want_downstream = cfg.requeue_downstream and schedule.wants_downstream
-        want_priority = schedule.wants_priority
+            seed = np.asarray(active_seed, dtype=np.int64)
+            for schedule in schedules:
+                schedule.restrict(seed)
+        want_downstream = cfg.requeue_downstream and schedules[0].wants_downstream
+        want_priority = schedules[0].wants_priority
+        n = state.n // replicas
 
         tracer = get_tracer()
         run_stats = RunStats()
-        history: list[float] = []
-        converged = False
+        histories: list[list[float]] = [[] for _ in range(replicas)]
+        results: list[LoopyResult | None] = [None] * replicas
+        live = list(range(replicas))
         iteration = 0
         with tracer.span("bp.run", cat="bp") as run_span:
-            while iteration < crit.max_iterations:
+            while live and iteration < crit.max_iterations:
                 iteration += 1
-                active = schedule.active
+                actives = [schedules[q].active for q in live]
                 with tracer.span("bp.sweep", cat="bp") as sweep_span:
-                    step = plan.sweep(active, want_downstream, want_priority)
-                    history.append(step.global_delta)
+                    steps, stats = plan.sweep(live, actives, want_downstream, want_priority)
                     with tracer.span("schedule.update", cat="schedule") as sched_span:
-                        schedule.update(
-                            active, step.deltas, step.downstream,
-                            step.downstream_priority,
-                        )
-                        schedule.charge(step.stats)
+                        for q, active, step in zip(live, actives, steps):
+                            schedules[q].update(
+                                active, step.deltas, step.downstream,
+                                step.downstream_priority,
+                            )
+                            schedules[q].charge(stats)
                         if sched_span:
                             sched_span.set(
                                 schedule=cfg.schedule,
-                                queue_ops=step.stats.queue_ops,
-                                atomic_ops=step.stats.atomic_ops,
+                                queue_ops=stats.queue_ops,
+                                atomic_ops=stats.atomic_ops,
                             )
-                    run_stats.append(step.stats)
+                    run_stats.append(stats)
                     if sweep_span:
                         sweep_span.set(
                             iteration=iteration,
-                            active=int(len(active)),
-                            global_delta=step.global_delta,
-                            **step.stats.as_dict(),
+                            replicas=replicas,
+                            live=len(live),
+                            active=sum(len(a) for a in actives),
+                            global_delta=sum(step.global_delta for step in steps),
+                            **stats.as_dict(),
                         )
-                # A drained schedule means every element individually passed
-                # its per-element convergence check (§3.5); exhaustive
-                # schedules may also stop on the global sum criterion (their
-                # sweep covers every unconverged element, so the partial sum
-                # *is* the global delta).
-                if (
-                    schedule.exhaustive and crit.is_converged(step.global_delta)
-                ) or schedule.drained:
-                    converged = True
-                    break
+                still_live = []
+                for q, step in zip(live, steps):
+                    histories[q].append(step.global_delta)
+                    schedule = schedules[q]
+                    # A drained schedule means every element individually
+                    # passed its per-element convergence check (§3.5);
+                    # exhaustive schedules may also stop on the global sum
+                    # criterion (their sweep covers every unconverged
+                    # element, so the partial sum *is* the global delta).
+                    converged = (
+                        schedule.exhaustive and crit.is_converged(step.global_delta)
+                    ) or schedule.drained
+                    if converged or iteration == crit.max_iterations:
+                        results[q] = LoopyResult(
+                            beliefs=state.beliefs[q * n : (q + 1) * n].copy(),
+                            iterations=iteration,
+                            converged=converged,
+                            delta_history=histories[q],
+                            run_stats=run_stats,
+                            config=cfg,
+                        )
+                    else:
+                        still_live.append(q)
+                live = still_live
             if run_span:
                 run_span.set(
                     paradigm=cfg.paradigm,
                     schedule=cfg.schedule,
                     kernel_build_s=plan.executor.build_seconds,
-                    n_elements=plan.n_elements,
+                    n_elements=plan.n_elements * replicas,
+                    replicas=replicas,
                     iterations=iteration,
-                    converged=converged,
+                    converged=all(r.converged for r in results),
                 )
-
-        return LoopyResult(
-            beliefs=state.beliefs.copy(),
-            iterations=iteration,
-            converged=converged,
-            delta_history=history,
-            run_stats=run_stats,
-            config=cfg,
-        )
+        return results

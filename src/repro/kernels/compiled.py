@@ -17,7 +17,9 @@ isolated nodes left out), and an index array otherwise:
   edge ids — ``flatnonzero(mask[dst])`` for a large active set, the
   CSR gather for a small one (:func:`repro.core.indexset.is_sparse`);
 * a partial edge sweep takes each chunk of the active edges as given,
-  exactly the chunks :func:`repro.core.edge_kernel.edge_sweep` walks.
+  exactly the chunks :func:`repro.core.edge_kernel.edge_sweep` walks;
+  a batched run's sweep interleaves each replica's own chunks
+  (:func:`_chunk_positions`).
 
 At b = 2 the program runs on message log-odds instead
 (:mod:`repro.core.logodds`, DESIGN.md §13.10): 1-D passes gather
@@ -41,7 +43,9 @@ its reference.  The reference node sweep processes edges in
 destination-CSR order (``gather_in_edges``).  The only order-sensitive
 operation in the whole sweep is the per-destination float accumulation
 inside ``np.bincount`` (messages, potentials, normalization and the
-combine are all row-independent).  ``in_edge_ids`` is produced by a *stable* argsort of
+combine are all row-independent; the potential product goes through
+:func:`~repro.core.state.matmul_rows`, so a row rounds the same however
+many rows share its call).  ``in_edge_ids`` is produced by a *stable* argsort of
 ``dst``, so within each destination the CSR walk feeds edge ids in
 ascending order — and so do a natural-order slice, ``flatnonzero`` of a
 mask and the CSR gather itself.  Identical per-bin addition order ⇒
@@ -59,7 +63,7 @@ import numpy as np
 
 from repro.core import indexset, logodds
 from repro.core.edge_kernel import chunk_slices
-from repro.core.state import TINY, LoopyState
+from repro.core.state import TINY, LoopyState, matmul_rows
 from repro.core.sweepstats import SweepStats
 from repro.telemetry import get_metrics
 
@@ -203,6 +207,35 @@ def _covers(active: np.ndarray, total: int) -> bool:
     )
 
 
+def _chunk_positions(segments, chunks: int) -> list:
+    """Positions into an active set, one entry per chunk of its sweep.
+
+    ``segments`` are the lengths of consecutive runs of the set, one per
+    replica of a batched run (:meth:`repro.core.loopy.LoopyBP.run_replicas`).
+    Each run keeps the bounds :func:`chunk_slices` gives it alone, and
+    chunk ``j`` sweeps the ``j``-th chunks of every run together: a
+    slice when only one run has a ``j``-th chunk, an index array
+    otherwise.  Replicas are disjoint, so each sees the freshness of its
+    solo sweep chunk for chunk.
+    """
+    if len(segments) == 1:
+        return [slice(lo, hi) for lo, hi in chunk_slices(segments[0], chunks)]
+    starts = np.cumsum([0, *segments[:-1]]).tolist()
+    bounds = [chunk_slices(length, chunks) for length in segments]
+    positions = []
+    for j in range(max(map(len, bounds))):
+        runs = [
+            (start + b[j][0], start + b[j][1])
+            for start, b in zip(starts, bounds)
+            if j < len(b)
+        ]
+        if len(runs) == 1:
+            positions.append(slice(*runs[0]))
+        else:
+            positions.append(np.concatenate([np.arange(lo, hi) for lo, hi in runs]))
+    return positions
+
+
 class CompiledExecutor:
     """Fused gather–scatter executor over any active set.
 
@@ -341,7 +374,7 @@ class CompiledExecutor:
         """``out_e[c] = ⊕_b source_e[b] · J_e[b, c]`` over the range."""
         if semiring == "sum":
             if state.shared_potential:
-                return np.matmul(source, state.potentials, out=out)
+                return matmul_rows(source, state.potentials, out=out)
             return np.einsum("eb,ebc->ec", source, _rows(state.potentials, edges), out=out)
         if semiring != "max":
             raise ValueError(f"unknown semiring {semiring!r}")
@@ -418,7 +451,10 @@ class CompiledExecutor:
 
     # ------------------------------------------------------------------
     def edge_sweep(self, state, active_edges, *, update_rule="sum_product",
-                   semiring="sum", damping=0.0, chunks=8):
+                   semiring="sum", damping=0.0, chunks=8, segments=None):
+        """The edge sweep in chunks: :func:`_chunk_positions` of
+        ``segments``, the lengths of consecutive runs of ``active_edges``
+        (default: one run, the whole set)."""
         stats = SweepStats()
         n_active = len(active_edges)
         if n_active == 0:
@@ -433,13 +469,17 @@ class CompiledExecutor:
         slots = state.node_slots
         touched: list[np.ndarray] = []
 
-        for lo, hi in chunk_slices(n_active, chunks):
-            chunk = slice(lo, hi) if full else active_edges[lo:hi]
+        for pos in _chunk_positions(segments or [n_active], chunks):
+            contiguous = isinstance(pos, slice)
+            chunk = pos if full and contiguous else active_edges[pos]
+            deltas = edge_deltas[pos] if contiguous else np.empty(len(pos), dtype=np.float32)
             self._sweep_range(
                 state, chunk,
                 update_rule=update_rule, semiring=semiring, damping=damping,
-                edge_deltas=edge_deltas[lo:hi],
+                edge_deltas=deltas,
             )
+            if not contiguous:
+                edge_deltas[pos] = deltas
             dirty = slots.unique(state.dst[chunk])
             dirty = dirty[state.free_mask[dirty]]
             if len(dirty):

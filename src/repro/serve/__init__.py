@@ -8,7 +8,7 @@ exposes latency/queue/cache metrics.  See DESIGN.md §8.
 """
 
 from repro.serve.admission import AdmissionQueue, AdmissionRejected, DeadlineExpired
-from repro.serve.batch import BatchQueryRun, replicate_graph, run_batched
+from repro.serve.batch import replicate_graph, run_batched
 from repro.serve.cache import ResultCache, cache_key, freeze_evidence
 from repro.serve.config import ServerConfig
 from repro.serve.engine import QueryEngine, QueryOutcome
@@ -20,7 +20,6 @@ from repro.serve.server import InferenceServer
 __all__ = [
     "AdmissionQueue",
     "AdmissionRejected",
-    "BatchQueryRun",
     "DeadlineExpired",
     "InferenceServer",
     "LatencyHistogram",

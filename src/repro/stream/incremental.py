@@ -63,22 +63,9 @@ class IncrementalEngine:
     vs. full via :meth:`CredoSelector.select_update_mode`.
     """
 
-    def __init__(
-        self,
-        graph,
-        config: LoopyConfig | None = None,
-        *,
-        dirty_max_fraction: float | None = None,
-    ):
-        from repro.credo.selector import INCREMENTAL_DIRTY_MAX_FRACTION
-
+    def __init__(self, graph, config: LoopyConfig | None = None):
         self.graph = graph
         self.config = config if config is not None else LoopyConfig()
-        self.dirty_max_fraction = (
-            INCREMENTAL_DIRTY_MAX_FRACTION
-            if dirty_max_fraction is None
-            else float(dirty_max_fraction)
-        )
         self._state: LoopyState | None = None
         #: compiled executors keyed by (paradigm, chunks); valid only
         #: while self._state's structure is unchanged
@@ -181,10 +168,11 @@ class IncrementalEngine:
         """Rebuild the state for a new structure, keeping converged messages.
 
         Surviving edges carry their messages over via the delta's edge
-        map; new edges start uniform.  Beliefs arrive warm through the
+        map; new edges start uniform.  Beliefs are loaded warm from the
         graph's belief store (``apply_delta`` preserved them).
         """
         state = LoopyState(res.graph)
+        state.set_beliefs(slice(None), res.graph.beliefs.dense())
         if res.edge_map is not None:
             state.adopt_messages(old, res.edge_map)
         return state

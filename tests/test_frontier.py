@@ -193,7 +193,7 @@ class TestPriorities:
         before = LoopyState(g.copy())
         deltas, _ = node_sweep(before, active)
         with frontier_route("mask"):
-            step = plan.sweep(active, True, want_priority=True)
+            [step], _ = plan.sweep([0], [active], True, want_priority=True)
         np.testing.assert_array_equal(step.deltas, deltas)
         dirty_mask = deltas >= plan.element_threshold
         dirty = active[dirty_mask]
@@ -214,7 +214,9 @@ class TestPriorities:
     def test_work_queue_gets_no_priorities(self):
         g = loopy_graph_with_isolated_nodes()
         plan = _NodePlan(LoopyState(g), LoopyConfig(schedule="work_queue"))
-        step = plan.sweep(np.arange(g.n_nodes, dtype=np.int64), True, want_priority=False)
+        [step], _ = plan.sweep(
+            [0], [np.arange(g.n_nodes, dtype=np.int64)], True, want_priority=False
+        )
         assert step.downstream is not None and step.downstream_priority is None
 
 

@@ -116,11 +116,8 @@ def _with_evidence(graph, evidence):
 
 
 def _cold_run(config, graph):
-    """A full run from the priors (the graph's belief store holds the
-    incremental engine's warm posteriors)."""
-    cold = graph.copy()
-    cold.reset_beliefs()
-    return LoopyBP(config).run(cold)
+    """A full run of ``config`` on a copy of ``graph``."""
+    return LoopyBP(config).run(graph.copy())
 
 
 def _err(beliefs, exact):
@@ -140,6 +137,24 @@ class TestTreesMatchJunction:
             result = LoopyBP(config).run(graph.copy())
             assert result.converged, (paradigm, schedule)
             assert _err(result.beliefs, exact) <= TREE_TOL, (paradigm, schedule)
+
+
+    @given(binary_trees())
+    @settings(**SETTINGS)
+    def test_rerun_on_a_converged_store(self, drawn):
+        # a full run starts from the priors whatever the belief store
+        # holds, so running again on a first run's posteriors must land
+        # on the same exact marginals
+        graph, evidence = drawn
+        graph = _with_evidence(graph, evidence)
+        exact = junction_tree_marginals(graph)
+        for paradigm, schedule in PLANS:
+            bp = LoopyBP(_config(paradigm, schedule, CRIT))
+            first = graph.copy()
+            bp.run(first)
+            again = bp.run(first.copy())
+            assert again.converged, (paradigm, schedule)
+            assert _err(again.beliefs, exact) <= TREE_TOL, (paradigm, schedule)
 
 
 class TestLoopyWithinBound:

@@ -1,10 +1,10 @@
 """The serving layer: batching parity, isolation, admission, caching, metrics.
 
 The load-bearing guarantee tested here is *trajectory parity*: a query
-served through the batched union-graph path must produce posteriors
-identical (to float32 tolerance) to a solo ``Credo.run`` on a copied,
-observed graph — including under concurrent clients with conflicting
-evidence.
+served through the batched union-graph path must produce bit for bit the
+posteriors, iteration count and delta history of a solo ``Credo.run`` on
+a copied, observed graph — including under concurrent clients with
+conflicting evidence.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ REPO = Path(__file__).parent.parent
 FAMILY_BIF = REPO / "examples" / "family_out.bif"
 
 
-def small_graph(seed=3):
-    return synthetic_graph(60, 180, n_states=3, seed=seed)
+def small_graph(seed=3, n_states=3):
+    return synthetic_graph(60, 180, n_states=n_states, seed=seed)
 
 
 @pytest.fixture
@@ -63,11 +63,6 @@ def solo_run(graph, config, evidence):
     return LoopyBP(config).run(view)
 
 
-def solo_posteriors(graph, config, evidence):
-    result = solo_run(graph, config, evidence)
-    return np.asarray(result.beliefs, dtype=np.float32), result.iterations
-
-
 class TestBatchedRunnerParity:
     """run_batched == N independent solo runs, trajectory for trajectory."""
 
@@ -76,30 +71,34 @@ class TestBatchedRunnerParity:
         "schedule", ["sync", "work_queue", "residual", "relaxed"]
     )
     def test_matches_solo_runs(self, paradigm, schedule):
-        graph = small_graph()
         config = LoopyConfig(
             paradigm=paradigm,
             criterion=ConvergenceCriterion(threshold=1e-3, max_iterations=100),
             schedule=schedule,
         )
-        evidences = [
-            [],
-            [(0, 1)],
-            [(5, 2), (17, 0)],
-            [(5, 0)],  # conflicts with the previous query's clamp on node 5
-        ]
-        runs, _ = run_batched(graph, config, evidences)
-        for evidence, run in zip(evidences, runs):
-            ref, ref_iters = solo_posteriors(graph, config, evidence)
-            assert run.iterations == ref_iters, (paradigm, schedule, evidence)
-            np.testing.assert_allclose(run.beliefs, ref, atol=1e-6)
+        for n_states in (2, 3, 4):
+            graph = small_graph(n_states=n_states)
+            evidences = [
+                [],
+                [(0, 1)],
+                [(5, n_states - 1), (17, 0)],
+                [(5, 0)],  # conflicts with the previous query's clamp on node 5
+            ]
+            runs, _ = run_batched(graph, config, evidences)
+            for evidence, run in zip(evidences, runs):
+                ref = solo_run(graph, config, evidence)
+                case = (n_states, evidence)
+                assert run.iterations == ref.iterations, case
+                assert run.converged == ref.converged, case
+                assert run.delta_history == ref.delta_history, case
+                np.testing.assert_array_equal(run.beliefs, ref.beliefs, err_msg=str(case))
 
     def test_replicas_across_the_chunk_floor_stay_exact(self, monkeypatch):
         # one replica clamps all but a 4x4 corner, so its work queue
         # shrinks below MIN_CHUNK_EDGES (one chunk) while the free replica
         # still sweeps all 2,208 edges (eight chunks) in the same union
         # sweep: each must keep its solo chunk boundaries bit for bit
-        import repro.serve.batch as batch
+        from repro.kernels.compiled import CompiledExecutor
 
         graph = grid_graph(24, 24, n_states=2, seed=2, coupling=0.6)
         assert graph.n_edges >= 8 * MIN_CHUNK_EDGES
@@ -112,13 +111,13 @@ class TestBatchedRunnerParity:
             criterion=ConvergenceCriterion(threshold=1e-6, max_iterations=200),
         )
         sizes = []
-        union_sweep = batch._edge_union_sweep
+        edge_sweep = CompiledExecutor.edge_sweep
 
-        def spy(state, executor, config, live, actives, *args):
-            sizes.append([len(actives[q]) for q in live])
-            return union_sweep(state, executor, config, live, actives, *args)
+        def spy(self, state, active_edges, **kwargs):
+            sizes.append(list(kwargs["segments"]))
+            return edge_sweep(self, state, active_edges, **kwargs)
 
-        monkeypatch.setattr(batch, "_edge_union_sweep", spy)
+        monkeypatch.setattr(CompiledExecutor, "edge_sweep", spy)
         evidences = [[], clamped]
         runs, _ = run_batched(graph, config, evidences)
         assert any(
@@ -127,6 +126,27 @@ class TestBatchedRunnerParity:
         for evidence, run in zip(evidences, runs):
             ref = solo_run(graph, config, evidence)
             assert run.iterations == ref.iterations
+            assert run.delta_history == ref.delta_history
+            np.testing.assert_array_equal(run.beliefs, ref.beliefs)
+
+    @pytest.mark.parametrize("paradigm", ["node", "edge"])
+    def test_replicas_stop_on_their_own_terms(self, paradigm):
+        # every node of the first query is clamped, so its queue drains
+        # within two sweeps; the free query runs into the iteration cap
+        graph = small_graph()
+        config = LoopyConfig(
+            paradigm=paradigm,
+            schedule="work_queue",
+            criterion=ConvergenceCriterion(threshold=1e-9, max_iterations=6),
+        )
+        evidences = [[(v, v % 3) for v in range(graph.n_nodes)], []]
+        runs, _ = run_batched(graph, config, evidences)
+        assert runs[0].converged and not runs[1].converged
+        assert runs[0].iterations < runs[1].iterations == 6
+        for evidence, run in zip(evidences, runs):
+            ref = solo_run(graph, config, evidence)
+            assert run.iterations == ref.iterations
+            assert run.converged == ref.converged
             assert run.delta_history == ref.delta_history
             np.testing.assert_array_equal(run.beliefs, ref.beliefs)
 
@@ -188,7 +208,7 @@ class TestEvidenceIsolation:
             ref = np.asarray(
                 server.credo.run(view, plan=plan).beliefs, dtype=np.float32
             )
-            np.testing.assert_allclose(results[i], ref, atol=1e-6)
+            np.testing.assert_array_equal(results[i], ref)
         # no query leaked evidence into the resident master copy
         assert not graph.observed.any()
 

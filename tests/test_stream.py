@@ -25,6 +25,7 @@ from repro.core.loopy import LoopyBP, LoopyConfig
 from repro.core.observation import observe
 from repro.core.scheduler import SCHEDULES, make_schedule
 from repro.core.state import LoopyState
+from repro.credo.selector import INCREMENTAL_DIRTY_MAX_FRACTION
 from repro.graphs.grids import grid_graph
 from repro.core.potentials import attractive_potential
 from repro.io.detect import load_graph
@@ -595,11 +596,12 @@ class TestIncrementalEngine:
     def test_large_dirty_fraction_falls_back_to_full(self):
         cfg = tight_config()
         g = grid_graph(4, 4, seed=1)
-        eng = IncrementalEngine(g, cfg, dirty_max_fraction=0.05)
+        eng = IncrementalEngine(g, cfg)
         eng.converge()
         delta = GraphDelta()
         for node in range(8):
             delta.observe_node(str(node), 0)
+        assert 8 / g.n_nodes > INCREMENTAL_DIRTY_MAX_FRACTION
         inc = eng.apply(delta)
         assert inc.mode == "full"
 

@@ -427,11 +427,19 @@ class TestServeTelemetry:
         from repro.serve.batch import run_batched
 
         config = LoopyConfig(paradigm="node", schedule="work_queue")
-        runs, _union = run_batched(
-            small_graph, config, [[(0, 0)], [(1, 1)], []],
-        )
+        tracer = Tracer()
+        with use_tracer(tracer):
+            runs, _union = run_batched(
+                small_graph, config, [[(0, 0)], [(1, 1)], []],
+            )
         assert len(runs) == 3
-        total = runs[0].stats
+        # the batch sweeps through the one driver loop, traced as such
+        sweeps = [e.args for e in tracer.events if e.name == "bp.sweep"]
+        assert len(sweeps) == max(run.iterations for run in runs)
+        assert all(args["replicas"] == 3 for args in sweeps)
+        assert sweeps[0]["live"] == 3
+        assert "serve.union_sweep" not in {e.name for e in tracer.events}
+        total = runs[0].run_stats.total
         assert total.nodes_processed > 0
         assert total.flops > 0
         assert total.queue_ops > 0  # previously always zero
