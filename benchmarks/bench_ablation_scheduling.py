@@ -6,9 +6,10 @@ Compares the full update-scheduling ladder through the unified driver
 1. full synchronous sweeps (no queue);
 2. the paper's FIFO unconverged-element queue (§3.5);
 3. max-residual priority scheduling (the Gonzalez et al. policy the
-   paper's related-work section positions against);
-4. relaxed priority sampling (Aksenov et al.: near-max order with O(1)
-   contention-free queue operations);
+   paper's related-work section positions against), each round the
+   whole eligible frontier;
+4. a relaxed priority queue (Aksenov et al.): the same frontier batches
+   with O(1) contention-free queue operations;
 plus damping (a robustness knob the paper does not use).
 
 The quantity compared is *edge updates until convergence* — the
@@ -73,9 +74,9 @@ def test_residual_beats_sweeps(scheduling_results):
 
 
 def test_relaxed_tracks_residual(scheduling_results):
-    """Relaxed sampling approximates exact priority order: its update
-    count lands between residual and blind sweeps, and its O(1) queue
-    operations cost far fewer atomics than the residual heap."""
+    """A whole-frontier batch needs no priority order, so the relaxed
+    queue does residual's updates exactly, below blind sweeps, while its
+    O(1) queue operations cost far fewer atomics than the residual heap."""
     rows = []
     for abbrev, res in scheduling_results.items():
         relaxed, residual, sweeps = res["relaxed"], res["residual"], res["sync"]
@@ -86,7 +87,7 @@ def test_relaxed_tracks_residual(scheduling_results):
              f"{relaxed.run_stats.total.atomic_ops:,}",
              f"{residual.run_stats.total.atomic_ops:,}")
         )
-        assert relaxed.updates < sweeps.updates
+        assert relaxed.updates == residual.updates < sweeps.updates
         assert (
             relaxed.run_stats.total.atomic_ops
             < residual.run_stats.total.atomic_ops
@@ -95,7 +96,7 @@ def test_relaxed_tracks_residual(scheduling_results):
         ["graph", "relaxed updates", "vs residual", "relaxed atomics",
          "residual atomics"],
         rows,
-        title="Ablation: relaxed priority — updates near residual, atomics far below",
+        title="Ablation: relaxed priority — residual's updates, atomics far below",
     )
     save_result("EXT_relaxed_scheduling", table)
 

@@ -6,7 +6,7 @@ or per-edge kernel, evaluates the convergence criterion (sum of L1 belief
 changes, Algorithm 1 line 12) and drives a pluggable
 :class:`~repro.core.scheduler.Schedule` that decides which elements each
 sweep processes — full synchronous sweeps, the paper's §3.5 work queue,
-max-residual priority, or relaxed priority sampling.
+max-residual priority, or a relaxed priority queue.
 
 There is exactly **one** driver loop; the two processing paradigms (§3.3)
 differ only in the element space the schedule ranges over (nodes vs
@@ -68,8 +68,8 @@ class LoopyConfig:
     program over the active set's edges (:mod:`repro.kernels`,
     DESIGN.md §13).
 
-    ``batch_fraction``, ``relaxation`` and ``schedule_seed`` parameterize
-    the priority schedules; the others ignore them.
+    The priority schedules (``"residual"``, ``"relaxed"``) sweep the
+    whole eligible frontier each round (:mod:`repro.core.scheduler`).
     """
 
     paradigm: str = "node"
@@ -80,9 +80,6 @@ class LoopyConfig:
     requeue_downstream: bool = True
     damping: float = 0.0
     edge_chunks: int = 8
-    batch_fraction: float = 0.5
-    relaxation: int = 2
-    schedule_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.paradigm not in ("node", "edge"):
@@ -95,10 +92,6 @@ class LoopyConfig:
             raise ValueError("damping must lie in [0, 1)")
         if self.edge_chunks < 1:
             raise ValueError("edge_chunks must be at least 1")
-        if not 0.0 < self.batch_fraction <= 1.0:
-            raise ValueError("batch_fraction must lie in (0, 1]")
-        if self.relaxation < 1:
-            raise ValueError("relaxation must be at least 1")
         object.__setattr__(self, "schedule", normalize_schedule(self.schedule))
 
 
@@ -161,14 +154,17 @@ def _downstream(
     those edges' destinations — and, ``with_priority``, the delta of the
     node each entry leaves.
 
-    Priorities need the ragged form, one entry per out-edge, gathered
-    through the CSR.  Without them a large set is marked instead, with
-    one pass over every edge (:func:`~repro.core.indexset.frontier_by_mask`),
-    and comes back once per element, ascending.  The two hold the same
-    distinct elements, and :meth:`WorkQueue.repopulate` deduplicates
-    either, so the route never changes an active set.
+    A small set's out-edges are gathered through the CSR, in node order;
+    a large one's are marked instead, with one pass over every edge
+    (:func:`~repro.core.indexset.frontier_by_mask`), and come ascending.
+    With priorities either route gives one entry per out-edge, and the
+    priority schedules read them only through ``np.maximum.at`` and a set
+    refresh, neither of which depends on order.  Without priorities the
+    mask route gives the destinations once each, ascending, and
+    :meth:`WorkQueue.repopulate` deduplicates either route.  So the route
+    never changes an active set.
     """
-    if with_priority or not indexset.frontier_by_mask(len(nodes), state.n):
+    if not indexset.frontier_by_mask(len(nodes), state.n):
         out = state.gather_out_edges(nodes)
         priority = None
         if with_priority:
@@ -178,6 +174,10 @@ def _downstream(
     marked = np.zeros(state.n, dtype=bool)
     marked[nodes] = True
     out = np.flatnonzero(marked[state.src])
+    if with_priority:
+        changed = np.zeros(state.n, dtype=deltas.dtype)
+        changed[nodes] = deltas
+        return (state.dst[out] if to_nodes else out), changed[state.src[out]]
     if not to_nodes:
         return out, None
     marked[:] = False
@@ -202,7 +202,8 @@ def _by_block(
     one ``(local ids, aligned part)`` pair per live replica.
 
     ``ids`` must list replica blocks in order: ascending (a mask route,
-    a sorted set) or gathered from replica-ordered nodes (the ragged
+    a sorted set), the destinations of ascending edges (a mask route
+    with priorities) or gathered from replica-ordered nodes (the CSR
     route).  That is all ``searchsorted`` needs, because whether an
     entry lies below ``q · size`` is then true for a prefix of ``ids``
     and false after it.
@@ -425,14 +426,7 @@ class LoopyBP:
             state, cfg, executor_cache, replicas
         )
         schedules = [
-            make_schedule(
-                cfg.schedule,
-                plan.n_elements,
-                plan.element_threshold,
-                batch_fraction=cfg.batch_fraction,
-                relaxation=cfg.relaxation,
-                seed=cfg.schedule_seed,
-            )
+            make_schedule(cfg.schedule, plan.n_elements, plan.element_threshold)
             for _ in range(replicas)
         ]
         if active_seed is not None:

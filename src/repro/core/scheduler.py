@@ -19,18 +19,20 @@ any policy, with any paradigm, through any backend:
 ``"residual"``
     Max-residual priority scheduling (Gonzalez et al.; Van der Merwe et
     al., *Message Scheduling for Performant, Many-Core Belief
-    Propagation*): each round processes the batch of elements with the
-    largest residuals.  Exact priority order costs heap maintenance —
-    O(log n) atomic-visible operations per push — which the cost models
-    price via :meth:`Schedule.charge`.
+    Propagation*): each element keeps its last residual, raised by the
+    changes upstream of it, and each round sweeps the whole eligible
+    frontier — every element whose priority is at least the element
+    threshold.  Exact priority order costs heap maintenance — O(log n)
+    atomic-visible operations per push — which the cost models price
+    via :meth:`Schedule.charge`.
 
 ``"relaxed"``
     Relaxed concurrent priority scheduling (Aksenov et al., *Relaxed
-    Scheduling for Scalable Belief Propagation*): instead of the exact
-    max, each batch slot samples ``relaxation`` candidate elements and
-    takes the best — the MultiQueue-style "power of k choices" that
-    trades strict priority order for O(1) contention-free queue
-    operations.  Statistically near-max, massively parallelizable.
+    Scheduling for Scalable Belief Propagation*): the same frontier
+    batches over a MultiQueue-style relaxed queue, which trades strict
+    priority order for O(1) contention-free queue operations.  A batch
+    that takes the whole frontier needs no order, so the two sweep the
+    same elements and differ only in what their queues cost.
 
 Every schedule is a small amount of state over a flat priority/activity
 view of the elements (nodes for the per-node paradigm, directed edges
@@ -206,7 +208,7 @@ class Schedule:
        only for the schedules that read them (:attr:`wants_priority`:
        residual and relaxed; sync and the work queue do not);
     4. calls :meth:`charge` so the schedule's bookkeeping cost (queue
-       pushes, heap maintenance, sampling) lands in the sweep's
+       pushes, heap maintenance) lands in the sweep's
        :class:`~repro.core.sweepstats.SweepStats` and is priced by the
        CPU/GPU cost models.
     """
@@ -215,15 +217,14 @@ class Schedule:
     #: does the driver need to compute downstream re-activation sets?
     wants_downstream: bool = True
     #: does :meth:`update` read ``downstream_priority``?  The priority
-    #: schedules (residual, relaxed) do, so their downstream set comes
-    #: ragged, one entry per out-edge, aligned with the priorities.  The
-    #: work queue reads only the set, which lets the driver build it by
-    #: whichever route is cheaper (``downstream_priority`` is then None)
+    #: schedules (residual, relaxed) do, so their downstream list holds
+    #: one entry per out-edge, aligned with the priorities, in no set
+    #: order.  The work queue reads only the set, which the driver may
+    #: then hand over deduplicated (``downstream_priority`` is None)
     wants_priority: bool = True
     #: does :attr:`active` cover *every* still-unconverged element each
     #: round?  Exhaustive schedules may also terminate on the global sum
-    #: criterion; partial-batch schedules must drain instead (their batch
-    #: sum understates the global delta).
+    #: criterion; the others stop only when they drain.
     exhaustive: bool = True
 
     def __init__(self, n_elements: int, element_threshold: float):
@@ -336,14 +337,16 @@ class ResidualSchedule(Schedule):
 
     Keeps a dense priority array (the batch-parallel equivalent of the
     lazy max-heap: stale entries are overwritten rather than popped) and
-    each round processes the top ``batch_fraction`` of the eligible
-    elements.  Unprocessed elements start at ``+inf`` so the first rounds
-    establish true residuals.
+    each round processes the whole eligible frontier, every element with
+    ``priority >= element_threshold`` — the §3.5 queue's "every element
+    that has not yet converged", taken as one batch (Aksenov et al.'s
+    frontier batches).  A round carries a fixed per-call cost, so a
+    smaller batch would only buy more rounds.  Every element starts
+    eligible.
 
-    The eligible set (``priority >= element_threshold``, ascending) is
-    kept incrementally while it is small: :meth:`update`,
-    and :meth:`restrict` re-examine only the indices
-    they write, so a round over a small frontier costs O(frontier), not
+    The eligible set (ascending) is kept incrementally while it is small:
+    :meth:`update` and :meth:`restrict` re-examine only the indices they
+    write, so a round over a small frontier costs O(frontier), not
     O(n_elements).  A large set (see :mod:`repro.core.indexset`) is kept
     as a mask rebuilt in one pass.
     """
@@ -351,26 +354,29 @@ class ResidualSchedule(Schedule):
     name = "residual"
     exhaustive = False
 
-    def __init__(
-        self,
-        n_elements: int,
-        element_threshold: float,
-        *,
-        batch_fraction: float = 0.5,
-    ):
+    def __init__(self, n_elements: int, element_threshold: float):
         super().__init__(n_elements, element_threshold)
-        if not 0.0 < batch_fraction <= 1.0:
-            raise ValueError("batch_fraction must lie in (0, 1]")
-        self.batch_fraction = float(batch_fraction)
-        self.priority = np.full(n_elements, np.inf)
-        #: ``priority >= element_threshold`` (None: the all-+inf start)
-        #: and, while the eligible set is small, its ascending indices
-        #: (None: scan the mask when asked)
+        #: last residual per element; None until first written.  Every
+        #: element starts eligible and the first round processes them
+        #: all, so no start value is ever read, and a seeded run builds
+        #: only the zeros :meth:`restrict` allocates
+        self._priority: np.ndarray | None = None
+        #: ``priority >= element_threshold`` (None: the all-eligible
+        #: start) and, while the eligible set is small, its ascending
+        #: indices (None: scan the mask when asked)
         self._is_eligible: np.ndarray | None = None
         self._eligible: np.ndarray | None = None
         self._n_eligible = n_elements
         self._last_processed = 0
         self._last_pushes = 0
+
+    @property
+    def priority(self) -> np.ndarray:
+        """Per-element priority (the last residual seen, or the largest
+        upstream change since)."""
+        if self._priority is None:
+            self._priority = np.zeros(self.n_elements)
+        return self._priority
 
     # -- eligible set ----------------------------------------------------
     def _eligible_set(self) -> np.ndarray:
@@ -416,18 +422,9 @@ class ResidualSchedule(Schedule):
             self._eligible = merged[np.diff(merged, prepend=-1) != 0]
         self._n_eligible = len(self._eligible)
 
-    def _batch_size(self, n_eligible: int) -> int:
-        return max(1, int(math.ceil(self.batch_fraction * n_eligible)))
-
     @property
     def active(self) -> np.ndarray:
-        eligible = self._eligible_set()
-        k = len(eligible)
-        batch = self._batch_size(k)
-        if k == 0 or batch >= k:
-            return eligible
-        order = np.argpartition(self.priority[eligible], k - batch)[k - batch:]
-        return np.sort(eligible[order])
+        return self._eligible_set()
 
     # -- feedback ------------------------------------------------------
     def update(self, processed, deltas, downstream=None, downstream_priority=None):
@@ -447,9 +444,9 @@ class ResidualSchedule(Schedule):
         self._last_pushes = pushes
 
     def restrict(self, elements, priorities=None):
-        # zero out the optimistic +inf start, then mark only the dirty
-        # region eligible — the lazy-heap equivalent of seeding the queue
-        self.priority[:] = 0.0
+        # drop the all-eligible start, then mark only the dirty region
+        # eligible — the lazy-heap equivalent of seeding the queue
+        self._priority = np.zeros(self.n_elements)
         self._is_eligible = np.zeros(self.n_elements, dtype=bool)
         self._eligible = np.empty(0, dtype=np.int64)
         self._n_eligible = 0
@@ -457,9 +454,9 @@ class ResidualSchedule(Schedule):
         if not len(elements):
             return
         if priorities is None:
-            self.priority[elements] = np.inf
+            self._priority[elements] = np.inf
         else:
-            self.priority[elements] = np.maximum(
+            self._priority[elements] = np.maximum(
                 np.asarray(priorities, dtype=float), self.element_threshold
             )
         self._refresh(elements)
@@ -478,43 +475,15 @@ class ResidualSchedule(Schedule):
 
 
 class RelaxedPrioritySchedule(ResidualSchedule):
-    """k-way relaxed priority sampling (Aksenov et al., MultiQueue-style).
+    """Relaxed concurrent priority queue (Aksenov et al., MultiQueue-style).
 
-    Selection draws ``relaxation`` uniform candidates per batch slot and
-    keeps the best one, approximating max-priority order while every
-    queue operation stays O(1) and contention-free.  The run is
-    deterministic given ``seed``.
+    It sweeps the same eligible frontier as :class:`ResidualSchedule`
+    (a whole-frontier batch needs no priority order at all), but prices
+    its queue as a relaxed one: every push is O(1) and contention-free,
+    with no serialized heap root.
     """
 
     name = "relaxed"
-
-    def __init__(
-        self,
-        n_elements: int,
-        element_threshold: float,
-        *,
-        batch_fraction: float = 0.5,
-        relaxation: int = 2,
-        seed: int = 0,
-    ):
-        super().__init__(n_elements, element_threshold, batch_fraction=batch_fraction)
-        if relaxation < 1:
-            raise ValueError("relaxation must be at least 1")
-        self.relaxation = int(relaxation)
-        self._rng = np.random.default_rng(seed)
-
-    @property
-    def active(self) -> np.ndarray:
-        eligible = self._eligible_set()
-        k = len(eligible)
-        batch = self._batch_size(k)
-        if k == 0 or batch >= k:
-            return eligible
-        # power of `relaxation` choices: per slot, the best of c samples
-        candidates = self._rng.integers(0, k, size=(batch, self.relaxation))
-        keys = self.priority[eligible[candidates]]
-        picked = candidates[np.arange(batch), keys.argmax(axis=1)]
-        return np.unique(eligible[picked])
 
     def charge(self, stats: SweepStats) -> None:
         # relaxed queues: O(1) per push, no serialized heap root — each
@@ -523,15 +492,7 @@ class RelaxedPrioritySchedule(ResidualSchedule):
         stats.atomic_ops += self._last_pushes
 
 
-def make_schedule(
-    name: str,
-    n_elements: int,
-    element_threshold: float,
-    *,
-    batch_fraction: float = 0.5,
-    relaxation: int = 2,
-    seed: int = 0,
-) -> Schedule:
+def make_schedule(name: str, n_elements: int, element_threshold: float) -> Schedule:
     """Instantiate a schedule by canonical (or aliased) name."""
     canonical = normalize_schedule(name)
     if canonical == "sync":
@@ -539,14 +500,5 @@ def make_schedule(
     if canonical == "work_queue":
         return WorkQueueSchedule(n_elements, element_threshold)
     if canonical == "residual":
-        return ResidualSchedule(
-            n_elements, element_threshold, batch_fraction=batch_fraction
-        )
-    return RelaxedPrioritySchedule(
-        n_elements,
-        element_threshold,
-        batch_fraction=batch_fraction,
-        relaxation=relaxation,
-        seed=seed,
-    )
-
+        return ResidualSchedule(n_elements, element_threshold)
+    return RelaxedPrioritySchedule(n_elements, element_threshold)

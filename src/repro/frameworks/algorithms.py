@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.frameworks.csr import CsrGraph
 from repro.frameworks.frontier import FrontierFramework, FrontierProgram
-from repro.frameworks.semiring import MIN_PLUS, PLUS_TIMES, SemiringSpmv
+from repro.frameworks.semiring import PLUS_TIMES, SemiringSpmv
 
 __all__ = ["sssp", "bfs_depths", "pagerank", "connected_components"]
 

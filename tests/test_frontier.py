@@ -11,8 +11,8 @@ indistinguishable to every consumer:
 * whole node and edge work-queue runs repeat
   posteriors, iterations, delta histories and per-sweep stats exactly
   with the crossover forced to the gather;
-* the priority schedules, which need the ragged set aligned with
-  per-edge priorities, get exactly the arrays they always got;
+* the priority schedules, which read one priority per out-edge, get the
+  same (element, priority) pairs by either route, in whatever order;
 * a node sweep whose active nodes hold every edge runs on the
   natural-order slice and stays bit-exact with the reference kernel.
 """
@@ -98,6 +98,16 @@ def frontier_cases(draw):
     return LoopyState(g), nodes.astype(np.int64)
 
 
+def assert_same_pairs(got, want):
+    """Two ``(elements, priorities)`` lists hold the same pairs, with the
+    same multiplicities, in any order."""
+    (ids, priority), (want_ids, want_priority) = got, want
+    assert len(ids) == len(priority) == len(want_ids)
+    order, want_order = np.lexsort((priority, ids)), np.lexsort((want_priority, want_ids))
+    np.testing.assert_array_equal(ids[order], want_ids[want_order])
+    np.testing.assert_array_equal(priority[order], want_priority[want_order])
+
+
 class TestFrontierSets:
     @settings(**SETTINGS)
     @given(frontier_cases(), st.booleans())
@@ -106,22 +116,22 @@ class TestFrontierSets:
         out = state.gather_out_edges(nodes)
         ragged = state.dst[out] if to_nodes else out
         deltas = np.linspace(1.0, 2.0, len(nodes))
+        sizes = np.diff(state.out_offsets)[nodes]
 
         def frontier(priority=False):
             return _downstream(state, nodes, deltas, to_nodes=to_nodes, with_priority=priority)
 
+        for route in ("mask", "gather"):
+            with frontier_route(route):
+                # one (element, priority) pair per out-edge on either route
+                assert_same_pairs(frontier(priority=True), (ragged, np.repeat(deltas, sizes)))
         with frontier_route("mask"):
             masked, none = frontier()
-            # priorities always take the ragged route
-            ranked, priority = frontier(priority=True)
         with frontier_route("gather"):
             gathered, _ = frontier()
         np.testing.assert_array_equal(gathered, ragged)
         np.testing.assert_array_equal(masked, np.unique(ragged))
         assert masked.dtype == np.int64 and none is None
-        np.testing.assert_array_equal(ranked, ragged)
-        sizes = np.diff(state.out_offsets)[nodes]
-        np.testing.assert_array_equal(priority, np.repeat(deltas, sizes))
         shipped, _ = frontier()
         np.testing.assert_array_equal(np.unique(shipped), np.unique(ragged))
 
@@ -187,23 +197,21 @@ class TestPriorities:
     def test_downstream_priorities_are_the_ragged_arrays(self, schedule):
         g = loopy_graph_with_isolated_nodes()
         cfg = LoopyConfig(schedule=schedule)
-        state = LoopyState(g)
-        plan = _NodePlan(state, cfg)
-        active = np.arange(state.n, dtype=np.int64)
-        before = LoopyState(g.copy())
-        deltas, _ = node_sweep(before, active)
-        with frontier_route("mask"):
-            [step], _ = plan.sweep([0], [active], True, want_priority=True)
-        np.testing.assert_array_equal(step.deltas, deltas)
-        dirty_mask = deltas >= plan.element_threshold
-        dirty = active[dirty_mask]
-        sizes = state.out_offsets[dirty + 1] - state.out_offsets[dirty]
-        np.testing.assert_array_equal(
-            step.downstream, state.dst[state.gather_out_edges(dirty)]
-        )
-        np.testing.assert_array_equal(
-            step.downstream_priority, np.repeat(deltas[dirty_mask], sizes)
-        )
+        active = np.arange(g.n_nodes, dtype=np.int64)
+        deltas, _ = node_sweep(LoopyState(g.copy()), active)
+        for route in ("mask", "gather"):
+            state = LoopyState(g.copy())
+            plan = _NodePlan(state, cfg)
+            with frontier_route(route):
+                [step], _ = plan.sweep([0], [active], True, want_priority=True)
+            np.testing.assert_array_equal(step.deltas, deltas)
+            dirty_mask = deltas >= plan.element_threshold
+            dirty = active[dirty_mask]
+            sizes = state.out_offsets[dirty + 1] - state.out_offsets[dirty]
+            assert_same_pairs(
+                (step.downstream, step.downstream_priority),
+                (state.dst[state.gather_out_edges(dirty)], np.repeat(deltas[dirty_mask], sizes)),
+            )
 
     def test_schedules_declare_what_they_read(self):
         reads = {name: make_schedule(name, 4, 1e-3).wants_priority

@@ -11,8 +11,8 @@ indistinguishable:
 * ``edge_sweep`` returns the same deltas, touched nodes and beliefs on
   either path;
 * the incrementally kept eligible set of the priority schedules always
-  equals ``flatnonzero(priority >= threshold)``, and ``active`` returns
-  exactly the indices the full-scan selection returns;
+  equals ``flatnonzero(priority >= threshold)``, and ``active`` is that
+  set;
 * the work queue's repopulate / seed equal the membership-mask dedup
   they replace;
 * a whole warm-started re-convergence repeats sweep for sweep on every
@@ -28,7 +28,6 @@ indistinguishable:
 """
 
 import copy
-import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -45,7 +44,7 @@ from repro.core.junction import junction_tree_marginals
 from repro.core.loopy import LoopyConfig
 from repro.core.observation import observe
 from repro.core.potentials import random_potential
-from repro.core.scheduler import RelaxedPrioritySchedule, ResidualSchedule, WorkQueue
+from repro.core.scheduler import WorkQueue, make_schedule
 from repro.core.state import LoopyState
 from repro.credo.runner import Credo
 from repro.graphs.grids import grid_graph
@@ -181,33 +180,18 @@ class TestScatterPaths:
 
 
 # ---------------------------------------------------------------------------
-def _reference_active(schedule, rng=None):
-    """The full-scan selection the incremental eligible set replaces."""
-    eligible = np.flatnonzero(schedule.priority >= schedule.element_threshold)
-    k = len(eligible)
-    batch = max(1, int(math.ceil(schedule.batch_fraction * k)))
-    if k == 0 or batch >= k:
-        return eligible
-    if rng is None:
-        order = np.argpartition(schedule.priority[eligible], k - batch)[k - batch:]
-        return np.sort(eligible[order])
-    candidates = rng.integers(0, k, size=(batch, schedule.relaxation))
-    keys = schedule.priority[eligible[candidates]]
-    picked = candidates[np.arange(batch), keys.argmax(axis=1)]
-    return np.unique(eligible[picked])
+def _reference_active(schedule):
+    """The full scan the incremental eligible set replaces: every
+    element at or above the threshold."""
+    return np.flatnonzero(schedule.priority >= schedule.element_threshold)
 
 
 def _check_schedule(schedule):
-    thr = schedule.element_threshold
-    expected = np.flatnonzero(schedule.priority >= thr)
+    expected = _reference_active(schedule)
     np.testing.assert_array_equal(schedule._eligible_set(), expected)
     assert schedule.drained == (len(expected) == 0)
-    if isinstance(schedule, RelaxedPrioritySchedule):
-        want = _reference_active(schedule, copy.deepcopy(schedule._rng))
-    else:
-        want = _reference_active(schedule)
     got = schedule.active
-    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(got, expected)
     return got
 
 
@@ -226,25 +210,19 @@ class TestEligibleSet:
     @given(
         st.sampled_from(["residual", "relaxed"]),
         st.integers(min_value=1, max_value=400),
-        st.sampled_from([0.1, 0.5, 1.0]),
         _OPS,
         st.sampled_from(MODES),
     )
     @settings(**SETTINGS)
-    def test_incremental_eligible_matches_scan(self, kind, n, fraction, ops, mode):
+    def test_incremental_eligible_matches_scan(self, kind, n, ops, mode):
         with forced_path(mode):
-            self._run_ops(kind, n, fraction, ops)
+            self._run_ops(kind, n, ops)
 
     @staticmethod
-    def _run_ops(kind, n, fraction, ops):
-        thr = 0.05
-        if kind == "residual":
-            schedule = ResidualSchedule(n, thr, batch_fraction=fraction)
-        else:
-            schedule = RelaxedPrioritySchedule(
-                n, thr, batch_fraction=fraction, relaxation=2, seed=n
-            )
-        active = _check_schedule(schedule)
+    def _run_ops(kind, n, ops):
+        schedule = make_schedule(kind, n, 0.05)
+        np.testing.assert_array_equal(schedule.active, np.arange(n))
+        active = schedule.active
         for op, seed, with_priorities in ops:
             rng = np.random.default_rng(seed)
             # set sizes span both sides of the slot-map crossover

@@ -112,15 +112,22 @@ class TestScheduleUnits:
         s.update(s.active, np.zeros(4))
         assert s.drained
 
-    def test_residual_prefers_large_residuals(self):
-        s = ResidualSchedule(10, 1e-3, batch_fraction=0.3)
-        # 9 eligible elements → batch of ceil(0.3·9)=3, the top residuals
+    def test_residual_active_is_the_eligible_set(self):
+        s = ResidualSchedule(10, 1e-3)
+        np.testing.assert_array_equal(s.active, np.arange(10))
+        # every element at or above the threshold, in ascending order —
+        # not a top slice of them
         s.update(
             np.arange(10),
-            np.array([0.0, 9, 0.5, 8, 0.5, 7, 0.5, 0.5, 0.5, 0.5]),
+            np.array([0.0, 9, 0.5, 8, 1e-3, 7, 0.5, 1e-4, 0.5, 0.5]),
         )
-        np.testing.assert_array_equal(s.active, [1, 3, 5])
-
+        np.testing.assert_array_equal(s.active, [1, 2, 3, 4, 5, 6, 8, 9])
+        s.update(
+            s.active, np.array([0.0, 2, 0, 0, 0, 0, 0, 0]),
+            downstream=np.array([7, 7, 0]),
+            downstream_priority=np.array([1e-4, 0.2, 1e-4]),
+        )
+        np.testing.assert_array_equal(s.active, [2, 7])
     def test_residual_downstream_boost(self):
         s = ResidualSchedule(4, 1e-3)
         s.update(np.arange(4), np.zeros(4))
@@ -131,14 +138,20 @@ class TestScheduleUnits:
         )
         assert not s.drained and s.priority[2] == 0.5
 
-    def test_relaxed_is_deterministic_and_eligible_only(self):
-        a = RelaxedPrioritySchedule(50, 1e-3, seed=7)
-        b = RelaxedPrioritySchedule(50, 1e-3, seed=7)
-        deltas = np.linspace(0, 1, 50)
-        a.update(np.arange(50), deltas)
-        b.update(np.arange(50), deltas)
-        np.testing.assert_array_equal(a.active, b.active)
-        assert np.all(a.priority[a.active] >= a.element_threshold)
+    def test_relaxed_sweeps_what_residual_sweeps(self):
+        rng = np.random.default_rng(7)
+        exact, relaxed = ResidualSchedule(50, 1e-3), RelaxedPrioritySchedule(50, 1e-3)
+        for _ in range(6):
+            active = exact.active
+            np.testing.assert_array_equal(relaxed.active, active)
+            deltas = rng.exponential(2e-3, size=len(active))
+            downstream = rng.integers(0, 50, size=8)
+            priority = rng.exponential(2e-3, size=8)
+            exact.update(active, deltas, downstream, priority)
+            relaxed.update(active, deltas, downstream, priority)
+        np.testing.assert_array_equal(relaxed.active, exact.active)
+        np.testing.assert_array_equal(relaxed.priority, exact.priority)
+        assert relaxed.drained == exact.drained
 
     def test_charges_differ_by_schedule(self):
         """FIFO pays O(1)/push, residual O(log n)/push, relaxed O(1)."""

@@ -492,7 +492,7 @@ class TestSchedulerWarmStart:
 
     @pytest.mark.parametrize("name", SCHEDULES)
     def test_restrict_narrows_initial_set(self, name):
-        schedule = make_schedule(name, 10, element_threshold=1e-3, seed=0)
+        schedule = make_schedule(name, 10, element_threshold=1e-3)
         schedule.restrict(np.array([2, 4], dtype=np.int64))
         if name == "sync":
             return  # exhaustive by contract; restrict is a documented no-op
@@ -592,6 +592,24 @@ class TestIncrementalEngine:
             np.testing.assert_array_equal(state.beliefs[observed], fresh.beliefs[observed])
             np.testing.assert_array_equal(eng.graph.beliefs.dense(), state.beliefs)
         assert not eng.graph.observed.any()
+
+    def test_corner_delta_reconverges_in_few_rounds(self):
+        # a priority round sweeps the whole eligible frontier, so a corner
+        # delta re-converges in about as many rounds as it takes to spread
+        # (11 here)
+        cfg = LoopyConfig(
+            paradigm="edge", schedule="residual",
+            criterion=ConvergenceCriterion(threshold=1e-8, max_iterations=500),
+        )
+        grid = grid_graph(32, 32, n_states=2, seed=11, coupling=0.6)
+        eng = IncrementalEngine(grid.copy(), cfg)
+        eng.converge()
+        delta = GraphDelta().observe_node("33", 1)
+        inc = eng.apply(delta)
+        assert inc.mode == "incremental" and inc.result.converged
+        assert inc.result.iterations <= 12
+        full = LoopyBP(cfg).run(apply_delta(grid, delta).graph)
+        assert np.abs(np.asarray(inc.beliefs) - np.asarray(full.beliefs)).max() <= 1e-6
 
     def test_large_dirty_fraction_falls_back_to_full(self):
         cfg = tight_config()
