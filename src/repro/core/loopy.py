@@ -68,8 +68,10 @@ class LoopyConfig:
     program over the active set's edges (:mod:`repro.kernels`,
     DESIGN.md §13).
 
-    The priority schedules (``"residual"``, ``"relaxed"``) sweep the
-    whole eligible frontier each round (:mod:`repro.core.scheduler`).
+    ``"residual"`` and ``"relaxed"`` sweep the work queue's frontier
+    each round and differ from it only in their modeled queue cost and
+    in never stopping on the global criterion alone
+    (:mod:`repro.core.scheduler`).
     """
 
     paradigm: str = "node"
@@ -77,7 +79,6 @@ class LoopyConfig:
     semiring: str = "sum"
     criterion: ConvergenceCriterion = field(default_factory=ConvergenceCriterion)
     schedule: str = "work_queue"
-    requeue_downstream: bool = True
     damping: float = 0.0
     edge_chunks: int = 8
 
@@ -141,48 +142,27 @@ def _element_threshold_floor(n_states: int) -> float:
     return float(np.finfo(np.float32).eps) * max(n_states, 2)
 
 
-def _downstream(
-    state: LoopyState,
-    nodes: np.ndarray,
-    deltas: np.ndarray,
-    *,
-    to_nodes: bool,
-    with_priority: bool,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """``(downstream, priority)`` of the changed ``nodes``: the elements
-    whose inputs they feed — their out-edge ids, or with ``to_nodes``
-    those edges' destinations — and, ``with_priority``, the delta of the
-    node each entry leaves.
+def _downstream(state: LoopyState, nodes: np.ndarray, *, to_nodes: bool) -> np.ndarray:
+    """The elements the changed ``nodes`` feed: their out-edge ids, or
+    with ``to_nodes`` those edges' destinations.
 
-    A small set's out-edges are gathered through the CSR, in node order;
-    a large one's are marked instead, with one pass over every edge
-    (:func:`~repro.core.indexset.frontier_by_mask`), and come ascending.
-    With priorities either route gives one entry per out-edge, and the
-    priority schedules read them only through ``np.maximum.at`` and a set
-    refresh, neither of which depends on order.  Without priorities the
-    mask route gives the destinations once each, ascending, and
-    :meth:`WorkQueue.repopulate` deduplicates either route.  So the route
-    never changes an active set.
+    A small set's out-edges are gathered through the CSR, in node order,
+    with repeats; a large one's are marked instead, with one pass over
+    every edge (:func:`~repro.core.indexset.frontier_by_mask`), and come
+    once each, ascending.  :meth:`WorkQueue.repopulate` deduplicates
+    either route, so the route never changes an active set.
     """
     if not indexset.frontier_by_mask(len(nodes), state.n):
         out = state.gather_out_edges(nodes)
-        priority = None
-        if with_priority:
-            sizes = state.out_offsets[nodes + 1] - state.out_offsets[nodes]
-            priority = np.repeat(deltas, sizes)
-        return (state.dst[out] if to_nodes else out), priority
+        return state.dst[out] if to_nodes else out
     marked = np.zeros(state.n, dtype=bool)
     marked[nodes] = True
     out = np.flatnonzero(marked[state.src])
-    if with_priority:
-        changed = np.zeros(state.n, dtype=deltas.dtype)
-        changed[nodes] = deltas
-        return (state.dst[out] if to_nodes else out), changed[state.src[out]]
     if not to_nodes:
-        return out, None
+        return out
     marked[:] = False
     marked[state.dst[out]] = True
-    return np.flatnonzero(marked), None
+    return np.flatnonzero(marked)
 
 
 def _union(live: list[int], parts: list[np.ndarray], size: int) -> np.ndarray:
@@ -195,28 +175,21 @@ def _union(live: list[int], parts: list[np.ndarray], size: int) -> np.ndarray:
     return np.concatenate([part + q * size for q, part in zip(live, parts)])
 
 
-def _by_block(
-    ids: np.ndarray, aligned: np.ndarray | None, live: list[int], size: int
-) -> list[tuple[np.ndarray, np.ndarray | None]]:
-    """Split union ``ids`` (and the ``aligned`` array beside them) into
-    one ``(local ids, aligned part)`` pair per live replica.
+def _by_block(ids: np.ndarray, live: list[int], size: int) -> list[np.ndarray]:
+    """Split union ``ids`` into each live replica's local ids.
 
     ``ids`` must list replica blocks in order: ascending (a mask route,
-    a sorted set), the destinations of ascending edges (a mask route
-    with priorities) or gathered from replica-ordered nodes (the CSR
+    a sorted set) or gathered from replica-ordered nodes (the CSR
     route).  That is all ``searchsorted`` needs, because whether an
     entry lies below ``q · size`` is then true for a prefix of ``ids``
     and false after it.
     """
     if len(live) == 1:
         q = live[0]
-        return [(ids - q * size if q else ids, aligned)]
+        return [ids - q * size if q else ids]
     cuts = np.searchsorted(ids, np.asarray(live[1:], dtype=np.int64) * size).tolist()
     bounds = [0, *cuts, len(ids)]
-    return [
-        (ids[lo:hi] - q * size, None if aligned is None else aligned[lo:hi])
-        for q, lo, hi in zip(live, bounds, bounds[1:])
-    ]
+    return [ids[lo:hi] - q * size for q, lo, hi in zip(live, bounds, bounds[1:])]
 
 
 def _by_length(values: np.ndarray, parts: list[np.ndarray]) -> list[np.ndarray]:
@@ -234,7 +207,6 @@ class _Step:
     deltas: np.ndarray
     global_delta: float
     downstream: np.ndarray | None
-    downstream_priority: np.ndarray | None
 
 
 class _NodePlan:
@@ -257,16 +229,11 @@ class _NodePlan:
         )
 
     def sweep(
-        self,
-        live: list[int],
-        actives: list[np.ndarray],
-        want_downstream: bool,
-        want_priority: bool,
+        self, live: list[int], actives: list[np.ndarray], want_downstream: bool
     ) -> tuple[list[_Step], SweepStats]:
         """Sweep each live replica's ``actives`` in one kernel call; with
         ``want_downstream``, also find the nodes downstream of the ones
-        still changing, and with ``want_priority`` their priorities (see
-        :class:`Schedule`).  One :class:`_Step` per live replica."""
+        still changing.  One :class:`_Step` per live replica."""
         state, cfg, n = self.state, self.cfg, self.n_elements
         active = _union(live, actives, n)
         deltas, stats = self.executor.node_sweep(
@@ -276,17 +243,13 @@ class _NodePlan:
             semiring=cfg.semiring,
             damping=cfg.damping,
         )
-        downstream = [(None, None)] * len(live)
+        downstream = [None] * len(live)
         if want_downstream and len(active):
-            dirty_mask = deltas >= self.element_threshold
-            dirty = active[dirty_mask]
+            dirty = active[deltas >= self.element_threshold]
             if len(dirty):
-                found, priority = _downstream(
-                    state, dirty, deltas[dirty_mask], to_nodes=True, with_priority=want_priority
-                )
-                downstream = _by_block(found, priority, live, n)
+                downstream = _by_block(_downstream(state, dirty, to_nodes=True), live, n)
         steps = [
-            _Step(part, float(part.sum()), *down)
+            _Step(part, float(part.sum()), down)
             for part, down in zip(_by_length(deltas, actives), downstream)
         ]
         return steps, stats
@@ -316,13 +279,13 @@ class _EdgePlan:
         self.element_threshold = max(
             self.node_threshold / mean_in_degree, _element_threshold_floor(state.b)
         )
+        # A node change re-enqueues its out-edges only when it is both
+        # above the criterion and distinguishable from float32 noise: an
+        # unfloored filter lets a sub-floor limit cycle requeue forever.
+        self.changed_threshold = max(self.node_threshold, self.element_threshold)
 
     def sweep(
-        self,
-        live: list[int],
-        actives: list[np.ndarray],
-        want_downstream: bool,
-        want_priority: bool,
+        self, live: list[int], actives: list[np.ndarray], want_downstream: bool
     ) -> tuple[list[_Step], SweepStats]:
         """As :meth:`_NodePlan.sweep`, over directed edges.  Each replica
         keeps its solo chunk bounds (``segments``), so the freshness
@@ -344,20 +307,17 @@ class _EdgePlan:
             segments=[len(a) for a in actives],
         )
         node_deltas = np.abs(state.beliefs[candidates] - before).sum(axis=1)
-        downstream = [(None, None)] * len(live)
+        downstream = [None] * len(live)
         if want_downstream and len(candidates):
-            changed_mask = node_deltas >= self.node_threshold
-            changed = candidates[changed_mask]
+            changed = candidates[node_deltas >= self.changed_threshold]
             if len(changed):
-                found, priority = _downstream(
-                    state, changed, node_deltas[changed_mask],
-                    to_nodes=False, with_priority=want_priority,
+                downstream = _by_block(
+                    _downstream(state, changed, to_nodes=False), live, self.n_elements
                 )
-                downstream = _by_block(found, priority, live, self.n_elements)
-        changes = _by_block(candidates, node_deltas, live, self.n_nodes)
+        changes = _by_length(node_deltas, _by_block(candidates, live, self.n_nodes))
         steps = [
-            _Step(part, float(change.sum()), *down)
-            for part, (_, change), down in zip(
+            _Step(part, float(change.sum()), down)
+            for part, change, down in zip(
                 _by_length(edge_deltas, actives), changes, downstream
             )
         ]
@@ -433,8 +393,7 @@ class LoopyBP:
             seed = np.asarray(active_seed, dtype=np.int64)
             for schedule in schedules:
                 schedule.restrict(seed)
-        want_downstream = cfg.requeue_downstream and schedules[0].wants_downstream
-        want_priority = schedules[0].wants_priority
+        want_downstream = schedules[0].wants_downstream
         n = state.n // replicas
 
         tracer = get_tracer()
@@ -448,13 +407,10 @@ class LoopyBP:
                 iteration += 1
                 actives = [schedules[q].active for q in live]
                 with tracer.span("bp.sweep", cat="bp") as sweep_span:
-                    steps, stats = plan.sweep(live, actives, want_downstream, want_priority)
+                    steps, stats = plan.sweep(live, actives, want_downstream)
                     with tracer.span("schedule.update", cat="schedule") as sched_span:
                         for q, active, step in zip(live, actives, steps):
-                            schedules[q].update(
-                                active, step.deltas, step.downstream,
-                                step.downstream_priority,
-                            )
+                            schedules[q].update(active, step.deltas, step.downstream)
                             schedules[q].charge(stats)
                         if sched_span:
                             sched_span.set(

@@ -19,28 +19,20 @@ any policy, with any paradigm, through any backend:
 ``"residual"``
     Max-residual priority scheduling (Gonzalez et al.; Van der Merwe et
     al., *Message Scheduling for Performant, Many-Core Belief
-    Propagation*): each element keeps its last residual, raised by the
-    changes upstream of it, and each round sweeps the whole eligible
-    frontier — every element whose priority is at least the element
-    threshold.  Exact priority order costs heap maintenance — O(log n)
-    atomic-visible operations per push — which the cost models price
-    via :meth:`Schedule.charge`.
+    Propagation*), taken as whole-frontier batches: each round sweeps
+    every element that has not yet converged.
 
 ``"relaxed"``
     Relaxed concurrent priority scheduling (Aksenov et al., *Relaxed
     Scheduling for Scalable Belief Propagation*): the same frontier
-    batches over a MultiQueue-style relaxed queue, which trades strict
-    priority order for O(1) contention-free queue operations.  A batch
-    that takes the whole frontier needs no order, so the two sweep the
-    same elements and differ only in what their queues cost.
+    batches over a MultiQueue-style relaxed queue.
 
-Every schedule is a small amount of state over a flat priority/activity
-view of the elements (nodes for the per-node paradigm, directed edges
-for the per-edge paradigm); the numerical kernels never change.
-
-The §3.5 :class:`WorkQueue` lives here too; the ``repro.core.workqueue``
-and ``repro.core.residual`` modules that once re-exported it are gone —
-this module is the only home.
+A batch that takes the whole frontier needs no priority order, so the
+three frontier schedules sweep exactly the work queue's elements and run
+on its bookkeeping (:class:`WorkQueue`).  They differ in what their
+queues cost — :meth:`Schedule.charge`, which the CPU/GPU cost models
+price — and in when they may stop (:attr:`Schedule.exhaustive`).  The
+numerical kernels never change.
 """
 
 from __future__ import annotations
@@ -49,7 +41,7 @@ import math
 
 import numpy as np
 
-from repro.core.indexset import SlotMap, is_sparse
+from repro.core.indexset import SlotMap
 from repro.core.sweepstats import SweepStats
 from repro.telemetry import get_tracer
 
@@ -204,9 +196,7 @@ class Schedule:
     1. reads :attr:`active` — the element batch to sweep;
     2. sweeps it (kernels are schedule-agnostic);
     3. calls :meth:`update` with the observed per-element deltas and the
-       downstream elements whose inputs changed — with their priorities
-       only for the schedules that read them (:attr:`wants_priority`:
-       residual and relaxed; sync and the work queue do not);
+       downstream elements whose inputs changed;
     4. calls :meth:`charge` so the schedule's bookkeeping cost (queue
        pushes, heap maintenance) lands in the sweep's
        :class:`~repro.core.sweepstats.SweepStats` and is priced by the
@@ -216,12 +206,6 @@ class Schedule:
     name: str = "abstract"
     #: does the driver need to compute downstream re-activation sets?
     wants_downstream: bool = True
-    #: does :meth:`update` read ``downstream_priority``?  The priority
-    #: schedules (residual, relaxed) do, so their downstream list holds
-    #: one entry per out-edge, aligned with the priorities, in no set
-    #: order.  The work queue reads only the set, which the driver may
-    #: then hand over deduplicated (``downstream_priority`` is None)
-    wants_priority: bool = True
     #: does :attr:`active` cover *every* still-unconverged element each
     #: round?  Exhaustive schedules may also terminate on the global sum
     #: criterion; the others stop only when they drain.
@@ -245,30 +229,23 @@ class Schedule:
         processed: np.ndarray,
         deltas: np.ndarray,
         downstream: np.ndarray | None = None,
-        downstream_priority: np.ndarray | None = None,
     ) -> None:
         """Feed back one sweep's per-element deltas.
 
-        ``downstream`` (optional, duplicates allowed) lists elements whose
-        inputs changed; ``downstream_priority`` aligns with it and carries
-        the size of the upstream change (a residual lower bound).  The
-        driver passes priorities only to schedules that set
-        :attr:`wants_priority`.
+        ``downstream`` (optional, duplicates allowed, any order) lists
+        elements whose inputs changed.
         """
 
-    def restrict(
-        self, elements: np.ndarray, priorities: np.ndarray | None = None
-    ) -> None:
+    def restrict(self, elements: np.ndarray) -> None:
         """Limit the *initial* active set to ``elements`` (warm start).
 
         Incremental re-convergence (:mod:`repro.stream.incremental`)
         calls this once, before the first sweep: a run warm-started from
         a converged state only needs to repopulate the dirty region —
         the normal :meth:`update` feedback then grows the active set as
-        far as the perturbation actually propagates.  ``priorities``
-        (aligned, optional) carries residual estimates for the priority
-        schedules.  Synchronous schedules ignore it: they sweep every
-        element anyway, and their warm-start saving is fewer iterations.
+        far as the perturbation actually propagates.  Synchronous
+        schedules ignore it: they sweep every element anyway, and their
+        warm-start saving is fewer iterations.
         """
 
     @property
@@ -289,7 +266,6 @@ class SynchronousSchedule(Schedule):
 
     name = "sync"
     wants_downstream = False
-    wants_priority = False
 
     def __init__(self, n_elements: int, element_threshold: float):
         super().__init__(n_elements, element_threshold)
@@ -304,7 +280,6 @@ class WorkQueueSchedule(Schedule):
     """The paper's §3.5 FIFO queue of unconverged elements."""
 
     name = "work_queue"
-    wants_priority = False
 
     def __init__(self, n_elements: int, element_threshold: float):
         super().__init__(n_elements, element_threshold)
@@ -315,11 +290,11 @@ class WorkQueueSchedule(Schedule):
     def active(self) -> np.ndarray:
         return self.queue.active
 
-    def update(self, processed, deltas, downstream=None, downstream_priority=None):
+    def update(self, processed, deltas, downstream=None):
         self._last_processed = len(processed)
         self.queue.repopulate(deltas, downstream)
 
-    def restrict(self, elements, priorities=None):
+    def restrict(self, elements):
         self.queue.seed(np.asarray(elements, dtype=np.int64))
 
     @property
@@ -332,164 +307,51 @@ class WorkQueueSchedule(Schedule):
         stats.atomic_ops += len(self.queue)
 
 
-class ResidualSchedule(Schedule):
-    """Lazy max-priority scheduling over per-element residuals.
+class ResidualSchedule(WorkQueueSchedule):
+    """Max-residual priority scheduling, as whole-frontier batches.
 
-    Keeps a dense priority array (the batch-parallel equivalent of the
-    lazy max-heap: stale entries are overwritten rather than popped) and
-    each round processes the whole eligible frontier, every element with
-    ``priority >= element_threshold`` — the §3.5 queue's "every element
-    that has not yet converged", taken as one batch (Aksenov et al.'s
-    frontier batches).  A round carries a fixed per-call cost, so a
-    smaller batch would only buy more rounds.  Every element starts
-    eligible.
-
-    The eligible set (ascending) is kept incrementally while it is small:
-    :meth:`update` and :meth:`restrict` re-examine only the indices they
-    write, so a round over a small frontier costs O(frontier), not
-    O(n_elements).  A large set (see :mod:`repro.core.indexset`) is kept
-    as a mask rebuilt in one pass.
+    Each round takes every element that has not yet converged, plus the
+    elements downstream of a change — the §3.5 queue's active set — so
+    no priority value ever chooses what a round sweeps, and the queue's
+    bookkeeping is all it needs.  What differs is the modeled cost of
+    the queue: an exact priority queue pays O(log n) heap levels per
+    push, each an atomic-visible compare-exchange.
     """
 
     name = "residual"
+    #: the priority names stop only when the queue drains, never on the
+    #: global criterion, as they always have: their runs keep their bits
     exhaustive = False
-
-    def __init__(self, n_elements: int, element_threshold: float):
-        super().__init__(n_elements, element_threshold)
-        #: last residual per element; None until first written.  Every
-        #: element starts eligible and the first round processes them
-        #: all, so no start value is ever read, and a seeded run builds
-        #: only the zeros :meth:`restrict` allocates
-        self._priority: np.ndarray | None = None
-        #: ``priority >= element_threshold`` (None: the all-eligible
-        #: start) and, while the eligible set is small, its ascending
-        #: indices (None: scan the mask when asked)
-        self._is_eligible: np.ndarray | None = None
-        self._eligible: np.ndarray | None = None
-        self._n_eligible = n_elements
-        self._last_processed = 0
-        self._last_pushes = 0
-
-    @property
-    def priority(self) -> np.ndarray:
-        """Per-element priority (the last residual seen, or the largest
-        upstream change since)."""
-        if self._priority is None:
-            self._priority = np.zeros(self.n_elements)
-        return self._priority
-
-    # -- eligible set ----------------------------------------------------
-    def _eligible_set(self) -> np.ndarray:
-        """Ascending indices with ``priority >= element_threshold``."""
-        if self._eligible is not None:
-            return self._eligible
-        if self._is_eligible is None:
-            return np.arange(self.n_elements, dtype=np.int64)
-        return np.flatnonzero(self._is_eligible)
-
-    def _refresh(self, *written: np.ndarray) -> None:
-        """Bring the eligible set up to date after priority writes at the
-        indices in ``written`` (duplicates fine)."""
-        n_written = sum(len(part) for part in written)
-        if not n_written:
-            return
-        if self._eligible is None or not is_sparse(
-            n_written + len(self._eligible), self.n_elements
-        ):
-            # a large set keeps only the mask, rebuilt in one pass
-            self._is_eligible = np.greater_equal(
-                self.priority, self.element_threshold, out=self._is_eligible
-            )
-            self._n_eligible = int(np.count_nonzero(self._is_eligible))
-            self._eligible = (
-                np.flatnonzero(self._is_eligible)
-                if is_sparse(self._n_eligible, self.n_elements)
-                else None
-            )
-            return
-        written = np.concatenate(written) if len(written) > 1 else written[0]
-        now = self.priority[written] >= self.element_threshold
-        was = self._is_eligible[written]
-        self._is_eligible[written] = now
-        if (was & ~now).any():
-            self._eligible = self._eligible[self._is_eligible[self._eligible]]
-        gained = written[now & ~was]
-        if len(gained):
-            # the stable sort (a merge of presorted runs) keeps this
-            # O(eligible + gained log gained); duplicates can only come
-            # from repeats in ``written``, and sit side by side after it
-            merged = np.sort(np.concatenate((self._eligible, gained)), kind="stable")
-            self._eligible = merged[np.diff(merged, prepend=-1) != 0]
-        self._n_eligible = len(self._eligible)
-
-    @property
-    def active(self) -> np.ndarray:
-        return self._eligible_set()
-
-    # -- feedback ------------------------------------------------------
-    def update(self, processed, deltas, downstream=None, downstream_priority=None):
-        self._last_processed = len(processed)
-        if len(processed):
-            self.priority[processed] = deltas
-        pushes = int(np.count_nonzero(deltas >= self.element_threshold))
-        if downstream is not None and len(downstream):
-            if downstream_priority is None:
-                raise ValueError("downstream elements need priorities")
-            # lazy-heap insert: keep the larger of the stale and new keys
-            np.maximum.at(self.priority, downstream, downstream_priority)
-            pushes += len(downstream)
-            self._refresh(processed, downstream)
-        else:
-            self._refresh(processed)
-        self._last_pushes = pushes
-
-    def restrict(self, elements, priorities=None):
-        # drop the all-eligible start, then mark only the dirty region
-        # eligible — the lazy-heap equivalent of seeding the queue
-        self._priority = np.zeros(self.n_elements)
-        self._is_eligible = np.zeros(self.n_elements, dtype=bool)
-        self._eligible = np.empty(0, dtype=np.int64)
-        self._n_eligible = 0
-        elements = np.asarray(elements, dtype=np.int64)
-        if not len(elements):
-            return
-        if priorities is None:
-            self._priority[elements] = np.inf
-        else:
-            self._priority[elements] = np.maximum(
-                np.asarray(priorities, dtype=float), self.element_threshold
-            )
-        self._refresh(elements)
-
-    @property
-    def drained(self) -> bool:
-        return self._n_eligible == 0
 
     def charge(self, stats: SweepStats) -> None:
         # exact priority order: every push pays O(log n) heap levels, each
         # an atomic-visible compare-exchange — the contention the relaxed
         # literature (Aksenov et al.) removes
         depth = max(1, int(math.ceil(math.log2(max(self.n_elements, 2)))))
-        stats.queue_ops += self._last_processed + self._last_pushes
-        stats.atomic_ops += self._last_pushes * depth
+        pushes = len(self.queue)
+        stats.queue_ops += self._last_processed + pushes
+        stats.atomic_ops += pushes * depth
 
 
-class RelaxedPrioritySchedule(ResidualSchedule):
+class RelaxedPrioritySchedule(WorkQueueSchedule):
     """Relaxed concurrent priority queue (Aksenov et al., MultiQueue-style).
 
-    It sweeps the same eligible frontier as :class:`ResidualSchedule`
-    (a whole-frontier batch needs no priority order at all), but prices
-    its queue as a relaxed one: every push is O(1) and contention-free,
-    with no serialized heap root.
+    It sweeps the same frontier as :class:`ResidualSchedule` (a
+    whole-frontier batch needs no priority order at all), but prices its
+    queue as a MultiQueue: every push is one contention-free atomic into
+    one of many independent queues, and every pop compares the heads of
+    two of them.
     """
 
     name = "relaxed"
+    exhaustive = False  # as residual
 
     def charge(self, stats: SweepStats) -> None:
         # relaxed queues: O(1) per push, no serialized heap root — each
-        # push is a single atomic to one of many independent queues
-        stats.queue_ops += self._last_processed + self._last_pushes
-        stats.atomic_ops += self._last_pushes
+        # push is a single atomic; each pop reads two queue heads
+        pushes = len(self.queue)
+        stats.queue_ops += 2 * self._last_processed + pushes
+        stats.atomic_ops += pushes
 
 
 def make_schedule(name: str, n_elements: int, element_threshold: float) -> Schedule:

@@ -183,17 +183,6 @@ def _device_buffer_bytes(n: int, m_directed: int, b: int) -> dict[str, int]:
     }
 
 
-#: equivalent-full-sweep multipliers vs the §3.5 queue, calibrated from
-#: the scheduling ablation: residual ordering skips more near-converged
-#: work than FIFO; relaxed sampling gives most of that back in exchange
-#: for O(1) queue operations
-_SCHEDULE_ACTIVITY_FACTOR = {
-    "work_queue": 1.0,
-    "residual": 0.8,
-    "relaxed": 0.85,
-}
-
-
 def _resolve_schedule(schedule: str | None, work_queue: bool) -> str:
     if schedule is not None:
         from repro.core.scheduler import normalize_schedule
@@ -205,7 +194,9 @@ def _resolve_schedule(schedule: str | None, work_queue: bool) -> str:
 def _activity(
     model: IterationModel, n: int, paradigm: str, schedule: str
 ) -> tuple[float, int]:
-    """(equivalent full sweeps, iteration count) at scale ``n``."""
+    """(equivalent full sweeps, iteration count) at scale ``n``.  The
+    frontier schedules sweep the same elements, so they share the work
+    queue's activity and differ only in queue bookkeeping."""
     queued = schedule != "sync"
     iterations = model.iterations_at_scale(n, paradigm, work_queue=queued)
     if queued:
@@ -213,7 +204,6 @@ def _activity(
             model.node_queue_activity if paradigm == "node"
             else model.edge_queue_activity
         )
-        activity *= _SCHEDULE_ACTIVITY_FACTOR.get(schedule, 1.0)
     else:
         activity = iterations
     return float(activity), int(round(iterations))

@@ -34,7 +34,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--schedule", default=None,
         choices=("sync", "work_queue", "residual", "relaxed"),
-        help="scheduling policy (default: selector's choice)",
+        help="scheduling policy (default: work_queue)",
     )
     run.add_argument("--top", type=int, default=10, help="print the first N posteriors")
     run.add_argument(

@@ -20,9 +20,7 @@ from repro.telemetry import get_tracer
 
 __all__ = [
     "FEATURE_NAMES",
-    "SCHEDULE_FEATURE_NAMES",
     "extract_features",
-    "extract_schedule_features",
     "feature_matrix",
 ]
 
@@ -34,15 +32,6 @@ FEATURE_NAMES = (
     "skew",
 )
 
-#: extra features informing the *schedule* choice (backend×schedule
-#: decision space); kept separate so the §3.7 five-feature classifier
-#: contract is untouched
-SCHEDULE_FEATURE_NAMES = FEATURE_NAMES + (
-    "degree_cv",
-    "hub_mass",
-)
-
-
 def _cache(graph: BeliefGraph) -> dict:
     """The graph's memoization dict (older pickles may lack the slot)."""
     cache = getattr(graph, "_feature_cache", None)
@@ -52,22 +41,12 @@ def _cache(graph: BeliefGraph) -> dict:
 
 
 def _canonical_degrees(graph: BeliefGraph) -> tuple[np.ndarray, np.ndarray]:
-    """In/out degrees over one orientation per undirected edge.
-
-    Memoized with the features: both feature vectors read them, and each
-    pass costs O(m) (~31 ms on a 1.6M-edge graph).
-    """
-    cache = _cache(graph)
-    in_deg = cache.get("canonical_in_degree")
-    out_deg = cache.get("canonical_out_degree")
-    if in_deg is None or out_deg is None:
-        canonical = (graph.reverse_edge == -1) | (
-            np.arange(graph.n_edges) < graph.reverse_edge
-        )
-        out_deg = np.bincount(graph.src[canonical], minlength=graph.n_nodes)
-        in_deg = np.bincount(graph.dst[canonical], minlength=graph.n_nodes)
-        cache["canonical_in_degree"] = in_deg
-        cache["canonical_out_degree"] = out_deg
+    """In/out degrees over one orientation per undirected edge."""
+    canonical = (graph.reverse_edge == -1) | (
+        np.arange(graph.n_edges) < graph.reverse_edge
+    )
+    out_deg = np.bincount(graph.src[canonical], minlength=graph.n_nodes)
+    in_deg = np.bincount(graph.dst[canonical], minlength=graph.n_nodes)
     return in_deg, out_deg
 
 
@@ -107,38 +86,6 @@ def extract_features(graph: BeliefGraph) -> np.ndarray:
         if sp:
             sp.set(n_nodes=n, n_edges=graph.n_edges)
     cache["base"] = feats
-    return feats.copy()
-
-
-def extract_schedule_features(graph: BeliefGraph) -> np.ndarray:
-    """The five §3.7 features plus scheduling-relevant skew measures.
-
-    * ``degree_cv`` — coefficient of variation of the in-degrees; uniform
-      grids sit near 0, power-law graphs well above 1.  High variance
-      means residual propagation is unbalanced and priority scheduling
-      can focus work on the slow hubs.
-    * ``hub_mass`` — fraction of edges incident to the top-1 % highest
-      degree nodes; measures how much of the convergence tail a priority
-      schedule can target.
-    """
-    cache = _cache(graph)
-    cached = cache.get("schedule")
-    if cached is not None:
-        return cached.copy()
-    base = extract_features(graph)
-    in_deg, out_deg = _canonical_degrees(graph)
-    degree = in_deg + out_deg  # total degree: undirected incidences
-    total = int(degree.sum())  # = 2 × canonical edge count
-    avg = float(degree.mean()) if graph.n_nodes else 0.0
-    std = float(degree.std()) if graph.n_nodes else 0.0
-    cv = std / avg if avg > 0 else 0.0
-    if total and graph.n_nodes:
-        top = max(1, graph.n_nodes // 100)
-        hub_mass = float(np.sort(degree)[-top:].sum()) / total
-    else:
-        hub_mass = 0.0
-    feats = np.concatenate([base, [cv, hub_mass]])
-    cache["schedule"] = feats
     return feats.copy()
 
 

@@ -120,7 +120,7 @@ class Credo:
         schedule: str | None = None,
     ):
         """``schedule`` pins a scheduling policy for every run; ``None``
-        lets the selector pick per graph."""
+        runs the §3.5 work queue."""
         self.device = get_device(device)
         self.selector = selector or CredoSelector()
         self.criterion = criterion or ConvergenceCriterion()
@@ -203,10 +203,11 @@ class Credo:
         return choice
 
     def select_schedule(self, graph: BeliefGraph, backend: str | None = None) -> str:
-        """The scheduling policy Credo would choose for ``graph``."""
-        if self.schedule is not None:
-            return self.schedule
-        return self.selector.select_schedule(graph, backend or self.select(graph))
+        """The scheduling policy Credo would choose for ``graph``: the
+        pinned one, else the §3.5 work queue.  ``residual`` and
+        ``relaxed`` sweep exactly the queue's elements, so no graph
+        feature can make one of them the faster choice."""
+        return self.schedule or "work_queue"
 
     def plan(
         self,

@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from repro.core.graph import BeliefGraph
-from repro.credo.features import extract_features, extract_schedule_features
+from repro.credo.features import extract_features
 from repro.credo.rules import LARGE_GRAPH_NODES, SMALL_GRAPH_NODES
 from repro.credo.training import TrainingRow
 from repro.ml.forest import RandomForestClassifier
@@ -113,42 +113,15 @@ class CredoSelector:
         return f"{platform}-{paradigm}"
 
     # ------------------------------------------------------------------
-    def select_schedule(self, graph: BeliefGraph, backend: str) -> str:
-        """Scheduling policy for ``graph`` on ``backend`` (extension).
-
-        Heuristic over the schedule features: graphs with a heavy degree
-        tail (high coefficient of variation or concentrated hub mass)
-        converge unevenly, so priority scheduling focuses work where the
-        residual lives — exact residual order on CPU, where heap
-        maintenance is serialized anyway, and relaxed priority on GPU,
-        where an exact heap would serialize thousands of threads (Aksenov
-        et al.).  Balanced graphs keep the paper's §3.5 work queue.
-        """
-        feats = extract_schedule_features(graph)
-        degree_cv, hub_mass = float(feats[-2]), float(feats[-1])
-        heavy_tail = degree_cv > 1.0 or hub_mass > 0.25
-        if not heavy_tail:
-            return "work_queue"
-        return "relaxed" if backend.startswith("cuda") else "residual"
-
-    # ------------------------------------------------------------------
-    def select_update_mode(
-        self, dirty_fraction: float, *, structural: bool = True
-    ) -> str:
+    def select_update_mode(self, dirty_fraction: float) -> str:
         """``"incremental"`` or ``"full"`` for a graph delta (DESIGN.md §15).
 
         A delta dirtying more than :data:`INCREMENTAL_DIRTY_MAX_FRACTION`
         of the nodes re-touches most of the graph during warm-started
         propagation anyway — state migration plus seeding then costs more
         than it saves, so the engine runs a plain full convergence.
-        ``structural`` is accepted for symmetry with the call sites
-        (evidence-only deltas share the same ceiling today).
+        Evidence-only and structural deltas share the one ceiling.
         """
         if dirty_fraction > INCREMENTAL_DIRTY_MAX_FRACTION:
             return "full"
         return "incremental"
-
-    def select_full(self, graph: BeliefGraph) -> str:
-        """Schedule-qualified selection, ``"<backend>:<schedule>"``."""
-        backend = self.select(graph)
-        return f"{backend}:{self.select_schedule(graph, backend)}"

@@ -98,9 +98,7 @@ class IncrementalEngine:
             metrics.counter("stream.updates").inc()
             metrics.gauge("stream.dirty_fraction").set(res.dirty_fraction)
 
-            mode = CredoSelector().select_update_mode(
-                res.dirty_fraction, structural=res.structural
-            )
+            mode = CredoSelector().select_update_mode(res.dirty_fraction)
             if self._state is None:
                 mode = "full"
             if mode == "full":

@@ -217,15 +217,12 @@ class TestDegreeMemo:
 
         monkeypatch.setattr(features.np, "bincount", counting)
         features.extract_features(g)
-        features.extract_schedule_features(g)
-        features.extract_schedule_features(g.copy())
+        features.extract_features(g)
+        features.extract_features(g.copy())
         assert len(calls) == 2  # one in-degree and one out-degree pass
-        in_deg, out_deg = features._canonical_degrees(g)
-        assert g._feature_cache["canonical_in_degree"] is in_deg
-        assert g._feature_cache["canonical_out_degree"] is out_deg
 
         g.invalidate_metadata_cache()
-        features.extract_schedule_features(g)
+        features.extract_features(g)
         assert len(calls) == 4
 
     def test_memoized_degrees_are_the_canonical_ones(self):

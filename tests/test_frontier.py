@@ -11,8 +11,9 @@ indistinguishable to every consumer:
 * whole node and edge work-queue runs repeat
   posteriors, iterations, delta histories and per-sweep stats exactly
   with the crossover forced to the gather;
-* the priority schedules, which read one priority per out-edge, get the
-  same (element, priority) pairs by either route, in whatever order;
+* ``work_queue``, ``residual`` and ``relaxed`` are one frontier schedule:
+  by either route, cold or seeded, they sweep the same elements and
+  differ only in ``work_queue``'s earlier stop on the global criterion;
 * a node sweep whose active nodes hold every edge runs on the
   natural-order slice and stays bit-exact with the reference kernel.
 """
@@ -27,10 +28,9 @@ from hypothesis import strategies as st
 from repro.core import indexset
 from repro.core.convergence import ConvergenceCriterion
 from repro.core.graph import BeliefGraph
-from repro.core.loopy import LoopyBP, LoopyConfig, _downstream, _NodePlan
+from repro.core.loopy import LoopyBP, _downstream
 from repro.core.node_kernel import node_sweep
 from repro.core.potentials import attractive_potential, random_potential
-from repro.core.scheduler import make_schedule
 from repro.core.state import LoopyState
 from repro.kernels.compiled import make_executor
 from tests.conftest import interpreted_sweeps, message_state
@@ -98,16 +98,6 @@ def frontier_cases(draw):
     return LoopyState(g), nodes.astype(np.int64)
 
 
-def assert_same_pairs(got, want):
-    """Two ``(elements, priorities)`` lists hold the same pairs, with the
-    same multiplicities, in any order."""
-    (ids, priority), (want_ids, want_priority) = got, want
-    assert len(ids) == len(priority) == len(want_ids)
-    order, want_order = np.lexsort((priority, ids)), np.lexsort((want_priority, want_ids))
-    np.testing.assert_array_equal(ids[order], want_ids[want_order])
-    np.testing.assert_array_equal(priority[order], want_priority[want_order])
-
-
 class TestFrontierSets:
     @settings(**SETTINGS)
     @given(frontier_cases(), st.booleans())
@@ -115,24 +105,14 @@ class TestFrontierSets:
         state, nodes = case
         out = state.gather_out_edges(nodes)
         ragged = state.dst[out] if to_nodes else out
-        deltas = np.linspace(1.0, 2.0, len(nodes))
-        sizes = np.diff(state.out_offsets)[nodes]
-
-        def frontier(priority=False):
-            return _downstream(state, nodes, deltas, to_nodes=to_nodes, with_priority=priority)
-
-        for route in ("mask", "gather"):
-            with frontier_route(route):
-                # one (element, priority) pair per out-edge on either route
-                assert_same_pairs(frontier(priority=True), (ragged, np.repeat(deltas, sizes)))
         with frontier_route("mask"):
-            masked, none = frontier()
+            masked = _downstream(state, nodes, to_nodes=to_nodes)
         with frontier_route("gather"):
-            gathered, _ = frontier()
+            gathered = _downstream(state, nodes, to_nodes=to_nodes)
         np.testing.assert_array_equal(gathered, ragged)
         np.testing.assert_array_equal(masked, np.unique(ragged))
-        assert masked.dtype == np.int64 and none is None
-        shipped, _ = frontier()
+        assert masked.dtype == np.int64
+        shipped = _downstream(state, nodes, to_nodes=to_nodes)
         np.testing.assert_array_equal(np.unique(shipped), np.unique(ragged))
 
     def test_crossover_is_a_fraction_of_n(self):
@@ -192,40 +172,37 @@ class TestRunLevel:
         assert_same_run(masked, gathered)
 
 
-class TestPriorities:
-    @pytest.mark.parametrize("schedule", ["residual", "relaxed"])
-    def test_downstream_priorities_are_the_ragged_arrays(self, schedule):
+class TestOneFrontierSchedule:
+    @pytest.mark.parametrize("route", ["mask", "gather"])
+    @pytest.mark.parametrize("seeded", [False, True])
+    @pytest.mark.parametrize("paradigm", ["node", "edge"])
+    def test_queue_and_priority_names_run_the_same_sweeps(self, paradigm, seeded, route):
+        """``residual`` and ``relaxed`` are bit-identical; ``work_queue``
+        is the same run, cut where the global criterion stops it (it
+        alone may stop there), so a ``residual`` run capped at its
+        iteration count repeats it exactly."""
         g = loopy_graph_with_isolated_nodes()
-        cfg = LoopyConfig(schedule=schedule)
-        active = np.arange(g.n_nodes, dtype=np.int64)
-        deltas, _ = node_sweep(LoopyState(g.copy()), active)
-        for route in ("mask", "gather"):
-            state = LoopyState(g.copy())
-            plan = _NodePlan(state, cfg)
+        n_elements = g.n_nodes if paradigm == "node" else g.n_edges
+        seed = np.arange(0, n_elements, 5, dtype=np.int64) if seeded else None
+
+        def run(schedule, max_iterations=200):
+            crit = ConvergenceCriterion(threshold=1e-4, max_iterations=max_iterations)
+            bp = LoopyBP(paradigm=paradigm, schedule=schedule, criterion=crit)
             with frontier_route(route):
-                [step], _ = plan.sweep([0], [active], True, want_priority=True)
-            np.testing.assert_array_equal(step.deltas, deltas)
-            dirty_mask = deltas >= plan.element_threshold
-            dirty = active[dirty_mask]
-            sizes = state.out_offsets[dirty + 1] - state.out_offsets[dirty]
-            assert_same_pairs(
-                (step.downstream, step.downstream_priority),
-                (state.dst[state.gather_out_edges(dirty)], np.repeat(deltas[dirty_mask], sizes)),
-            )
+                return bp.run(g.copy(), active_seed=seed)
 
-    def test_schedules_declare_what_they_read(self):
-        reads = {name: make_schedule(name, 4, 1e-3).wants_priority
-                 for name in ("sync", "work_queue", "residual", "relaxed")}
-        assert reads == {"sync": False, "work_queue": False,
-                         "residual": True, "relaxed": True}
-
-    def test_work_queue_gets_no_priorities(self):
-        g = loopy_graph_with_isolated_nodes()
-        plan = _NodePlan(LoopyState(g), LoopyConfig(schedule="work_queue"))
-        [step], _ = plan.sweep(
-            [0], [np.arange(g.n_nodes, dtype=np.int64)], True, want_priority=False
-        )
-        assert step.downstream is not None and step.downstream_priority is None
+        residual, relaxed, queue = run("residual"), run("relaxed"), run("work_queue")
+        assert residual.converged and queue.converged
+        np.testing.assert_array_equal(relaxed.beliefs, residual.beliefs)
+        assert relaxed.iterations == residual.iterations
+        assert relaxed.delta_history == residual.delta_history
+        assert queue.iterations <= residual.iterations
+        capped = run("residual", max_iterations=queue.iterations)
+        np.testing.assert_array_equal(queue.beliefs, capped.beliefs)
+        assert queue.delta_history == capped.delta_history
+        for a, b in zip(queue.run_stats.per_iteration, capped.run_stats.per_iteration):
+            assert a.edges_processed == b.edges_processed
+            assert a.nodes_processed == b.nodes_processed
 
 
 class TestEveryEdgeSlice:

@@ -10,9 +10,6 @@ indistinguishable:
   sides of the crossover, widths b ∈ {1, 2, 3, 8};
 * ``edge_sweep`` returns the same deltas, touched nodes and beliefs on
   either path;
-* the incrementally kept eligible set of the priority schedules always
-  equals ``flatnonzero(priority >= threshold)``, and ``active`` is that
-  set;
 * the work queue's repopulate / seed equal the membership-mask dedup
   they replace;
 * a whole warm-started re-convergence repeats sweep for sweep on every
@@ -35,7 +32,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import indexset, scheduler
+from repro.core import indexset
 from repro.core.convergence import ConvergenceCriterion
 from repro.core.edge_kernel import MIN_CHUNK_EDGES, chunk_slices, edge_sweep
 from repro.core.graph import BeliefGraph
@@ -44,7 +41,7 @@ from repro.core.junction import junction_tree_marginals
 from repro.core.loopy import LoopyConfig
 from repro.core.observation import observe
 from repro.core.potentials import random_potential
-from repro.core.scheduler import WorkQueue, make_schedule
+from repro.core.scheduler import WorkQueue
 from repro.core.state import LoopyState
 from repro.credo.runner import Credo
 from repro.graphs.grids import grid_graph
@@ -73,12 +70,12 @@ def forced_path(mode):
     else:
         def rule(k, n):
             return mode
-    saved = indexset.is_sparse, scheduler.is_sparse
-    indexset.is_sparse = scheduler.is_sparse = rule
+    saved = indexset.is_sparse
+    indexset.is_sparse = rule
     try:
         yield
     finally:
-        indexset.is_sparse, scheduler.is_sparse = saved
+        indexset.is_sparse = saved
 
 
 @st.composite
@@ -177,70 +174,6 @@ class TestScatterPaths:
             assert rows is idx
         else:
             np.testing.assert_array_equal(rows[inv], idx)
-
-
-# ---------------------------------------------------------------------------
-def _reference_active(schedule):
-    """The full scan the incremental eligible set replaces: every
-    element at or above the threshold."""
-    return np.flatnonzero(schedule.priority >= schedule.element_threshold)
-
-
-def _check_schedule(schedule):
-    expected = _reference_active(schedule)
-    np.testing.assert_array_equal(schedule._eligible_set(), expected)
-    assert schedule.drained == (len(expected) == 0)
-    got = schedule.active
-    np.testing.assert_array_equal(got, expected)
-    return got
-
-
-_OPS = st.lists(
-    st.tuples(
-        st.sampled_from(["update", "restrict"]),
-        st.integers(min_value=0, max_value=2**31 - 1),
-        st.booleans(),
-    ),
-    min_size=1,
-    max_size=12,
-)
-
-
-class TestEligibleSet:
-    @given(
-        st.sampled_from(["residual", "relaxed"]),
-        st.integers(min_value=1, max_value=400),
-        _OPS,
-        st.sampled_from(MODES),
-    )
-    @settings(**SETTINGS)
-    def test_incremental_eligible_matches_scan(self, kind, n, ops, mode):
-        with forced_path(mode):
-            self._run_ops(kind, n, ops)
-
-    @staticmethod
-    def _run_ops(kind, n, ops):
-        schedule = make_schedule(kind, n, 0.05)
-        np.testing.assert_array_equal(schedule.active, np.arange(n))
-        active = schedule.active
-        for op, seed, with_priorities in ops:
-            rng = np.random.default_rng(seed)
-            # set sizes span both sides of the slot-map crossover
-            size = int(rng.integers(0, n + 1)) if rng.random() < 0.5 else int(
-                rng.integers(0, max(1, n // 12) + 1)
-            )
-            elements = rng.integers(0, n, size=size)
-            prios = rng.exponential(0.05, size=size) if with_priorities else None
-            if op == "update":
-                deltas = rng.exponential(0.05, size=len(active)).astype(np.float32)
-                downstream = elements if size else None
-                schedule.update(
-                    active, deltas, downstream,
-                    rng.exponential(0.05, size=size) if size else None,
-                )
-            else:
-                schedule.restrict(elements, prios)
-            active = _check_schedule(schedule)
 
 
 class TestWorkQueueDedup:

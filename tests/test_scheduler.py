@@ -73,6 +73,24 @@ class TestSchedulerParity:
         assert results["sync"].iterations == results["work_queue"].iterations == 1
 
 
+class TestFloat32Floor:
+    def test_edge_work_queue_drains_below_the_float32_floor(self):
+        """At a criterion below float32 resolution, sub-floor node changes
+        must not re-enqueue their out-edges: the edge work queue drains
+        in the iterations the priority names take, not at the cap."""
+        from repro.graphs import grid_graph
+
+        crit = ConvergenceCriterion(1e-8, 500)
+        runs = {
+            s: LoopyBP(paradigm="edge", schedule=s, criterion=crit).run(
+                grid_graph(32, 32, n_states=2, seed=3, coupling=0.6)
+            )
+            for s in ("work_queue", "residual")
+        }
+        assert runs["work_queue"].converged
+        assert runs["work_queue"].iterations == runs["residual"].iterations == 12
+
+
 class TestDeprecationShim:
     def test_shim_selects_matching_schedule_class(self):
         from repro.core.loopy import _NodePlan
@@ -116,27 +134,22 @@ class TestScheduleUnits:
         s = ResidualSchedule(10, 1e-3)
         np.testing.assert_array_equal(s.active, np.arange(10))
         # every element at or above the threshold, in ascending order —
-        # not a top slice of them
+        # not a top slice of them — plus the downstream elements
         s.update(
             np.arange(10),
             np.array([0.0, 9, 0.5, 8, 1e-3, 7, 0.5, 1e-4, 0.5, 0.5]),
         )
         np.testing.assert_array_equal(s.active, [1, 2, 3, 4, 5, 6, 8, 9])
-        s.update(
-            s.active, np.array([0.0, 2, 0, 0, 0, 0, 0, 0]),
-            downstream=np.array([7, 7, 0]),
-            downstream_priority=np.array([1e-4, 0.2, 1e-4]),
-        )
-        np.testing.assert_array_equal(s.active, [2, 7])
+        s.update(s.active, np.array([0.0, 2, 0, 0, 0, 0, 0, 0]), downstream=np.array([7, 7, 0]))
+        np.testing.assert_array_equal(s.active, [0, 2, 7])
+
     def test_residual_downstream_boost(self):
         s = ResidualSchedule(4, 1e-3)
         s.update(np.arange(4), np.zeros(4))
         assert s.drained
-        s.update(
-            np.empty(0, np.int64), np.empty(0),
-            downstream=np.array([2]), downstream_priority=np.array([0.5]),
-        )
-        assert not s.drained and s.priority[2] == 0.5
+        s.update(np.empty(0, np.int64), np.empty(0), downstream=np.array([2]))
+        assert not s.drained
+        np.testing.assert_array_equal(s.active, [2])
 
     def test_relaxed_sweeps_what_residual_sweeps(self):
         rng = np.random.default_rng(7)
@@ -146,11 +159,9 @@ class TestScheduleUnits:
             np.testing.assert_array_equal(relaxed.active, active)
             deltas = rng.exponential(2e-3, size=len(active))
             downstream = rng.integers(0, 50, size=8)
-            priority = rng.exponential(2e-3, size=8)
-            exact.update(active, deltas, downstream, priority)
-            relaxed.update(active, deltas, downstream, priority)
+            exact.update(active, deltas, downstream)
+            relaxed.update(active, deltas, downstream)
         np.testing.assert_array_equal(relaxed.active, exact.active)
-        np.testing.assert_array_equal(relaxed.priority, exact.priority)
         assert relaxed.drained == exact.drained
 
     def test_charges_differ_by_schedule(self):
@@ -231,21 +242,11 @@ class TestCredoSchedules:
         result = credo.run(g)
         assert result.detail["schedule"] in SCHEDULES
 
-    def test_heavy_tail_graph_gets_priority_schedule(self):
-        """A star graph concentrates residual mass on the hub."""
-        from repro.core.graph import BeliefGraph
-        from repro.core.potentials import attractive_potential
-
-        rng = np.random.default_rng(0)
-        n = 60
-        edges = np.array([[0, v] for v in range(1, n)])
-        priors = rng.dirichlet(np.ones(2), size=n)
-        star = BeliefGraph.from_undirected(
-            priors, edges, attractive_potential(2, 0.7)
-        )
-        selector = Credo().selector
-        assert selector.select_schedule(star, "c-edge") == "residual"
-        assert selector.select_schedule(star, "cuda-edge") == "relaxed"
-        grid = _grid()
-        assert selector.select_schedule(grid, "c-edge") == "work_queue"
-
+    def test_unpinned_schedule_is_the_work_queue(self):
+        """``residual`` and ``relaxed`` run the work queue's sweeps, so
+        Credo has no schedule to choose: it keeps the §3.5 queue unless
+        one is pinned."""
+        g = _grid()
+        assert Credo().select_schedule(g) == "work_queue"
+        assert Credo(schedule="relaxed").select_schedule(g) == "relaxed"
+        assert Credo().run(g).detail["schedule"] == "work_queue"
