@@ -2,8 +2,9 @@
 
 :mod:`repro.analysis.framework` + :mod:`repro.analysis.rules` — an AST
 lint pass with rules that encode *this repo's* invariants
-(epsilon-clamped logs and divisions, serve-layer lock discipline,
-registry-resolvable backend qualifiers, live ``LoopyConfig`` kwargs).
+(epsilon-clamped logs and divisions, in-place writes to shared
+arrays, serve-layer lock discipline, live ``LoopyConfig`` kwargs,
+writes to a registered model's frozen graph).
 Run it as ``python -m repro.analysis src`` or ``credo lint``.
 """
 

@@ -24,7 +24,6 @@ from repro.analysis.framework import (
     update_baseline,
     write_baseline,
 )
-from repro.analysis.sarif import render_sarif
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,14 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json-report",
         metavar="FILE",
         help="also write the JSON report to FILE (CI artifact)",
-    )
-    parser.add_argument(
-        "--sarif", action="store_true", help="emit a SARIF 2.1.0 report to stdout"
-    )
-    parser.add_argument(
-        "--sarif-report",
-        metavar="FILE",
-        help="also write the SARIF 2.1.0 report to FILE (code-scanning upload)",
     )
     parser.add_argument(
         "--rules",
@@ -128,13 +119,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.json_report:
         Path(args.json_report).write_text(render_json(result) + "\n", encoding="utf-8")
-    if args.sarif_report:
-        Path(args.sarif_report).write_text(
-            render_sarif(result, rules) + "\n", encoding="utf-8"
-        )
-    if args.sarif:
-        print(render_sarif(result, rules))
-    elif args.json:
+    if args.json:
         print(render_json(result))
     else:
         print(render_text(result))

@@ -33,7 +33,6 @@ from typing import Iterable, Iterator
 __all__ = [
     "Finding",
     "Rule",
-    "ProjectRule",
     "Module",
     "Analyzer",
     "AnalysisResult",
@@ -126,22 +125,6 @@ class Rule:
             message=message,
             snippet=snippet,
         )
-
-
-class ProjectRule(Rule):
-    """A rule that needs the *whole* analyzed module set at once.
-
-    Per-module :meth:`Rule.check` is a no-op; the analyzer calls
-    :meth:`check_project` once after every file has been parsed.  The
-    RPR4xx dataflow rules are project rules: their facts (axis
-    contracts, alias sets, call summaries) span module boundaries.
-    """
-
-    def check(self, module: "Module") -> Iterator[Finding]:
-        return iter(())
-
-    def check_project(self, modules: list["Module"]) -> Iterator[Finding]:
-        raise NotImplementedError
 
 
 _REGISTRY: dict[str, type[Rule]] = {}
@@ -276,32 +259,18 @@ class Analyzer:
         errors: list[str] = []
         suppressed = 0
         files = self.collect(paths)
-        modules: list[Module] = []
         for path in files:
             try:
                 module = Module(path, root=self.root)
             except (SyntaxError, OSError) as exc:
                 errors.append(f"{path}: {exc}")
                 continue
-            modules.append(module)
             for rule in self.rules:
-                if isinstance(rule, ProjectRule):
-                    continue
                 for finding in rule.check(module):
                     if module.suppressed(finding):
                         suppressed += 1
                     else:
                         findings.append(finding)
-        by_path = {m.rel_path: m for m in modules}
-        for rule in self.rules:
-            if not isinstance(rule, ProjectRule):
-                continue
-            for finding in rule.check_project(modules):
-                module = by_path.get(finding.path)
-                if module is not None and module.suppressed(finding):
-                    suppressed += 1
-                else:
-                    findings.append(finding)
         findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
         return AnalysisResult(
             findings=findings,

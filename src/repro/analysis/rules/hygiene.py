@@ -1,12 +1,11 @@
 """API-hygiene rules (RPR3xx).
 
-These rules are *project-aware*: they import the live registries
-(backends, schedules, ``LoopyConfig``) and validate
-string literals and keyword arguments against them, so a typo'd
-``"c-nod:residual"`` or a ``LoopyConfig(paradgim=...)`` fails CI
-instead of a production selection path.  When the project itself is
-not importable (linting a detached checkout), the registry-backed
-rules degrade to no-ops rather than crashing the analyzer.
+These rules are *project-aware*: RPR303 imports the live
+``LoopyConfig`` and validates keyword arguments against its fields, so
+a ``LoopyConfig(paradgim=...)`` fails CI instead of a production run.
+When the project itself is not importable (linting a detached
+checkout), it degrades to a no-op rather than crashing the analyzer.
+RPR306 keeps writes off a registered model's frozen graph.
 """
 
 from __future__ import annotations
@@ -34,107 +33,6 @@ _FROZEN_GRAPH_FIELDS = {
     "out_offsets",
     "out_edge_ids",
 }
-
-
-def _registries():
-    """(BACKENDS, normalize_schedule, parse_qualified) or None."""
-    try:
-        from repro.backends.registry import BACKENDS
-        from repro.core.scheduler import normalize_schedule
-        from repro.credo.runner import parse_qualified
-    except Exception:  # pragma: no cover - detached checkout
-        return None
-    return BACKENDS, normalize_schedule, parse_qualified
-
-
-def validate_qualifier(spec: str) -> str | None:
-    """Human-readable error for an unresolvable backend qualifier, else None.
-
-    The grammar ``<backend>[:<schedule>]`` is owned by
-    :func:`repro.credo.runner.parse_qualified` — the linter calls it in
-    strict mode instead of keeping a second copy of the regex, so the
-    checker can never drift from what the runner actually accepts.
-    """
-    registries = _registries()
-    if registries is None:
-        return None
-    backends, normalize_schedule, parse_qualified = registries
-    try:
-        fields = parse_qualified(spec, strict=True)
-    except ValueError as exc:
-        return str(exc)
-    base = fields["backend"]
-    if base not in backends:
-        return f"unknown backend {base!r} (known: {', '.join(sorted(backends))})"
-    schedule = fields.get("schedule")
-    if schedule is not None:
-        try:
-            normalize_schedule(schedule)
-        except (KeyError, ValueError) as exc:
-            return f"bad schedule qualifier in {spec!r}: {exc}"
-    return None
-
-
-def _validate_schedule(name: str) -> str | None:
-    registries = _registries()
-    if registries is None:
-        return None
-    _, normalize_schedule, _ = registries
-    try:
-        normalize_schedule(name)
-    except (KeyError, ValueError) as exc:
-        return str(exc)
-    return None
-
-
-@register
-class UnresolvableQualifierRule(Rule):
-    """RPR302: backend / schedule qualifier strings that don't resolve."""
-
-    id = "RPR302"
-    name = "unresolvable-qualifier"
-    description = (
-        "backend name or ':schedule' qualifier literal that does not "
-        "resolve against the live registries"
-    )
-
-    def check(self, module: Module) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            func_name = (
-                func.id
-                if isinstance(func, ast.Name)
-                else func.attr if isinstance(func, ast.Attribute) else None
-            )
-            candidates: list[tuple[ast.AST, str, str]] = []
-            if func_name == "get_backend" and node.args:
-                arg = node.args[0]
-                if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-                    candidates.append((arg, arg.value, "backend"))
-            for kw in node.keywords:
-                if not (
-                    isinstance(kw.value, ast.Constant)
-                    and isinstance(kw.value.value, str)
-                ):
-                    continue
-                if kw.arg == "backend":
-                    candidates.append((kw.value, kw.value.value, "backend"))
-                elif kw.arg == "schedule":
-                    candidates.append((kw.value, kw.value.value, "schedule"))
-            for target, value, kind in candidates:
-                error = (
-                    validate_qualifier(value)
-                    if kind == "backend"
-                    else _validate_schedule(value)
-                )
-                if error is not None:
-                    yield self.finding(
-                        module,
-                        target,
-                        f"{kind} literal {value!r} does not resolve: {error}",
-                    )
 
 
 @register

@@ -4,11 +4,10 @@ Credo's selector (paper §3.7) works in terms of these four names —
 ``c-node``, ``c-edge``, ``cuda-node``, ``cuda-edge`` — plus the auxiliary
 engines used in the preliminary §2.4 study.
 
-Names may carry a schedule qualifier, ``"<backend>:<schedule>"``
-(e.g. ``"c-node:residual"``, ``"cuda-edge:relaxed"``): the qualifier
-becomes the instance's default scheduling policy, so schedule-qualified
-variants drop into any code that holds plain backends.  The schedule set
-is :data:`repro.core.scheduler.SCHEDULES`.
+:func:`get_backend` also takes ``"<backend>:<schedule>"`` (e.g.
+``"c-node:residual"``): the part after the colon becomes the instance's
+default scheduling policy, one of
+:data:`repro.core.scheduler.SCHEDULES`.
 """
 
 from __future__ import annotations
@@ -24,14 +23,13 @@ from repro.backends.openacc import OpenACCBackend
 from repro.backends.openmp import OpenMPBackend
 from repro.backends.reference import ReferenceBackend
 from repro.backends.sharded import ShardedCpuBackend
-from repro.core.scheduler import SCHEDULES, normalize_schedule
+from repro.core.scheduler import normalize_schedule
 
 __all__ = [
     "BACKENDS",
     "CORE_BACKENDS",
     "get_backend",
     "available_backends",
-    "schedule_variants",
 ]
 
 BACKENDS: dict[str, Callable[..., Backend]] = {
@@ -75,8 +73,3 @@ def get_backend(name: str, **kwargs) -> Backend:
 
 def available_backends() -> list[str]:
     return sorted(BACKENDS)
-
-
-def schedule_variants(names: tuple[str, ...] = CORE_BACKENDS) -> list[str]:
-    """The backend×schedule product as qualified registry names."""
-    return [f"{name}:{schedule}" for name in names for schedule in SCHEDULES]

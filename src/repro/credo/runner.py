@@ -9,7 +9,6 @@ to run more efficiently and outperform previous efforts."
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -19,6 +18,7 @@ from repro.backends.c_backends import CEdgeBackend, CNodeBackend
 from repro.backends.cuda_backends import CudaEdgeBackend, CudaNodeBackend
 from repro.core.convergence import ConvergenceCriterion
 from repro.core.graph import BeliefGraph
+from repro.core.scheduler import normalize_schedule
 from repro.credo.selector import CredoSelector
 from repro.credo.training import build_training_set
 from repro.gpusim.arch import DeviceSpec, get_device
@@ -28,15 +28,7 @@ from repro.telemetry import get_tracer
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.serve.config import ServerConfig
 
-__all__ = ["Credo", "ExecutionPlan", "parse_qualified"]
-
-#: the full qualified-spec grammar, mirroring the RPR302 lint validator:
-#: ``<backend>[:<schedule>]`` — exactly what ``ExecutionPlan.qualified``
-#: renders, so plans round-trip through their string spelling
-_QUALIFIED_RE = re.compile(
-    r"^(?P<backend>[a-z][a-z0-9_-]*)"
-    r"(?::(?P<schedule>[a-z][a-z0-9_-]*))?$"
-)
+__all__ = ["Credo", "ExecutionPlan"]
 
 
 def _check_executor(executor: str | None) -> None:
@@ -46,32 +38,6 @@ def _check_executor(executor: str | None) -> None:
         raise ValueError(
             f"unknown executor {executor!r}; every sweep runs 'compiled'"
         )
-
-
-def parse_qualified(name: str, *, strict: bool = False) -> dict:
-    """Split a qualified backend spec into its plan fields.
-
-    Returns a dict holding only the groups present in ``name``
-    (``backend`` always; ``schedule`` when spelled).
-    Specs outside the grammar fall back to the historical
-    ``"<name>:<qualifier>"`` split so unknown names still surface their
-    errors at the backend/schedule registries — unless ``strict`` is
-    set, in which case they raise :class:`ValueError` instead (this is
-    what the linter's config rules use to validate spellings without
-    duplicating the grammar).  An ``@`` suffix (the retired shard
-    grammar ``@<K>x<METHOD>``) raises in either mode: no registry would
-    catch it.
-    """
-    match = _QUALIFIED_RE.match(name)
-    if match is None:
-        if strict or "@" in name:
-            raise ValueError(
-                f"{name!r} does not match the qualified-spec grammar "
-                "<backend>[:<sched>]"
-            )
-        base, _, qualifier = name.partition(":")
-        return {"backend": base, **({"schedule": qualifier} if qualifier else {})}
-    return {k: v for k, v in match.groupdict().items() if v is not None}
 
 
 @dataclass(frozen=True)
@@ -221,15 +187,18 @@ class Credo:
         The returned :class:`ExecutionPlan` can be passed to :meth:`run`
         (any number of times, e.g. once per served query) to skip
         re-selection; ``backend=`` pins the backend and only the schedule
-        is chosen.  It accepts the full qualified grammar
-        (:attr:`ExecutionPlan.qualified`), so a plan's string spelling
-        round-trips back into an equivalent plan.  ``executor=`` accepts only ``"compiled"``, the one sweep executor.
+        is chosen.  It takes ``"backend[:schedule]"``, the spelling
+        :attr:`ExecutionPlan.qualified` renders, so a plan round-trips
+        through its name.  A name that cannot run raises here, not at
+        :meth:`run`: ``KeyError`` for a backend Credo does not dispatch,
+        ``ValueError`` for an unknown schedule.  ``executor=`` accepts
+        only ``"compiled"``, the one sweep executor.
         """
         _check_executor(executor)
         with get_tracer().span("credo.plan", cat="credo") as sp:
-            spec = parse_qualified(backend or self.select(graph))
-            base_name = spec["backend"]
-            schedule = spec.get("schedule") or self.select_schedule(graph, base_name)
+            base_name, schedule = self._resolve(
+                backend or self.select(graph), None, graph
+            )
             if sp:
                 sp.set(backend=base_name, schedule=schedule)
         return ExecutionPlan(backend=base_name, schedule=schedule)
@@ -246,9 +215,9 @@ class Credo:
         """Select (or honour ``backend=``/``schedule=``/``plan=``) and
         execute BP.
 
-        ``backend`` accepts the full qualified grammar a plan renders
-        (``"c-node:residual"`` — see :attr:`ExecutionPlan.qualified`); a
-        spelled schedule wins unless ``schedule=`` is given explicitly.
+        ``backend`` takes ``"backend[:schedule]"`` as :meth:`plan` does
+        (``"c-node:residual"``); a spelled schedule wins unless
+        ``schedule=`` is given explicitly.
         ``plan`` short-circuits selection entirely (amortized serving
         path); it is mutually exclusive with the other two.  ``executor=``
         accepts only ``"compiled"``, the one sweep executor.
@@ -260,21 +229,30 @@ class Credo:
                     "plan= is mutually exclusive with backend=/schedule="
                 )
             backend, schedule = plan.backend, plan.schedule
-        elif backend is not None:
-            parse_qualified(backend)  # rejects the retired "@" suffix
-        name = backend or self.select(graph)
-        base_name, _, qualifier = name.partition(":")
-        try:
-            engine = self._backends[base_name]
-        except KeyError:
-            raise KeyError(
-                f"unknown backend {base_name!r}; Credo dispatches "
-                f"{sorted(self._backends)}"
-            ) from None
-        chosen = schedule or qualifier or self.select_schedule(graph, base_name)
+        base_name, chosen = self._resolve(
+            backend or self.select(graph), schedule, graph
+        )
+        engine = self._backends[base_name]
         result = engine.run(graph, criterion=self.criterion, schedule=chosen)
         result.detail["selected"] = base_name
         return result
+
+    def _resolve(
+        self, name: str, schedule: str | None, graph: BeliefGraph
+    ) -> tuple[str, str]:
+        """Split ``"backend[:schedule]"`` as :func:`get_backend` does and
+        check both parts: ``KeyError`` for a backend Credo does not
+        dispatch, ``ValueError`` for an unknown schedule.  An explicit
+        ``schedule`` wins over a spelled one; with neither, Credo
+        chooses."""
+        base_name, _, qualifier = name.partition(":")
+        if base_name not in self._backends:
+            raise KeyError(
+                f"unknown backend {base_name!r}; Credo dispatches "
+                f"{sorted(self._backends)}"
+            )
+        chosen = schedule or qualifier or self.select_schedule(graph, base_name)
+        return base_name, normalize_schedule(chosen)
 
     def select_file(self, node_path: str | Path, edge_path: str | Path) -> str:
         """Pick the backend for an MTX dual-file graph from its metadata

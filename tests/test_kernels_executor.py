@@ -123,30 +123,45 @@ class TestPlanIntegration:
         assert ExecutionPlan("sharded", "sync").qualified == "sharded:sync"
 
     def test_qualified_spec_round_trips(self):
-        from repro.credo.runner import Credo, parse_qualified
+        from repro.credo.runner import Credo
 
-        assert parse_qualified("c-edge:sync") == {
-            "backend": "c-edge", "schedule": "sync",
-        }
-        # the retired executor, layout, shard-policy and shard-count
-        # suffixes no longer parse
-        for retired in ("c-node:sync!compiled", "c-node:sync%soa",
-                        "sharded:sync@4xbfs+async~2", "sharded:sync@4xbfs+sync",
-                        "sharded:sync@4xbfs", "c-node@2xhash"):
-            with pytest.raises(ValueError, match="grammar"):
-                parse_qualified(retired, strict=True)
-        # an "@" suffix raises even without strict=: no registry would
-        # catch it
-        for retired in ("sharded:sync@4xbfs", "sharded:sync@4xbfs+async~2"):
-            with pytest.raises(ValueError, match="grammar"):
-                parse_qualified(retired)
         credo = Credo()
         g = _graph(True, seed=11)
-        plan = credo.plan(g, backend="c-node:sync")
-        assert (plan.backend, plan.schedule) == ("c-node", "sync")
-        # the rendered spelling plans back to the same decision
-        again = credo.plan(g, backend=plan.qualified)
-        assert again == plan
+        plan = credo.plan(g, backend="c-edge:sync")
+        assert (plan.backend, plan.schedule) == ("c-edge", "sync")
+        # the rendered spelling plans back to the same decision, and runs
+        # it: a spelled plan and a frozen one give the same answer
+        assert credo.plan(g, backend=plan.qualified) == plan
+        by_name = credo.run(g.copy(), backend=plan.qualified)
+        by_plan = credo.run(g.copy(), plan=plan)
+        assert by_name.iterations == by_plan.iterations
+        assert by_name.detail["schedule"] == "sync"
+        np.testing.assert_array_equal(
+            np.asarray(by_name.beliefs), np.asarray(by_plan.beliefs)
+        )
+
+    @pytest.mark.parametrize("name, error", [
+        ("c-nod", KeyError),
+        ("c-node:bogus", ValueError),
+        # the retired executor, layout, shard-policy and shard-count
+        # suffixes name no backend or no schedule
+        ("c-node:sync!compiled", ValueError),
+        ("c-node:sync%soa", ValueError),
+        ("c-node@2xhash", KeyError),
+        ("c-node:residual@2xhash", ValueError),
+        ("sharded:sync@4xbfs", KeyError),
+        ("sharded:sync@4xbfs+async~2", KeyError),
+        # a registry backend Credo does not dispatch cannot run either
+        ("sharded:sync", KeyError),
+    ])
+    def test_plan_rejects_names_that_cannot_run(self, name, error):
+        from repro.credo.runner import Credo
+
+        credo = Credo()
+        g = _graph(True, seed=11)
+        for call in (credo.plan, credo.run):
+            with pytest.raises(error):
+                call(g.copy(), backend=name)
 
     def test_credo_run_accepts_qualified_spec(self):
         from repro.credo.runner import Credo

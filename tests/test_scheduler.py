@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.backends.registry import CORE_BACKENDS, get_backend, schedule_variants
+from repro.backends.registry import CORE_BACKENDS, get_backend
 from repro.core.convergence import ConvergenceCriterion
 from repro.core.loopy import LoopyBP, LoopyConfig
 from repro.core.scheduler import (
@@ -191,13 +191,6 @@ class TestBackendIntegration:
         assert backend.default_schedule == "residual"
         result = backend.run(_grid())
         assert result.detail["schedule"] == "residual"
-
-    def test_schedule_variants_product(self):
-        variants = schedule_variants()
-        assert len(variants) == len(CORE_BACKENDS) * len(SCHEDULES)
-        assert "cuda-edge:relaxed" in variants
-        for name in variants:
-            get_backend(name)  # all constructible
 
     def test_openacc_coerces_to_sync(self):
         result = get_backend("openacc").run(_grid(), schedule="residual")

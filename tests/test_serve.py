@@ -382,6 +382,15 @@ class TestAmortizedSelection:
         srv.stop()
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("backend", ["c-nod", "c-node:bogus"])
+    def test_unrunnable_backend_fails_at_registration(self, backend):
+        # registration plans the model, so a name no query could run
+        # is refused before the model is served
+        srv = InferenceServer(ServerConfig(backend=backend), autostart=False)
+        with pytest.raises((KeyError, ValueError)):
+            srv.register_model("g", small_graph())
+        assert srv.registry.names() == []
+
 
 class TestMetrics:
     def test_histogram_percentiles(self):
