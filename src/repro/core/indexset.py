@@ -114,13 +114,14 @@ class SlotMap:
     def unique(self, *parts: np.ndarray) -> np.ndarray:
         """Sorted distinct values across ``parts`` (``np.unique`` of their
         concatenation), int64."""
-        if not self.sparse(sum(len(part) for part in parts)):
+        if not is_sparse(sum(map(len, parts)), self.n):
             mask = np.zeros(self.n, dtype=bool)
             for part in parts:
                 mask[part] = True
             return np.flatnonzero(mask)
-        idx = np.asarray(parts[0] if len(parts) == 1 else np.concatenate(parts),
-                         dtype=np.int64)
+        idx = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        if idx.dtype != np.int64:
+            idx = idx.astype(np.int64)
         _, first = self._representatives(idx)
         rows = idx[first]
         rows.sort()

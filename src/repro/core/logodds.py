@@ -37,6 +37,18 @@ import numpy as np
 
 from repro.core.numeric import TINY32, safe_log
 
+# ``np.clip`` reaches the ``clip`` ufunc through three Python-level
+# wrappers: 3.7 vs 0.9 µs for 141 float32 values (2-core Xeon VM).
+# :func:`message` runs once per sweep however few edges the sweep holds,
+# so its cavity clamp calls the ufunc itself, the same single pass
+# (``maximum`` then ``minimum`` would take two: 1.18 vs 0.58 ms at 1.6M
+# values).  The odds clamp stays ``np.clip``, the guard the lint's
+# RPR101 reads before the ``log``.
+try:
+    from numpy._core.umath import clip as _clip
+except ImportError:  # NumPy < 2
+    from numpy.core.umath import clip as _clip
+
 __all__ = [
     "LIMIT",
     "belief_rows",
@@ -90,7 +102,7 @@ def message(
     scratch.
     """
     c00, c01, c10, c11 = coef
-    np.clip(cavity, -LIMIT, LIMIT, out=cavity)
+    _clip(cavity, -LIMIT, LIMIT, out=cavity)
     odds = np.exp(cavity, out=cavity)
     if semiring == "sum":
         num = np.multiply(odds, c11, out=out)

@@ -294,10 +294,11 @@ class _EdgePlan:
         active = _union(live, actives, self.n_elements)
         # Snapshot the beliefs this sweep can change, for the global
         # convergence reduction (Alg. 1 line 12).  They come sorted, so
-        # grouped by replica.
+        # grouped by replica; the sweep reuses them as its destination
+        # set.  (A fancy index already copies.)
         candidates = state.node_slots.unique(state.dst[active])
-        before = state.beliefs[candidates].copy()
-        edge_deltas, _touched, stats = self.executor.edge_sweep(
+        before = state.beliefs[candidates]
+        edge_deltas, _, stats = self.executor.edge_sweep(
             state,
             active,
             update_rule=cfg.update_rule,
@@ -305,6 +306,7 @@ class _EdgePlan:
             damping=cfg.damping,
             chunks=cfg.edge_chunks,
             segments=[len(a) for a in actives],
+            dests=candidates,
         )
         node_deltas = np.abs(state.beliefs[candidates] - before).sum(axis=1)
         downstream = [None] * len(live)

@@ -303,8 +303,9 @@ class WorkQueueSchedule(Schedule):
 
     def charge(self, stats: SweepStats) -> None:
         # clear + atomic pushes (§3.5): one compare-and-push per survivor
-        stats.queue_ops += self._last_processed + len(self.queue)
-        stats.atomic_ops += len(self.queue)
+        pushes = len(self.queue.active)
+        stats.queue_ops += self._last_processed + pushes
+        stats.atomic_ops += pushes
 
 
 class ResidualSchedule(WorkQueueSchedule):
@@ -323,14 +324,17 @@ class ResidualSchedule(WorkQueueSchedule):
     #: global criterion, as they always have: their runs keep their bits
     exhaustive = False
 
-    def charge(self, stats: SweepStats) -> None:
+    def __init__(self, n_elements: int, element_threshold: float):
+        super().__init__(n_elements, element_threshold)
         # exact priority order: every push pays O(log n) heap levels, each
         # an atomic-visible compare-exchange — the contention the relaxed
         # literature (Aksenov et al.) removes
-        depth = max(1, int(math.ceil(math.log2(max(self.n_elements, 2)))))
-        pushes = len(self.queue)
+        self._depth = max(1, int(math.ceil(math.log2(max(n_elements, 2)))))
+
+    def charge(self, stats: SweepStats) -> None:
+        pushes = len(self.queue.active)
         stats.queue_ops += self._last_processed + pushes
-        stats.atomic_ops += pushes * depth
+        stats.atomic_ops += pushes * self._depth
 
 
 class RelaxedPrioritySchedule(WorkQueueSchedule):
@@ -349,7 +353,7 @@ class RelaxedPrioritySchedule(WorkQueueSchedule):
     def charge(self, stats: SweepStats) -> None:
         # relaxed queues: O(1) per push, no serialized heap root — each
         # push is a single atomic; each pop reads two queue heads
-        pushes = len(self.queue)
+        pushes = len(self.queue.active)
         stats.queue_ops += 2 * self._last_processed + pushes
         stats.atomic_ops += pushes
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import logodds
+from repro.core import indexset, logodds
 from repro.core.graph import BeliefGraph
 from repro.core.indexset import SlotMap
 from repro.core.numeric import TINY32, safe_log
@@ -371,13 +371,18 @@ class LoopyState:
         self.log_messages[edge_ids] = new_logs
         return deltas
 
-    def scatter_log_delta(self, dsts: np.ndarray, log_delta: np.ndarray) -> None:
+    def scatter_log_delta(
+        self, dsts: np.ndarray, log_delta: np.ndarray, rows: np.ndarray | None = None
+    ) -> None:
         """``log_msg_sum[dsts[i]] += log_delta[i]`` for every row i
         (``msg_sum_lo`` and one value per row at ``b == 2``).
 
         Each destination's float64 accumulation sees its rows in the
         order given, whichever path runs: compacted destinations for a
         small set, one ``bincount(minlength=n)`` per state otherwise.
+        ``rows``, when the caller already holds it, is
+        ``np.unique(dsts)``; a small set then finds each row's bin by
+        ``searchsorted`` instead of deduplicating ``dsts`` again.
         """
         if self.binary:
             sums = self.msg_sum_lo
@@ -385,13 +390,16 @@ class LoopyState:
         else:
             sums = self.log_msg_sum
             columns = tuple((sums[:, s], log_delta[:, s]) for s in range(self.b))
-        if self.node_slots.sparse(len(dsts)):
-            rows, inv = self.node_slots.compact(dsts)
+        if indexset.is_sparse(len(dsts), self.n):
+            if rows is None:
+                rows, inv = self.node_slots.compact(dsts)
+            else:
+                inv = rows.searchsorted(dsts) if len(rows) < len(dsts) else None
             if inv is None:
                 # one edge per destination: bincount's float64 sum of a
                 # single float32 weight is that weight, so a plain
                 # row add gives the same bits
-                sums[rows] += log_delta
+                sums[dsts] += log_delta
             else:
                 for acc, weights in columns:
                     acc[rows] += np.bincount(
@@ -440,16 +448,17 @@ class LoopyState:
 
     def gather_out_edges(self, nodes: np.ndarray) -> np.ndarray:
         """All edge ids originating at any node of ``nodes`` (concatenated)."""
-        starts = self.out_offsets[nodes]
-        sizes = self.out_offsets[nodes + 1] - starts
-        total = int(sizes.sum())
+        ends = self.out_offsets[nodes + 1]
+        sizes = ends - self.out_offsets[nodes]
+        # position j of the concatenation, in node i's segment, reads CSR
+        # slot j + (ends[i] − cum[i]), cum being the running segment total
+        cum = sizes.cumsum()
+        total = int(cum[-1]) if len(cum) else 0
         if total == 0:
             return np.empty(0, dtype=np.int64)
-        seg_starts = np.repeat(starts, sizes)
-        offsets = np.zeros(len(nodes), dtype=np.int64)
-        np.cumsum(sizes[:-1], out=offsets[1:])
-        rank = np.arange(total) - np.repeat(offsets, sizes)
-        return self.out_edge_ids[seg_starts + rank]
+        positions = np.arange(total)
+        positions += (ends - cum).repeat(sizes)
+        return self.out_edge_ids[positions]
 
     def export_beliefs(self) -> None:
         """Copy the dense beliefs back into the graph's belief store."""

@@ -188,6 +188,19 @@ def _write_trace(tracer, path: str) -> None:
     )
 
 
+def _backend_error(credo, name: str | None) -> bool:
+    """Print a one-line usage error when ``--backend name`` cannot run;
+    True if it did."""
+    if name is None:
+        return False
+    try:
+        credo.check_backend(name)
+    except (KeyError, ValueError) as exc:
+        print(f"error: --backend {name!r}: {exc.args[0]}", file=sys.stderr)
+        return True
+    return False
+
+
 def _cmd_profile(args) -> int:
     from repro.core.convergence import ConvergenceCriterion
     from repro.credo.runner import Credo
@@ -201,6 +214,8 @@ def _cmd_profile(args) -> int:
         ),
         schedule=args.schedule,
     )
+    if _backend_error(credo, args.backend):
+        return 2
     graph = load_graph(args.path, args.edge_path)
 
     tracer = Tracer()
@@ -490,6 +505,8 @@ def main(argv: list[str] | None = None) -> int:
         ),
         schedule=args.schedule,
     )
+    if _backend_error(credo, args.backend):
+        return 2
     if args.train:
         credo.train(profile="smoke", use_cases=("binary",))
     if args.trace is not None:

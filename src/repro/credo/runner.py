@@ -237,20 +237,27 @@ class Credo:
         result.detail["selected"] = base_name
         return result
 
-    def _resolve(
-        self, name: str, schedule: str | None, graph: BeliefGraph
-    ) -> tuple[str, str]:
+    def check_backend(self, name: str) -> tuple[str, str | None]:
         """Split ``"backend[:schedule]"`` as :func:`get_backend` does and
-        check both parts: ``KeyError`` for a backend Credo does not
-        dispatch, ``ValueError`` for an unknown schedule.  An explicit
-        ``schedule`` wins over a spelled one; with neither, Credo
-        chooses."""
+        check both parts, no graph needed: ``KeyError`` for a backend
+        Credo does not dispatch, ``ValueError`` for an unknown schedule.
+        Returns the backend and the canonical schedule, or None when
+        none is spelled."""
         base_name, _, qualifier = name.partition(":")
         if base_name not in self._backends:
             raise KeyError(
                 f"unknown backend {base_name!r}; Credo dispatches "
                 f"{sorted(self._backends)}"
             )
+        return base_name, normalize_schedule(qualifier) if qualifier else None
+
+    def _resolve(
+        self, name: str, schedule: str | None, graph: BeliefGraph
+    ) -> tuple[str, str]:
+        """:meth:`check_backend`, then the schedule: an explicit
+        ``schedule`` wins over a spelled one; with neither, Credo
+        chooses."""
+        base_name, qualifier = self.check_backend(name)
         chosen = schedule or qualifier or self.select_schedule(graph, base_name)
         return base_name, normalize_schedule(chosen)
 

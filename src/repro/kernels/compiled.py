@@ -30,9 +30,19 @@ Scratch is sized by the range, not held at ``(m, b)`` for the life of
 the plan: two ``(k, b)`` blocks per range (three ``(k,)`` vectors at
 b = 2), each reused for dead values in turn.  The source gather becomes
 the cavity, then the residual, then the new log messages; the
-back-message gather becomes the message, then the log delta.  The
-scatter reuses the state's slot-map compaction
-(:meth:`LoopyState.scatter_log_delta`), so a 7-edge chunk costs O(7).
+back-message gather becomes the message, then the log delta.
+
+The scatter is :meth:`LoopyState.scatter_log_delta`, and an edge sweep
+builds its destination set once (``np.unique`` of the active edges'
+heads; the edge plan hands over the set it already holds).  A sweep of
+one chunk reuses that set three times: its free nodes are the combine's
+rows and the touched nodes returned, and a small range scatters into it
+by ``searchsorted`` instead of deduplicating the heads again.  A chunk
+of a longer sweep, and a node sweep's in-edge range, compact their
+heads through the state's slot map; a large range takes one
+``bincount`` over every node (:mod:`repro.core.indexset`).  Either way
+a 7-edge chunk costs O(7), and each destination's float64 sum sees its
+edges in range order, so the route changes no bits.
 
 Why the result is bit-exact
 ---------------------------
@@ -150,6 +160,10 @@ def _rows(arr: np.ndarray, sel, out: np.ndarray | None = None) -> np.ndarray:
     return arr.take(sel, axis=0, out=out, mode="wrap")
 
 
+#: the opaque record dtype of each row width in bytes, built once
+_RECORDS: dict[int, np.dtype] = {}
+
+
 def _set_rows(arr: np.ndarray, sel, rows: np.ndarray) -> None:
     """``arr[sel] = rows`` for a C-contiguous ``(n, b)`` state array.
 
@@ -161,7 +175,10 @@ def _set_rows(arr: np.ndarray, sel, rows: np.ndarray) -> None:
     if isinstance(sel, slice) or type(arr) is not np.ndarray:
         arr[sel] = rows
         return
-    record = np.dtype((np.void, arr.itemsize * arr.shape[1]))
+    width = arr.itemsize * arr.shape[1]
+    record = _RECORDS.get(width)
+    if record is None:
+        record = _RECORDS[width] = np.dtype((np.void, width))
     arr.view(record).reshape(-1)[sel] = np.ascontiguousarray(rows).view(record).reshape(-1)
 
 
@@ -274,17 +291,21 @@ class CompiledExecutor:
         semiring: str,
         damping: float,
         edge_deltas: np.ndarray | None = None,
+        rows: np.ndarray | None = None,
     ) -> None:
         """Recompute and store the messages of the edge range ``edges``
         (a slice or an index array): :meth:`LoopyState.cavity_messages`
         / ``propagate_messages``, damping and
         :meth:`LoopyState.store_messages` fused through two blocks.
-        Writes per-edge residuals into ``edge_deltas`` when given."""
+        Writes per-edge residuals into ``edge_deltas`` when given;
+        ``rows``, the range's distinct destinations when the caller
+        holds them, goes to the scatter
+        (:meth:`LoopyState.scatter_log_delta`)."""
         k = (edges.stop - edges.start) if isinstance(edges, slice) else len(edges)
         if state.binary:
             self._sweep_range_lo(
                 state, edges, k, update_rule=update_rule, semiring=semiring,
-                damping=damping, edge_deltas=edge_deltas,
+                damping=damping, edge_deltas=edge_deltas, rows=rows,
             )
             return
         # two blocks, one name each, through every role they play:
@@ -321,7 +342,7 @@ class CompiledExecutor:
         np.log(np.maximum(msg, TINY, out=cav), out=cav)
         _set_rows(state.messages, edges, msg)
         np.subtract(cav, _rows(state.log_messages, edges, out=msg), out=msg)
-        state.scatter_log_delta(state.dst[edges], msg)
+        state.scatter_log_delta(state.dst[edges], msg, rows)
         _set_rows(state.log_messages, edges, cav)
 
     def _sweep_range_lo(
@@ -334,6 +355,7 @@ class CompiledExecutor:
         semiring: str,
         damping: float,
         edge_deltas: np.ndarray | None,
+        rows: np.ndarray | None,
     ) -> None:
         """:meth:`_sweep_range` at ``b == 2``: 1-D passes over message
         log-odds (:mod:`repro.core.logodds`), bitwise the reference
@@ -364,7 +386,7 @@ class CompiledExecutor:
         if edge_deltas is not None:
             logodds.deltas(new, old, out=edge_deltas, scratch=aux)
         np.subtract(new, old, out=aux)
-        state.scatter_log_delta(state.dst[edges], aux)
+        state.scatter_log_delta(state.dst[edges], aux, rows)
         state.msg_lo[edges] = new
 
     @staticmethod
@@ -451,37 +473,49 @@ class CompiledExecutor:
 
     # ------------------------------------------------------------------
     def edge_sweep(self, state, active_edges, *, update_rule="sum_product",
-                   semiring="sum", damping=0.0, chunks=8, segments=None):
+                   semiring="sum", damping=0.0, chunks=8, segments=None, dests=None):
         """The edge sweep in chunks: :func:`_chunk_positions` of
         ``segments``, the lengths of consecutive runs of ``active_edges``
-        (default: one run, the whole set)."""
-        stats = SweepStats()
+        (default: one run, the whole set).
+
+        ``dests`` is the sorted set of the active edges' destinations
+        (``np.unique(state.dst[active_edges])``), built here unless the
+        caller already holds it.  It is the one destination set of the
+        sweep: its free nodes are the touched nodes returned, and a
+        sweep of one chunk combines exactly those rows and scatters
+        into ``dests`` without deduplicating again.
+        """
         n_active = len(active_edges)
         if n_active == 0:
             return (
                 np.empty(0, dtype=np.float32),
                 np.empty(0, dtype=np.int64),
-                stats,
+                SweepStats(),
             )
-        b = state.b
+        if dests is None:
+            dests = state.node_slots.unique(state.dst[active_edges])
+        touched = dests[state.free_mask[dests]]
         full = _covers(active_edges, state.m)
         edge_deltas = np.empty(n_active, dtype=np.float32)
-        slots = state.node_slots
-        touched: list[np.ndarray] = []
+        positions = _chunk_positions(segments or [n_active], chunks)
+        single = len(positions) == 1
 
-        for pos in _chunk_positions(segments or [n_active], chunks):
+        for pos in positions:
             contiguous = isinstance(pos, slice)
             chunk = pos if full and contiguous else active_edges[pos]
             deltas = edge_deltas[pos] if contiguous else np.empty(len(pos), dtype=np.float32)
             self._sweep_range(
                 state, chunk,
                 update_rule=update_rule, semiring=semiring, damping=damping,
-                edge_deltas=deltas,
+                edge_deltas=deltas, rows=dests if single else None,
             )
             if not contiguous:
                 edge_deltas[pos] = deltas
-            dirty = slots.unique(state.dst[chunk])
-            dirty = dirty[state.free_mask[dirty]]
+            if single:
+                dirty = touched
+            else:
+                dirty = state.node_slots.unique(state.dst[chunk])
+                dirty = dirty[state.free_mask[dirty]]
             if len(dirty):
                 if state.binary:
                     lo = state.combined_lo(dirty)
@@ -489,20 +523,20 @@ class CompiledExecutor:
                     state.belief_lo[dirty] = lo
                 else:
                     _set_rows(state.beliefs, dirty, _combine(state, dirty))
-                touched.append(dirty)
-            stats.kernel_launches += 2  # message kernel + combine kernel
 
-        touched_nodes = slots.unique(*touched) if touched else np.empty(0, dtype=np.int64)
-        n_touched = len(touched_nodes)
-        stats.edges_processed = n_active
-        stats.nodes_processed = n_touched
-        stats.flops = n_active * (2 * b * b + 2 * b) + n_touched * (4 * b)
-        stats.sequential_bytes = n_active * (2 * b * _FSIZE + 2 * _ISIZE)
-        stats.random_bytes = n_active * (b * _FSIZE)
-        stats.random_accesses = n_active
-        stats.atomic_ops = n_active
-        stats.reduction_elems = n_touched
-        return edge_deltas, touched_nodes, stats
+        b, n_touched = state.b, len(touched)
+        stats = SweepStats(
+            nodes_processed=n_touched,
+            edges_processed=n_active,
+            flops=n_active * (2 * b * b + 2 * b) + n_touched * (4 * b),
+            sequential_bytes=n_active * (2 * b * _FSIZE + 2 * _ISIZE),
+            random_bytes=n_active * (b * _FSIZE),
+            random_accesses=n_active,
+            atomic_ops=n_active,
+            reduction_elems=n_touched,
+            kernel_launches=2 * len(positions),  # message + combine kernel per chunk
+        )
+        return edge_deltas, touched, stats
 
 
 def make_executor(state: LoopyState) -> CompiledExecutor:

@@ -97,7 +97,9 @@ class InterpretedExecutor:
     def node_sweep(self, state, active_nodes, **options):
         return node_sweep(state, active_nodes, **options)
 
-    def edge_sweep(self, state, active_edges, *, segments=None, **options):
+    def edge_sweep(self, state, active_edges, *, segments=None, dests=None, **options):
+        """``dests``, the caller's destination set, is ignored: the
+        reference builds every destination set itself."""
         if segments is not None and len(segments) > 1:
             raise NotImplementedError("the reference kernel sweeps one replica")
         return edge_sweep(state, active_edges, **options)

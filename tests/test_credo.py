@@ -198,6 +198,24 @@ class TestCli:
         assert "backend       c-edge" in out
         assert "node 0:" in out
 
+    @pytest.mark.parametrize("command", ["run", "profile"])
+    @pytest.mark.parametrize(
+        "backend, reason",
+        [("c-node:bogus", "unknown schedule 'bogus'"), ("c-nod", "unknown backend 'c-nod'")],
+    )
+    def test_unrunnable_backend_is_a_usage_error(
+        self, tmp_path, capsys, family_out_bif, command, backend, reason
+    ):
+        from repro.credo.cli import main
+
+        bif = tmp_path / "net.bif"
+        bif.write_text(family_out_bif)
+        assert main([command, str(bif), "--backend", backend]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"error: --backend {backend!r}: ") and reason in line
+
 
 class TestCliConvert:
     def test_convert_bif_to_mtx(self, tmp_path, capsys, family_out_bif):

@@ -7,7 +7,9 @@ indistinguishable:
 * the compacted and dense ``store_messages`` scatters leave bit-identical
   state (the message sums and messages of either layout) and return
   identical deltas — duplicate destinations, the empty set, sets on both
-  sides of the crossover, widths b ∈ {1, 2, 3, 8};
+  sides of the crossover, widths b ∈ {1, 2, 3, 8}; a scatter handed its
+  destination set (``rows``) leaves the same bits as both;
+* one single-chunk edge round deduplicates its destinations once;
 * ``edge_sweep`` returns the same deltas, touched nodes and beliefs on
   either path;
 * the work queue's repopulate / seed equal the membership-mask dedup
@@ -79,9 +81,9 @@ def forced_path(mode):
 
 
 @st.composite
-def states_and_edges(draw):
+def states_and_edges(draw, widths=(1, 2, 3, 8)):
     """A random loopy state (evidence, warm messages) plus an edge set."""
-    b = draw(st.sampled_from([1, 2, 3, 8]))
+    b = draw(st.sampled_from(widths))
     n = draw(st.integers(min_value=2, max_value=60))
     n_edges = draw(st.integers(min_value=1, max_value=3 * n))
     seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
@@ -135,6 +137,27 @@ class TestScatterPaths:
             np.testing.assert_array_equal(got, d_dense)
             for a, b in zip(snap, s_dense):
                 np.testing.assert_array_equal(a, b)
+
+    @given(states_and_edges(widths=(2, 3)), st.integers(min_value=1, max_value=120))
+    @settings(**SETTINGS)
+    def test_known_rows_scatter_identical(self, drawn, k):
+        # a caller holding np.unique(dsts) scatters by searchsorted into
+        # it: the same bits as the compacted and the dense route
+        state, _, seed = drawn
+        rng = np.random.default_rng(seed + 2)
+        # drawn with replacement from at most k/2 nodes: duplicates
+        dsts = rng.integers(0, min(state.n, max(k // 2, 1)), size=k)
+        shape = (k,) if state.binary else (k, state.b)
+        log_delta = rng.standard_normal(shape).astype(np.float32)
+
+        def scatter(rows):
+            return lambda s: s.scatter_log_delta(dsts, log_delta, rows)
+
+        _, known = _run_on_copy(state, scatter(np.unique(dsts)), True)
+        _, compacted = _run_on_copy(state, scatter(None), True)
+        _, dense = _run_on_copy(state, scatter(None), False)
+        for a, b, c in zip(known, compacted, dense):
+            assert a.tobytes() == b.tobytes() == c.tobytes()
 
     @given(states_and_edges(), st.integers(min_value=1, max_value=8))
     @settings(**SETTINGS)
@@ -239,6 +262,40 @@ class TestWholeRuns:
             np.testing.assert_array_equal(got.beliefs, ref.beliefs)
 
 
+class TestDedupPerRound:
+    def test_single_chunk_edge_round_deduplicates_once(self, monkeypatch):
+        # a round's destination set is built once, by the plan, and the
+        # sweep reuses it for the combine and the scatter; the work
+        # queue's repopulate is the round's only other dedup
+        cfg = LoopyConfig(
+            paradigm="edge", schedule="residual",
+            criterion=ConvergenceCriterion(threshold=1e-8, max_iterations=500),
+        )
+        engine = IncrementalEngine(grid_graph(32, 32, n_states=2, seed=11, coupling=0.6), cfg)
+        engine.converge()
+        calls = {"node": 0, "queue": 0}
+        original = SlotMap.unique
+
+        def spy(slots, *parts):
+            calls["node" if slots is engine._state.node_slots else "queue"] += 1
+            return original(slots, *parts)
+
+        monkeypatch.setattr(SlotMap, "unique", spy)
+        for node, value in (("33", 1), ("34", 0), ("66", 1)):
+            calls.update(node=0, queue=0)
+            inc = engine.apply(GraphDelta().observe_node(node, value))
+            rounds = inc.result.iterations
+            assert inc.mode == "incremental" and rounds > 1
+            # every round here sweeps one chunk
+            assert all(
+                s.edges_processed < 2 * MIN_CHUNK_EDGES
+                for s in inc.result.run_stats.per_iteration
+            )
+            assert calls["node"] <= rounds
+            # one per repopulate, plus the warm start's seed
+            assert calls["queue"] <= rounds + 1
+
+
 # ---------------------------------------------------------------------------
 @contextmanager
 def recorded_scatter(log):
@@ -247,10 +304,10 @@ def recorded_scatter(log):
     a sweep, DESIGN.md §13.1)."""
     original = LoopyState.scatter_log_delta
 
-    def spy(self, dsts, log_delta):
+    def spy(self, dsts, log_delta, rows=None):
         for dst, row in zip(dsts.tolist(), log_delta):
             log.setdefault(dst, []).append(row.tobytes())
-        return original(self, dsts, log_delta)
+        return original(self, dsts, log_delta, rows)
 
     LoopyState.scatter_log_delta = spy
     try:

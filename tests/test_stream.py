@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core import indexset
 from repro.core.convergence import ConvergenceCriterion
 from repro.core.graph import BeliefGraph
 from repro.core.loopy import LoopyBP, LoopyConfig
@@ -610,6 +611,46 @@ class TestIncrementalEngine:
         assert inc.result.iterations <= 12
         full = LoopyBP(cfg).run(apply_delta(grid, delta).graph)
         assert np.abs(np.asarray(inc.beliefs) - np.asarray(full.beliefs)).max() <= 1e-6
+
+    @pytest.mark.parametrize("paradigm", PARADIGMS)
+    def test_compacted_scatter_route_matches_reference(self, paradigm, monkeypatch):
+        # on 80x80 (n = 6,400) a round of fewer than 192 edges scatters
+        # through the compacted route (``is_sparse``): the compiled edge
+        # rounds reuse their destination set, the node rounds and the
+        # reference kernels deduplicate; a grid of 32x32 or less never
+        # takes it
+        deltas = [
+            GraphDelta().observe_node("0", 1),
+            GraphDelta().release_node("0").observe_node("81", 0),
+            GraphDelta().observe_node("2", 1),
+            GraphDelta().release_node("81").release_node("2"),
+        ]
+        original = LoopyState.scatter_log_delta
+        routes = []
+
+        def spy(state, dsts, log_delta, rows=None):
+            if indexset.is_sparse(len(dsts), state.n):
+                routes.append("known" if rows is not None else "compacted")
+            return original(state, dsts, log_delta, rows)
+
+        monkeypatch.setattr(LoopyState, "scatter_log_delta", spy)
+
+        def run():
+            cfg = tight_config("residual", paradigm, threshold=1e-8)
+            eng = IncrementalEngine(grid_graph(80, 80, n_states=2, seed=11, coupling=0.6), cfg)
+            eng.converge()
+            routes.clear()
+            results = [eng.apply(delta).result for delta in deltas]
+            return results, set(routes)
+
+        with interpreted_sweeps():
+            reference, ref_routes = run()
+        got, got_routes = run()
+        assert ref_routes == {"compacted"}
+        assert got_routes == {"known" if paradigm == "edge" else "compacted"}
+        for ref, result in zip(reference, got):
+            assert result.iterations > 1
+            assert_bitwise_run(result, ref)
 
     def test_large_dirty_fraction_falls_back_to_full(self):
         cfg = tight_config()
