@@ -173,16 +173,31 @@ class Module:
             for alias in node.names
             if alias.name == "numpy"
         }
+        #: local names bound to numpy functions by ``from numpy[...] import
+        #: f as g``, mapped to ``f``
+        self.numpy_functions = {
+            alias.asname or alias.name: alias.name
+            for node in ast.walk(self.tree)
+            if isinstance(node, ast.ImportFrom)
+            and node.module is not None
+            and node.module.split(".")[0] == "numpy"
+            for alias in node.names
+        }
 
     # -- shared helpers -------------------------------------------------
     def is_numpy_call(self, node: ast.AST, *attrs: str) -> bool:
-        """Is ``node`` a call ``np.<attr>(...)`` for one of ``attrs``?"""
+        """Is ``node`` a call ``np.<attr>(...)`` for one of ``attrs``, or
+        of a name imported from numpy as one of them?"""
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        if isinstance(func, ast.Name):
+            return self.numpy_functions.get(func.id) in attrs
         return (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in attrs
-            and isinstance(node.func.value, ast.Name)
-            and node.func.value.id in self.numpy_aliases
+            isinstance(func, ast.Attribute)
+            and func.attr in attrs
+            and isinstance(func.value, ast.Name)
+            and func.value.id in self.numpy_aliases
         )
 
     def enclosing_function(self, node: ast.AST):

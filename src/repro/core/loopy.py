@@ -168,15 +168,16 @@ def _downstream(state: LoopyState, nodes: np.ndarray, *, to_nodes: bool) -> np.n
 def _union(live: list[int], parts: list[np.ndarray], size: int) -> np.ndarray:
     """The live replicas' element sets in union ids: replica ``q``'s
     local ids shifted by ``q · size``, concatenated in replica order.  A
-    lone replica 0 (every solo run) is passed through uncopied."""
+    lone live replica 0 is passed through uncopied."""
     if len(live) == 1:
         q = live[0]
         return parts[0] + q * size if q else parts[0]
     return np.concatenate([part + q * size for q, part in zip(live, parts)])
 
 
-def _by_block(ids: np.ndarray, live: list[int], size: int) -> list[np.ndarray]:
-    """Split union ``ids`` into each live replica's local ids.
+def _by_block(ids: np.ndarray | None, live: list[int], size: int) -> list:
+    """Split union ``ids`` into each live replica's local ids (``None``
+    for each when ``ids`` is).
 
     ``ids`` must list replica blocks in order: ascending (a mask route,
     a sorted set) or gathered from replica-ordered nodes (the CSR
@@ -184,6 +185,8 @@ def _by_block(ids: np.ndarray, live: list[int], size: int) -> list[np.ndarray]:
     entry lies below ``q · size`` is then true for a prefix of ``ids``
     and false after it.
     """
+    if ids is None:
+        return [None] * len(live)
     if len(live) == 1:
         q = live[0]
         return [ids - q * size if q else ids]
@@ -199,14 +202,11 @@ def _by_length(values: np.ndarray, parts: list[np.ndarray]) -> list[np.ndarray]:
     return np.split(values, np.cumsum([len(part) for part in parts[:-1]]))
 
 
-@dataclass
-class _Step:
-    """One replica's share of a sweep, as its schedule and the driver
-    see it (in replica-local element ids)."""
-
-    deltas: np.ndarray
-    global_delta: float
-    downstream: np.ndarray | None
+# A plan's sweep returns one step per live replica, as it and its
+# schedule see it (in replica-local element ids): a tuple ``(deltas,
+# global_delta, downstream)``.  A solo run (``replicas == 1``) is its own
+# union, so its plan skips the three helpers above: their one-replica
+# routes hand back the same arrays.
 
 
 class _NodePlan:
@@ -217,6 +217,7 @@ class _NodePlan:
     ):
         self.state = state
         self.cfg = cfg
+        self.solo = replicas == 1
         self.n_elements = state.n // replicas
         self.executor = cached_executor(executor_cache, state, paradigm="node")
         # Per-element convergence threshold (§3.5): an element whose own
@@ -230,12 +231,12 @@ class _NodePlan:
 
     def sweep(
         self, live: list[int], actives: list[np.ndarray], want_downstream: bool
-    ) -> tuple[list[_Step], SweepStats]:
+    ) -> tuple[list[tuple], SweepStats]:
         """Sweep each live replica's ``actives`` in one kernel call; with
         ``want_downstream``, also find the nodes downstream of the ones
-        still changing.  One :class:`_Step` per live replica."""
+        still changing.  One step per live replica."""
         state, cfg, n = self.state, self.cfg, self.n_elements
-        active = _union(live, actives, n)
+        active = actives[0] if self.solo else _union(live, actives, n)
         deltas, stats = self.executor.node_sweep(
             state,
             active,
@@ -243,14 +244,18 @@ class _NodePlan:
             semiring=cfg.semiring,
             damping=cfg.damping,
         )
-        downstream = [None] * len(live)
+        downstream = None
         if want_downstream and len(active):
             dirty = active[deltas >= self.element_threshold]
             if len(dirty):
-                downstream = _by_block(_downstream(state, dirty, to_nodes=True), live, n)
+                downstream = _downstream(state, dirty, to_nodes=True)
+        if self.solo:
+            return [(deltas, float(deltas.sum()), downstream)], stats
         steps = [
-            _Step(part, float(part.sum()), down)
-            for part, down in zip(_by_length(deltas, actives), downstream)
+            (part, float(part.sum()), down)
+            for part, down in zip(
+                _by_length(deltas, actives), _by_block(downstream, live, n)
+            )
         ]
         return steps, stats
 
@@ -264,6 +269,7 @@ class _EdgePlan:
     ):
         self.state = state
         self.cfg = cfg
+        self.solo = replicas == 1
         self.n_nodes = state.n // replicas
         self.n_elements = state.m // replicas
         self.executor = cached_executor(
@@ -286,12 +292,12 @@ class _EdgePlan:
 
     def sweep(
         self, live: list[int], actives: list[np.ndarray], want_downstream: bool
-    ) -> tuple[list[_Step], SweepStats]:
+    ) -> tuple[list[tuple], SweepStats]:
         """As :meth:`_NodePlan.sweep`, over directed edges.  Each replica
         keeps its solo chunk bounds (``segments``), so the freshness
         later chunks see within the sweep is its solo run's."""
         state, cfg = self.state, self.cfg
-        active = _union(live, actives, self.n_elements)
+        active = actives[0] if self.solo else _union(live, actives, self.n_elements)
         # Snapshot the beliefs this sweep can change, for the global
         # convergence reduction (Alg. 1 line 12).  They come sorted, so
         # grouped by replica; the sweep reuses them as its destination
@@ -309,18 +315,20 @@ class _EdgePlan:
             dests=candidates,
         )
         node_deltas = np.abs(state.beliefs[candidates] - before).sum(axis=1)
-        downstream = [None] * len(live)
+        downstream = None
         if want_downstream and len(candidates):
             changed = candidates[node_deltas >= self.changed_threshold]
             if len(changed):
-                downstream = _by_block(
-                    _downstream(state, changed, to_nodes=False), live, self.n_elements
-                )
+                downstream = _downstream(state, changed, to_nodes=False)
+        if self.solo:
+            return [(edge_deltas, float(node_deltas.sum()), downstream)], stats
         changes = _by_length(node_deltas, _by_block(candidates, live, self.n_nodes))
         steps = [
-            _Step(part, float(change.sum()), down)
+            (part, float(change.sum()), down)
             for part, change, down in zip(
-                _by_length(edge_deltas, actives), changes, downstream
+                _by_length(edge_deltas, actives),
+                changes,
+                _by_block(downstream, live, self.n_elements),
             )
         ]
         return steps, stats
@@ -411,8 +419,10 @@ class LoopyBP:
                 with tracer.span("bp.sweep", cat="bp") as sweep_span:
                     steps, stats = plan.sweep(live, actives, want_downstream)
                     with tracer.span("schedule.update", cat="schedule") as sched_span:
-                        for q, active, step in zip(live, actives, steps):
-                            schedules[q].update(active, step.deltas, step.downstream)
+                        for q, active, (deltas, _, downstream) in zip(
+                            live, actives, steps
+                        ):
+                            schedules[q].update(active, deltas, downstream)
                             schedules[q].charge(stats)
                         if sched_span:
                             sched_span.set(
@@ -427,12 +437,12 @@ class LoopyBP:
                             replicas=replicas,
                             live=len(live),
                             active=sum(len(a) for a in actives),
-                            global_delta=sum(step.global_delta for step in steps),
+                            global_delta=sum(step[1] for step in steps),
                             **stats.as_dict(),
                         )
                 still_live = []
-                for q, step in zip(live, steps):
-                    histories[q].append(step.global_delta)
+                for q, (_, global_delta, _) in zip(live, steps):
+                    histories[q].append(global_delta)
                     schedule = schedules[q]
                     # A drained schedule means every element individually
                     # passed its per-element convergence check (§3.5);
@@ -440,7 +450,7 @@ class LoopyBP:
                     # criterion (their sweep covers every unconverged
                     # element, so the partial sum *is* the global delta).
                     converged = (
-                        schedule.exhaustive and crit.is_converged(step.global_delta)
+                        schedule.exhaustive and crit.is_converged(global_delta)
                     ) or schedule.drained
                     if converged or iteration == crit.max_iterations:
                         results[q] = LoopyResult(

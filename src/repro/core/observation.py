@@ -9,11 +9,33 @@ evidence propagates.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from repro.core.graph import BeliefGraph
 
-__all__ = ["observe", "clear_observations"]
+__all__ = ["observe", "clear_observations", "evidence_state"]
+
+
+def evidence_state(value) -> int:
+    """``value`` as a state index for :func:`observe`.
+
+    Integers, integral floats (``1.0``) and decimal strings (``"1"``)
+    are accepted.  Bools and fractional numbers raise ``ValueError``
+    instead of truncating to some state.
+    """
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"evidence state {value!r} is a bool, not a state index")
+    if isinstance(value, str):
+        return int(value)
+    try:
+        return operator.index(value)
+    except TypeError:
+        pass
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise ValueError(f"evidence state {value!r} is not an integer")
 
 
 def observe(graph: BeliefGraph, node: int | str, state: int) -> None:

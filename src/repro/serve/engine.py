@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.loopy import LoopyConfig
-from repro.core.observation import observe
+from repro.core.observation import evidence_state, observe
 from repro.credo.runner import Credo
 from repro.serve.cache import ResultCache, cache_key, copy_posteriors
 from repro.serve.config import ServerConfig
@@ -126,7 +126,7 @@ class QueryEngine:
             node_id = graph.node_id(node)
             if not 0 <= node_id < graph.n_nodes:
                 raise IndexError(f"node {node!r} out of range")
-            state = int(state)
+            state = evidence_state(state)
             dim = int(graph.dims[node_id])
             if not 0 <= state < dim:
                 raise ValueError(

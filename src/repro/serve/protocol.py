@@ -38,6 +38,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.core.observation import evidence_state
+
 __all__ = [
     "ProtocolError",
     "QueryRequest",
@@ -72,8 +74,8 @@ class QueryRequest:
         if not isinstance(evidence, dict):
             raise ProtocolError("'evidence' must be an object of node -> state")
         try:
-            evidence = {str(k): int(v) for k, v in evidence.items()}
-        except (TypeError, ValueError):
+            evidence = {str(k): evidence_state(v) for k, v in evidence.items()}
+        except ValueError:
             raise ProtocolError("evidence states must be integers") from None
         nodes = payload.get("nodes")
         if nodes is not None and not isinstance(nodes, list):

@@ -23,6 +23,7 @@ from repro.stream.delta import (
     GraphDelta,
     JournalDecodeError,
     apply_delta,
+    apply_evidence,
 )
 from repro.stream.incremental import IncrementalEngine, IncrementalResult
 from repro.stream.loader import GrowableArray, StreamingGraphBuilder, load_graph_stream
@@ -37,5 +38,6 @@ __all__ = [
     "JournalDecodeError",
     "StreamingGraphBuilder",
     "apply_delta",
+    "apply_evidence",
     "load_graph_stream",
 ]

@@ -5,7 +5,9 @@ A :class:`GraphDelta` is one atomic batch of mutations against a
 edges, detach nodes, and set/clear evidence.  :func:`apply_delta` never
 mutates its input — it returns a fresh graph plus the bookkeeping the
 incremental engine and the serve layer need (dirty nodes, an old→new
-edge-id map, whether structure changed).
+edge-id map, whether structure changed).  :func:`apply_evidence` is the
+in-place step of its evidence-only path, for a caller that owns the
+graph.
 
 Operations inside one batch apply in a fixed order: add nodes → add
 edges → remove edges → detach nodes → observe → release.  Removing an
@@ -31,6 +33,7 @@ __all__ = [
     "GraphDelta",
     "JournalDecodeError",
     "apply_delta",
+    "apply_evidence",
 ]
 
 _FLOAT = np.float32
@@ -186,15 +189,19 @@ def apply_delta(graph: BeliefGraph, delta: GraphDelta) -> DeltaResult:
     """Apply ``delta`` to ``graph``, returning a new graph.
 
     The input graph is never mutated.  Evidence-only deltas take the fast
-    path (structure shared via :meth:`BeliefGraph.copy`); structural
-    deltas rebuild the structure arrays with surviving posteriors and
-    evidence carried over.
+    path, :func:`apply_evidence` on a :meth:`BeliefGraph.copy` (structure
+    shared); structural deltas rebuild the structure arrays with
+    surviving posteriors and evidence carried over.
     """
+    if not delta.structural:
+        return apply_evidence(graph.copy(), delta)
+    _check_uniform(graph)
+    return _apply_structural(graph, delta)
+
+
+def _check_uniform(graph: BeliefGraph) -> None:
     if not graph.uniform:
         raise ValueError("the delta layer requires constant-width beliefs")
-    if not delta.structural:
-        return _apply_evidence_only(graph, delta)
-    return _apply_structural(graph, delta)
 
 
 def _resolve(graph: BeliefGraph, node: NodeRef) -> int:
@@ -210,24 +217,37 @@ def _release_node(graph: BeliefGraph, nid: int) -> None:
     graph.beliefs.copy_rows_from(graph.priors, np.array([nid], dtype=np.int64))
 
 
-def _apply_evidence_only(graph: BeliefGraph, delta: GraphDelta) -> DeltaResult:
-    new = graph.copy()
-    dirty: set[int] = set()
+def apply_evidence(graph: BeliefGraph, delta: GraphDelta) -> DeltaResult:
+    """Apply the evidence-only ``delta`` to ``graph`` in place.
+
+    Every node and state is checked before the first write, so a
+    rejected delta leaves ``graph`` as it was.  :func:`apply_delta` runs
+    this on a copy; the incremental engine runs it on its own graph.
+    """
+    if delta.structural:
+        raise ValueError("apply_evidence takes evidence-only deltas")
+    _check_uniform(graph)
+    observed = []
     for node, state in delta.observe:
-        nid = _resolve(new, node)
-        observe(new, nid, int(state))
-        dirty.add(nid)
-    for node in delta.release:
-        nid = _resolve(new, node)
-        if new.observed[nid]:
-            _release_node(new, nid)
-        dirty.add(nid)
-    dirty_nodes = np.array(sorted(dirty), dtype=np.int64)
+        nid, state = _resolve(graph, node), int(state)
+        dim = int(graph.dims[nid])
+        if not 0 <= state < dim:
+            raise ValueError(f"state {state} out of range for node with {dim} states")
+        observed.append((nid, state))
+    released = [_resolve(graph, node) for node in delta.release]
+    for nid, state in observed:
+        observe(graph, nid, state)
+    for nid in released:
+        if graph.observed[nid]:
+            _release_node(graph, nid)
+    dirty_nodes = np.unique(
+        np.array([nid for nid, _ in observed] + released, dtype=np.int64)
+    )
     return DeltaResult(
-        graph=new,
+        graph=graph,
         dirty_nodes=dirty_nodes,
         structural=False,
-        dirty_fraction=len(dirty_nodes) / max(new.n_nodes, 1),
+        dirty_fraction=len(dirty_nodes) / max(graph.n_nodes, 1),
         edge_map=None,
     )
 

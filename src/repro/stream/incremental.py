@@ -24,7 +24,7 @@ import numpy as np
 from repro.core.loopy import LoopyBP, LoopyConfig, LoopyResult
 from repro.core.numeric import TINY32, safe_log
 from repro.core.state import LoopyState
-from repro.stream.delta import DeltaResult, GraphDelta, apply_delta
+from repro.stream.delta import DeltaResult, GraphDelta, apply_delta, apply_evidence
 from repro.telemetry import get_metrics, get_tracer
 
 __all__ = ["IncrementalEngine", "IncrementalResult"]
@@ -61,6 +61,13 @@ class IncrementalEngine:
     Owns the graph, the cached converged state, and the executor cache.
     Apply deltas through :meth:`apply`; the engine decides incremental
     vs. full via :meth:`CredoSelector.select_update_mode`.
+
+    ``engine.graph`` is the engine's live graph, not a snapshot: once a
+    converged state is cached, an evidence-only delta patches it in place
+    (:func:`~repro.stream.delta.apply_evidence`), so an update costs what
+    it touches.  Take ``engine.graph.copy()`` to keep a graph as it was.
+    Structural deltas, and any delta before the first convergence, build
+    a new graph through :func:`~repro.stream.delta.apply_delta`.
     """
 
     def __init__(self, graph, config: LoopyConfig | None = None):
@@ -91,8 +98,11 @@ class IncrementalEngine:
         from repro.credo.selector import CredoSelector
 
         with get_tracer().span("stream.apply", cat="stream"):
-            res = apply_delta(self.graph, delta)
-            self.graph = res.graph
+            if self._state is not None and not delta.structural:
+                res = apply_evidence(self.graph, delta)
+            else:
+                res = apply_delta(self.graph, delta)
+                self.graph = res.graph
             self.updates_applied += 1
             metrics = get_metrics()
             metrics.counter("stream.updates").inc()
@@ -139,19 +149,20 @@ class IncrementalEngine:
 
     # ------------------------------------------------------------------
     def _patch_evidence(self, state: LoopyState, res: DeltaResult) -> None:
-        """Rebind the state to the new graph; structure arrays are shared.
+        """Patch the state's dirty rows to the graph's new evidence.
 
-        Buffers mutate in place (rows of ``log_priors``/``beliefs``, the
-        whole ``free_mask``) so compiled lowerings stay valid.
+        The state already reads the engine's graph, which the delta
+        patched in place.  Buffers mutate in place (the dirty rows of
+        ``free_mask``, ``log_priors`` and ``beliefs``) so compiled
+        lowerings stay valid.
         """
         graph = res.graph
-        state.graph = graph
-        np.logical_not(graph.observed, out=state.free_mask)
         dirty = res.dirty_nodes
         if not len(dirty):
             return
-        pri = graph.priors.rows(dirty)
         obs = graph.observed[dirty]
+        state.free_mask[dirty] = ~obs
+        pri = graph.priors.rows(dirty)
         if obs.any():
             rows = np.flatnonzero(obs)
             pri[rows] = TINY32

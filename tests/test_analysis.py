@@ -75,6 +75,25 @@ class TestNumericRules:
     def test_unguarded_divide(self):
         assert_matches_markers("RPR102", "numeric_divide.py")
 
+    def test_functions_imported_from_numpy(self, tmp_path):
+        # a ufunc imported by name is the numpy call it names: its clip
+        # guards a log, and its log is checked
+        source = textwrap.dedent(
+            """\
+            from numpy import log as _log
+            from numpy._core.umath import clip as _clip
+
+            def guarded(messages):
+                ratio = _clip(messages, 1e-30, 1e30)
+                return _log(ratio)
+
+            def unguarded(messages):
+                return _log(messages)
+            """
+        )
+        result = lint_snippet(tmp_path, source)
+        assert [f.line for f in result.findings] == [9]
+
     def test_inplace_shared_mutation(self):
         assert_matches_markers("RPR103", "inplace_shared.py")
 

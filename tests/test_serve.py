@@ -218,6 +218,22 @@ class TestEvidenceIsolation:
         assert good.ok
         assert not bad.ok and bad.error == "bad_evidence"
 
+    @pytest.mark.parametrize("state", [1.5, True, np.bool_(True), "1.5", None])
+    def test_non_integral_state_is_bad_evidence(self, server, state):
+        # a state is an index: truncating 1.5 or True to state 1 would
+        # answer a question nobody asked
+        bad = server.query("g", {"1": state})
+        assert not bad.ok and bad.error == "bad_evidence"
+
+    def test_integral_state_spellings_answer_alike(self, server):
+        answers = [server.query("g", {"1": s}, use_cache=False)
+                   for s in (1, 1.0, "1", np.int64(1))]
+        assert all(a.ok for a in answers)
+        for a in answers[1:]:
+            assert a.posteriors.keys() == answers[0].posteriors.keys()
+            for name, probs in a.posteriors.items():
+                np.testing.assert_array_equal(probs, answers[0].posteriors[name])
+
 
 class TestAdmissionControl:
     def test_capacity_plus_one_rejected_with_retry_after(self):
@@ -442,6 +458,18 @@ class TestProtocol:
             {"model": "g", "evidence": {"a": "1"}, "id": 7}
         )
         assert request.evidence == {"a": 1} and request.id == "7"
+
+    @pytest.mark.parametrize(
+        "state", ["1.5", "true", "null", "[1]", "Infinity", '"1.5"']
+    )
+    def test_non_integral_wire_state_rejected(self, state):
+        payload = parse_line('{"model": "g", "evidence": {"a": %s}}' % state)
+        with pytest.raises(ProtocolError, match="integers"):
+            QueryRequest.from_payload(payload)
+
+    def test_integral_float_wire_state_accepted(self):
+        payload = parse_line('{"model": "g", "evidence": {"a": 1.0}}')
+        assert QueryRequest.from_payload(payload).evidence == {"a": 1}
 
 
 class TestServeCLI:

@@ -40,6 +40,7 @@ from repro.stream import (
     JournalDecodeError,
     StreamingGraphBuilder,
     apply_delta,
+    apply_evidence,
     load_graph_stream,
 )
 from tests.conftest import assert_bitwise_run, interpreted_sweeps
@@ -67,6 +68,14 @@ def assert_graphs_identical(a: BeliefGraph, b: BeliefGraph):
     assert np.array_equal(a.observed, b.observed)
     assert np.array_equal(a.observed_state, b.observed_state)
     assert a.node_names == b.node_names
+
+
+def graph_bytes(g: BeliefGraph) -> tuple[bytes, ...]:
+    """The bytes of a graph's priors, beliefs and evidence."""
+    return tuple(
+        np.ascontiguousarray(a).tobytes()
+        for a in (g.priors.dense(), g.beliefs.dense(), g.observed, g.observed_state)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +341,21 @@ class TestGraphDelta:
         # the released node restarts from its prior in the new graph only
         np.testing.assert_array_equal(res.graph.beliefs.get(3), g.priors.get(3))
         assert not np.array_equal(g.beliefs.get(3), g.priors.get(3))
+
+    def test_rejected_evidence_delta_leaves_graph_untouched(self):
+        # every node and state is checked before the first write, so an
+        # in-place patch is all or nothing
+        g = grid_graph(3, 3, seed=1)
+        before = graph_bytes(g)
+        for delta in (
+            GraphDelta().observe_node("4", 1).release_node("no_such_node"),
+            GraphDelta().observe_node("4", 1).observe_node("5", 7),
+        ):
+            with pytest.raises((KeyError, ValueError)):
+                apply_evidence(g, delta)
+            assert graph_bytes(g) == before
+        with pytest.raises(ValueError, match="evidence-only"):
+            apply_evidence(g, GraphDelta().add_node(name="p"))
 
     def test_detach_node(self):
         g = grid_graph(3, 3, seed=1)
@@ -651,6 +675,61 @@ class TestIncrementalEngine:
         for ref, result in zip(reference, got):
             assert result.iterations > 1
             assert_bitwise_run(result, ref)
+
+    @pytest.mark.parametrize("paradigm", PARADIGMS)
+    def test_in_place_evidence_matches_copying_reference(self, paradigm, monkeypatch):
+        # evidence deltas patch engine.graph in place; a reference engine
+        # that takes every delta through apply_delta's copy (and rebinds
+        # its state to the copy) must agree bit for bit at every step
+        import repro.stream.incremental as incremental
+
+        deltas = [
+            GraphDelta().observe_node("7", 1),
+            GraphDelta().release_node("7").observe_node("12", 0),
+            GraphDelta().release_node("3"),  # never observed
+            GraphDelta(),
+            # the migration reads the warm beliefs from the graph's store
+            GraphDelta().add_node(name="probe", prior=[0.7, 0.3]).add_edge("probe", "14"),
+            GraphDelta().observe_node("probe", 1).release_node("12"),
+            GraphDelta().observe_node("0", 1),
+        ]
+        crowd = GraphDelta()  # a dirty fraction above the ceiling: a full run
+        for node in range(12):
+            crowd.observe_node(str(node), node % 2)
+        deltas += [crowd, GraphDelta().release_node("5"), GraphDelta().observe_node("20", 0)]
+
+        def new_engine():
+            eng = IncrementalEngine(
+                grid_graph(6, 6, seed=3), tight_config("residual", paradigm, 1e-8)
+            )
+            eng.converge()
+            return eng
+
+        engine, reference = new_engine(), new_engine()
+
+        def copying(graph, delta):
+            before = graph_bytes(graph)
+            res = apply_delta(graph, delta)
+            assert graph_bytes(graph) == before  # the input is never mutated
+            reference.graph = reference._state.graph = res.graph
+            return res
+
+        modes = []
+        for delta in deltas:
+            live = engine.graph
+            got = engine.apply(delta)
+            assert (engine.graph is live) == (not delta.structural)
+            with monkeypatch.context() as patch:
+                patch.setattr(incremental, "apply_evidence", copying)
+                ref = reference.apply(delta)
+            modes.append(got.mode)
+            assert (got.mode, got.structural) == (ref.mode, ref.structural)
+            assert got.result.iterations == ref.result.iterations
+            assert got.edges_swept == ref.edges_swept
+            assert got.result.delta_history == ref.result.delta_history
+            assert got.beliefs.tobytes() == ref.beliefs.tobytes()
+            assert graph_bytes(engine.graph) == graph_bytes(reference.graph)
+        assert modes.count("full") == 1 and modes[-1] == "incremental"
 
     def test_large_dirty_fraction_falls_back_to_full(self):
         cfg = tight_config()
