@@ -372,18 +372,30 @@ class LoopyState:
         return deltas
 
     def scatter_log_delta(
-        self, dsts: np.ndarray, log_delta: np.ndarray, rows: np.ndarray | None = None
+        self,
+        dsts: np.ndarray,
+        log_delta: np.ndarray,
+        rows: np.ndarray | None = None,
+        ranks: tuple | None = None,
     ) -> None:
         """``log_msg_sum[dsts[i]] += log_delta[i]`` for every row i
         (``msg_sum_lo`` and one value per row at ``b == 2``).
 
         Each destination's float64 accumulation sees its rows in the
         order given, whichever path runs: compacted destinations for a
-        small set, one ``bincount(minlength=n)`` per state otherwise.
+        small set, one ``bincount(minlength=n)`` per state otherwise,
+        or — when the compiled executor passes ``ranks``, a b ≥ 3 edge
+        range's in-edge rank plan and a free float32 block — whole
+        ``(k, b)`` rows, one pass per in-edge rank
+        (:class:`repro.kernels.compiled._InEdgeRanks`).
         ``rows``, when the caller already holds it, is
         ``np.unique(dsts)``; a small set then finds each row's bin by
         ``searchsorted`` instead of deduplicating ``dsts`` again.
         """
+        if ranks is not None:
+            plan, scratch = ranks
+            plan.scatter(self.log_msg_sum, log_delta, scratch)
+            return
         if self.binary:
             sums = self.msg_sum_lo
             columns = ((sums, log_delta),)

@@ -29,7 +29,8 @@ take one log, scatter the delta and combine through ``tanh``.
 Scratch is sized by the range, not held at ``(m, b)`` for the life of
 the plan: two ``(k, b)`` blocks per range (three ``(k,)`` vectors at
 b = 2), each reused for dead values in turn.  The source gather becomes
-the cavity, then the residual, then the new log messages; the
+the cavity, then the residual, then the new log messages, and once
+those are stored the b ≥ 3 rank scatter's gather buffer; the
 back-message gather becomes the message, then the log delta.
 
 The scatter is :meth:`LoopyState.scatter_log_delta`, and an edge sweep
@@ -43,6 +44,17 @@ heads through the state's slot map; a large range takes one
 ``bincount`` over every node (:mod:`repro.core.indexset`).  Either way
 a 7-edge chunk costs O(7), and each destination's float64 sum sees its
 edges in range order, so the route changes no bits.
+
+At b ≥ 3 a slice range — a full node sweep, or a chunk of a full edge
+sweep — gathers instead of scattering, on a graph whose in-degrees are
+all ≤ b (:class:`_InEdgeRanks`).  Its plan, built on the range's first
+sweep and cached per executor, lists the r-th in-edge of every
+destination that has one, for each rank r; the scatter adds whole
+``(cnt_r, b)`` rows into a float64 block, one pass per rank, where
+``bincount`` made b column passes over every node.  On the 160×160
+8-state grid that is 4 passes instead of 8: 3.4–3.9 → 1.7–2.0 ms per
+full sweep (medians of 60 calls, 2-core Xeon VM).  Index-array ranges,
+and graphs with a node of more than b in-edges, keep ``bincount``.
 
 Why the result is bit-exact
 ---------------------------
@@ -58,7 +70,8 @@ combine are all row-independent; the potential product goes through
 many rows share its call).  ``in_edge_ids`` is produced by a *stable* argsort of
 ``dst``, so within each destination the CSR walk feeds edge ids in
 ascending order — and so do a natural-order slice, ``flatnonzero`` of a
-mask and the CSR gather itself.  Identical per-bin addition order ⇒
+mask, the CSR gather itself and the in-edge ranks.  Identical per-bin
+addition order ⇒
 identical float64 partial sums ⇒ identical float32 results.  Everything
 else runs the same ufuncs in the same order through scratch; the row
 reductions reproduce NumPy's pairwise summation (:func:`_row_sum`).
@@ -201,6 +214,72 @@ def _range_scratch(k: int, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
+class _InEdgeRanks:
+    """A slice range's in-edges by rank: the b ≥ 3 scatter's plan.
+
+    ``nodes`` are the range's destinations by their in-degree within the
+    range, descending and stable; ``edges[r]`` are the range positions of
+    the r-th in-edge (ascending edge id) of each of the first
+    ``len(edges[r])`` of them — the ones with more than r in-edges.  Both
+    are int32: a 160×160 grid's whole-graph plan is 0.5 MiB.
+    """
+
+    __slots__ = ("nodes", "edges")
+
+    def __init__(self, nodes: np.ndarray, edges: list[np.ndarray]):
+        self.nodes = nodes
+        self.edges = edges
+
+    def scatter(self, sums: np.ndarray, log_delta: np.ndarray, scratch: np.ndarray) -> None:
+        """``sums[dst] += log_delta`` over the range, bitwise the
+        ``bincount`` route (:meth:`LoopyState.scatter_log_delta`).
+
+        Each destination's float64 row accumulates ``0.0 + w1 + w2 + …``
+        in range order, one rank per pass, as ``bincount``'s bin does;
+        then one float32 add per row, as ``bincount``'s ``astype``
+        followed by the column add.  A node with no in-edge in the range
+        is left alone where ``bincount`` adds ``+0.0`` to it, the same
+        bits because no sum ever holds −0.0.  ``scratch`` is a free
+        float32 block of at least the range's rows.
+        """
+        k = len(self.nodes)
+        acc = np.zeros((k, sums.shape[1]))
+        for edges in self.edges:
+            head = acc[: len(edges)]
+            np.add(head, _rows(log_delta, edges, out=scratch[: len(edges)]), out=head)
+        rows = _rows(sums, self.nodes, out=scratch[:k])
+        np.add(rows, acc, out=rows, dtype=_FLOAT)
+        _set_rows(sums, self.nodes, rows)
+
+
+def _in_edge_ranks(state: LoopyState, lo: int, hi: int) -> _InEdgeRanks:
+    """The rank plan of edges ``[lo, hi)``.
+
+    The whole edge range reads the destination CSR (``in_edge_ids``, a
+    stable argsort of ``dst``); a chunk argsorts its own heads, stably.
+    """
+    if (lo, hi) == (0, state.m):
+        degree = np.diff(state.in_offsets)
+        nodes = np.flatnonzero(degree)
+        counts, starts, positions = degree[nodes], state.in_offsets[nodes], state.in_edge_ids
+    else:
+        heads = state.dst[lo:hi]
+        positions = np.argsort(heads, kind="stable")
+        heads = heads[positions]
+        starts = np.flatnonzero(np.concatenate(([True], heads[1:] != heads[:-1])))
+        nodes = heads[starts]
+        counts = np.diff(np.append(starts, hi - lo))
+    top = int(counts.max())
+    # a counting sort by degree: at most b passes over the destinations
+    order = np.concatenate([np.flatnonzero(counts == d) for d in range(top, 0, -1)])
+    counts, starts = counts[order], starts[order]
+    edges = []
+    for r in range(top):
+        live = int(np.count_nonzero(counts > r))
+        edges.append(positions[starts[:live] + r].astype(np.int32))
+    return _InEdgeRanks(nodes[order].astype(np.int32), edges)
+
+
 def _combine(state: LoopyState, nodes) -> np.ndarray:
     """New beliefs of rows ``nodes`` (slice or index array), bitwise
     :meth:`LoopyState.combine_nodes` with gathers and column passes."""
@@ -269,6 +348,14 @@ class CompiledExecutor:
         self._dims = (state.n, state.m, state.b)
         self._blocks: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._all_paired = bool((state.rev >= 0).all()) if state.m else False
+        # The b ≥ 3 scatter's gate: slice ranges scatter by in-edge rank
+        # when no node has more in-edges than bincount has columns, so the
+        # route never runs more passes than the bincounts it replaces.
+        # Each range's plan is built on its first sweep.
+        self._rank_route = state.b >= 3 and state.m > 0 and (
+            int(np.diff(state.in_offsets).max()) <= state.b
+        )
+        self._ranks: dict[tuple[int, int], _InEdgeRanks] = {}
         self.build_seconds = time.perf_counter() - start
         get_metrics().histogram("kernel.build_s").record(self.build_seconds)
 
@@ -342,8 +429,24 @@ class CompiledExecutor:
         np.log(np.maximum(msg, TINY, out=cav), out=cav)
         _set_rows(state.messages, edges, msg)
         np.subtract(cav, _rows(state.log_messages, edges, out=msg), out=msg)
-        state.scatter_log_delta(state.dst[edges], msg, rows)
         _set_rows(state.log_messages, edges, cav)
+        # cav is free now: the rank route gathers through it
+        ranks = self._in_edge_ranks(state, edges)
+        state.scatter_log_delta(
+            state.dst[edges], msg, rows, ranks=None if ranks is None else (ranks, cav)
+        )
+
+    def _in_edge_ranks(self, state: LoopyState, edges) -> _InEdgeRanks | None:
+        """The rank plan of a slice range past the gate (see
+        :class:`_InEdgeRanks`), else ``None``: the scatter then takes
+        ``bincount``."""
+        if not self._rank_route or not isinstance(edges, slice):
+            return None
+        key = (edges.start, edges.stop)
+        ranks = self._ranks.get(key)
+        if ranks is None:
+            ranks = self._ranks[key] = _in_edge_ranks(state, *key)
+        return ranks
 
     def _sweep_range_lo(
         self,

@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.core.graph import BeliefGraph
-from repro.core.observation import observe
+from repro.core.observation import evidence_state, observe
 
 __all__ = [
     "DeltaJournal",
@@ -87,7 +87,9 @@ class GraphDelta:
         return self
 
     def observe_node(self, node: NodeRef, state: int) -> "GraphDelta":
-        self.observe.append((node, int(state)))
+        """Observe ``node`` in ``state``: an int, an integral float or a
+        decimal string; a bool or a fraction raises ``ValueError``."""
+        self.observe.append((node, evidence_state(state)))
         return self
 
     def release_node(self, node: NodeRef) -> "GraphDelta":

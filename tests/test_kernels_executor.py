@@ -15,10 +15,21 @@ import pytest
 
 from repro.core.beliefs import BLOCK_NODES, make_store
 from repro.core.convergence import ConvergenceCriterion
+from repro.core.edge_kernel import chunk_slices
+from repro.core.graph import BeliefGraph
 from repro.core.loopy import LoopyBP
 from repro.core.observation import observe
-from repro.kernels import LAYOUTS, make_executor, with_layout
-from tests.conftest import assert_bitwise_run, interpreted_sweeps, make_loopy_graph
+from repro.core.potentials import attractive_potential
+from repro.core.state import LoopyState
+from repro.graphs.grids import grid_edges
+from repro.kernels import LAYOUTS, CompiledExecutor, make_executor, with_layout
+from repro.kernels.compiled import _in_edge_ranks
+from tests.conftest import (
+    assert_bitwise_run,
+    interpreted_sweeps,
+    make_loopy_graph,
+    message_state,
+)
 
 CRIT = ConvergenceCriterion(threshold=1e-6, max_iterations=60)
 SCHEDULES = ("sync", "work_queue", "residual", "relaxed")
@@ -199,3 +210,135 @@ class TestPlanIntegration:
 
         ex = make_executor(LoopyState(_graph()))
         assert ex.build_seconds >= 0.0
+
+
+# ---------------------------------------------------------------------------
+def _route_grid(b: int, side: int = 12) -> BeliefGraph:
+    """A ``side × side`` grid at width ``b`` plus one isolated node, four
+    unpaired directed edges (one into each corner) and two observed
+    nodes.  No node has more than four in-edges, so at b ≥ 4 every slice
+    range passes the rank scatter's gate."""
+    rng = np.random.default_rng(b)
+    pairs = grid_edges(side, side)
+    corners = [0, side - 1, side * (side - 1), side * side - 1]
+    extra = np.array([[side * 3 + 3 + k, c] for k, c in enumerate(corners)])
+    directed = np.concatenate([pairs, pairs[:, ::-1], extra])
+    priors = rng.dirichlet(np.ones(b), size=side * side + 1)
+    g = BeliefGraph(priors, directed[:, 0], directed[:, 1], attractive_potential(b, 0.5))
+    observe(g, 17, 1)
+    observe(g, 70, b - 1)
+    return g
+
+
+@pytest.fixture
+def scatter_routes(monkeypatch):
+    """Which route each scatter takes: True for the in-edge rank route."""
+    routes = []
+    original = LoopyState.scatter_log_delta
+
+    def spy(self, dsts, log_delta, rows=None, ranks=None):
+        routes.append(ranks is not None)
+        return original(self, dsts, log_delta, rows, ranks)
+
+    monkeypatch.setattr(LoopyState, "scatter_log_delta", spy)
+    return routes
+
+
+def _no_rank_route(monkeypatch):
+    monkeypatch.setattr(CompiledExecutor, "_in_edge_ranks", lambda self, state, edges: None)
+
+
+class TestRankScatter:
+    """The b ≥ 3 scatter by in-edge rank (``kernels/compiled.py``): taken
+    for slice ranges of a graph whose in-degrees fit in ``b``, bitwise
+    the ``bincount`` route it replaces, and not taken anywhere else."""
+
+    @pytest.mark.parametrize("b", [4, 8])
+    @pytest.mark.parametrize("paradigm", ["node", "edge"])
+    def test_full_sweeps_take_the_route_bitwise(self, b, paradigm, scatter_routes, monkeypatch):
+        def sweeps():
+            state = LoopyState(_route_grid(b))
+            ex = make_executor(state)
+            for _ in range(5):
+                if paradigm == "node":
+                    ex.node_sweep(state, np.arange(state.n))
+                else:
+                    ex.edge_sweep(state, np.arange(state.m), chunks=8)
+            return state, ex
+
+        state, ex = sweeps()
+        slices = [(0, state.m)] if paradigm == "node" else list(chunk_slices(state.m, 8))
+        assert paradigm == "node" or len(slices) > 1
+        assert scatter_routes == [True] * (5 * len(slices))
+        assert sorted(ex._ranks) == slices
+        scatter_routes.clear()
+        _no_rank_route(monkeypatch)
+        ref, _ = sweeps()
+        assert scatter_routes == [False] * (5 * len(slices))
+        for got, want in zip(message_state(state), message_state(ref)):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("schedule", ["sync", "work_queue"])
+    @pytest.mark.parametrize("paradigm", ["node", "edge"])
+    def test_runs_bitwise_without_the_route(self, schedule, paradigm, scatter_routes, monkeypatch):
+        def run():
+            return LoopyBP(paradigm=paradigm, schedule=schedule, criterion=CRIT).run(
+                _route_grid(8)
+            )
+
+        got = run()
+        assert any(scatter_routes)
+        _no_rank_route(monkeypatch)
+        assert_bitwise_run(got, run())
+
+    def test_high_in_degree_takes_bincount(self, scatter_routes):
+        g = make_loopy_graph(seed=3, n_nodes=40, n_edges=90, n_states=3)
+        assert np.diff(g.in_offsets).max() > 3
+        for paradigm in ("node", "edge"):
+            LoopyBP(paradigm=paradigm, schedule="sync", criterion=CRIT).run(g.copy())
+        assert scatter_routes and not any(scatter_routes)
+
+    def test_index_array_ranges_take_bincount(self, scatter_routes):
+        state = LoopyState(_route_grid(8))
+        ex = make_executor(state)
+        ex.node_sweep(state, np.arange(0, state.n, 2))
+        ex.edge_sweep(state, np.arange(0, state.m, 3))
+        assert scatter_routes == [False] * (1 + len(chunk_slices(len(range(0, state.m, 3)), 8)))
+        assert not ex._ranks
+
+    @pytest.mark.parametrize("bounds", ["full", "chunk"])
+    def test_scatter_keeps_range_order(self, bounds):
+        # float64 sums of a few float32 weights are mostly exact, so
+        # order only shows with cancellation: (2^66 + w) - 2^66 is 0
+        # where (2^66 - 2^66) + w is w
+        state = LoopyState(_route_grid(4))
+        lo, hi = (0, state.m) if bounds == "full" else (100, 400)
+        rng = np.random.default_rng(0)
+        shape = (hi - lo, state.b)
+        big = rng.choice([2.0**66, -(2.0**66), 0.0], size=shape)
+        log_delta = np.where(big != 0, big, rng.random(shape)).astype(np.float32)
+        dsts = state.dst[lo:hi]
+        plan = _in_edge_ranks(state, lo, hi)
+        ref = LoopyState(_route_grid(4))
+        ref.scatter_log_delta(dsts, log_delta)
+        scratch = np.empty_like(log_delta)
+        state.scatter_log_delta(dsts, log_delta, ranks=(plan, scratch))
+        assert state.log_msg_sum.tobytes() == ref.log_msg_sum.tobytes()
+
+    @pytest.mark.parametrize("bounds", ["full", "chunk"])
+    def test_plan_walks_each_in_edge_once_in_order(self, bounds):
+        state = LoopyState(_route_grid(4))
+        lo, hi = (0, state.m) if bounds == "full" else (100, 400)
+        plan = _in_edge_ranks(state, lo, hi)
+        assert plan.nodes.dtype == np.int32
+        assert all(e.dtype == np.int32 for e in plan.edges)
+        walked = {}
+        for edges in plan.edges:
+            for node, pos in zip(plan.nodes.tolist(), edges.tolist()):
+                walked.setdefault(node, []).append(pos + lo)
+        counts = [len(walked[v]) for v in plan.nodes.tolist()]
+        assert counts == sorted(counts, reverse=True)
+        heads = state.dst[lo:hi]
+        assert sorted(walked) == np.unique(heads).tolist()
+        for node, ids in walked.items():
+            assert ids == (lo + np.flatnonzero(heads == node)).tolist()

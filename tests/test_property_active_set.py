@@ -304,10 +304,10 @@ def recorded_scatter(log):
     a sweep, DESIGN.md §13.1)."""
     original = LoopyState.scatter_log_delta
 
-    def spy(self, dsts, log_delta, rows=None):
+    def spy(self, dsts, log_delta, rows=None, ranks=None):
         for dst, row in zip(dsts.tolist(), log_delta):
             log.setdefault(dst, []).append(row.tobytes())
-        return original(self, dsts, log_delta, rows)
+        return original(self, dsts, log_delta, rows, ranks)
 
     LoopyState.scatter_log_delta = spy
     try:

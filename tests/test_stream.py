@@ -297,6 +297,19 @@ class TestGraphDelta:
         with pytest.raises(ValueError):
             GraphDelta.from_payload({"add_nodes": ["not-a-mapping"]})
 
+    @pytest.mark.parametrize("state", [True, False, 1.5, "1.5"])
+    def test_observe_rejects_non_integral_states(self, state):
+        with pytest.raises(ValueError):
+            GraphDelta().observe_node("0", state)
+        with pytest.raises(ValueError):
+            GraphDelta.from_payload({"observe": [["0", state]]})
+
+    def test_observe_accepts_integral_states(self):
+        delta = GraphDelta.from_payload({"observe": [["0", 1.0], ["1", "1"], ["2", 1]]})
+        assert delta.observe == [("0", 1), ("1", 1), ("2", 1)]
+        assert all(type(state) is int for _, state in delta.observe)
+        assert GraphDelta().observe_node("0", np.int64(1)).observe == [("0", 1)]
+
     def test_apply_never_mutates_input(self):
         g = grid_graph(3, 3, seed=1)
         src0 = g.src.copy()
@@ -487,6 +500,16 @@ class TestDeltaJournal:
         DeltaJournal().save(path)
         assert len(DeltaJournal.load(path)) == 0
 
+    def test_journal_state_checked_on_load(self, tmp_path):
+        path = tmp_path / "states.jsonl"
+        path.write_text('{"observe": [["0", 1.0], ["1", "1"]]}\n', encoding="utf-8")
+        (delta,) = DeltaJournal.load(path)
+        assert delta.observe == [("0", 1), ("1", 1)]
+        for bad in ("1.5", "true"):
+            path.write_text(f'{{"observe": [["0", {bad}]]}}\n', encoding="utf-8")
+            with pytest.raises(ValueError):
+                DeltaJournal.load(path)
+
     def test_torn_tail_raises_typed_error(self, tmp_path):
         journal = DeltaJournal()
         for node in range(3):
@@ -652,10 +675,10 @@ class TestIncrementalEngine:
         original = LoopyState.scatter_log_delta
         routes = []
 
-        def spy(state, dsts, log_delta, rows=None):
+        def spy(state, dsts, log_delta, rows=None, ranks=None):
             if indexset.is_sparse(len(dsts), state.n):
                 routes.append("known" if rows is not None else "compacted")
-            return original(state, dsts, log_delta, rows)
+            return original(state, dsts, log_delta, rows, ranks)
 
         monkeypatch.setattr(LoopyState, "scatter_log_delta", spy)
 
