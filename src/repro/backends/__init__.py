@@ -25,8 +25,6 @@ from repro.backends.cuda_backends import CudaNodeBackend, CudaEdgeBackend
 from repro.backends.openmp import OpenMPBackend
 from repro.backends.openacc import OpenACCBackend
 from repro.backends.distributed import DistributedBackend, ClusterSpec
-from repro.backends.sharded import ShardedCpuBackend
-from repro.backends.multigpu import MultiGpuBackend
 from repro.backends.registry import get_backend, available_backends, BACKENDS, CORE_BACKENDS
 
 __all__ = [
@@ -42,8 +40,6 @@ __all__ = [
     "OpenACCBackend",
     "DistributedBackend",
     "ClusterSpec",
-    "ShardedCpuBackend",
-    "MultiGpuBackend",
     "get_backend",
     "available_backends",
     "BACKENDS",

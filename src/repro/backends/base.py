@@ -76,10 +76,6 @@ def _traced_run(run_fn):
                     converged=result.converged,
                     modeled_time_s=result.modeled_time,
                 )
-                # exported summaries read the sharded barrier-idle
-                # column straight off this span
-                if "barrier_idle_s" in result.detail:
-                    sp.set(barrier_idle_s=result.detail["barrier_idle_s"])
         return result
 
     wrapper._telemetry_wrapped = True

@@ -9,11 +9,10 @@ benchmark graphs" while Credo needs seconds.
 This backend executes the same numerics and models a classic
 bulk-synchronous distributed BP:
 
-* the graph is partitioned over ``ranks`` workers by a *measured*
-  :class:`~repro.partition.Partition` (default random hash — the
-  paper's related work had to "reprocess the graph into a form amenable
-  to this distributed environment"; pick ``partitioner="bfs"`` etc. to
-  see what a smarter split buys);
+* the graph is split over ``ranks`` workers by a structure-blind hash
+  of node ids (the paper's related work had to "reprocess the graph into
+  a form amenable to this distributed environment"), and the split's cut
+  fraction and edge-load balance are *measured* on the graph;
 * every iteration, each worker sweeps its local subgraph (CPU cost model
   over its share of the work) and then exchanges boundary messages: one
   latency-bound round plus bandwidth for ``cut × message`` bytes
@@ -29,12 +28,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.backends.base import Backend, RunResult
 from repro.backends.cpu_cost import CpuSpec, I7_7700HQ, cpu_sweep_time
 from repro.core.convergence import ConvergenceCriterion
 from repro.core.graph import BeliefGraph
 from repro.core.loopy import LoopyBP
-from repro.partition import Partition, make_partition
 
 __all__ = [
     "ClusterSpec",
@@ -88,6 +88,27 @@ MAPREDUCE = ClusterSpec(
 )
 
 
+def _hash_split(graph: BeliefGraph, ranks: int) -> tuple[float, float]:
+    """``(cut fraction, edge-load balance)`` of ``graph`` hashed over
+    ``min(ranks, n_nodes)`` workers.
+
+    A Knuth multiplicative hash of the node ids assigns each node its
+    worker.  The cut is the fraction of directed edges whose endpoints
+    land on different workers.  The balance is the heaviest worker's
+    in-edge load over the mean (≥ 1): the bulk-synchronous straggler
+    factor, since the slowest worker sets each superstep's pace.
+    """
+    if graph.n_edges == 0:
+        return 0.0, 1.0
+    k = min(ranks, graph.n_nodes)
+    mixed = np.arange(graph.n_nodes, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    mixed ^= mixed >> np.uint64(29)
+    owner = (mixed % np.uint64(k)).astype(np.int64)
+    cut = int(np.count_nonzero(owner[graph.src] != owner[graph.dst])) / graph.n_edges
+    load = np.bincount(owner[graph.dst], minlength=k)
+    return cut, max(float(load.max()) / (graph.n_edges / k), 1.0)
+
+
 class DistributedBackend(Backend):
     """Bulk-synchronous distributed loopy BP with modeled communication."""
 
@@ -100,29 +121,20 @@ class DistributedBackend(Backend):
         cluster: ClusterSpec = ETHERNET_1G,
         *,
         paradigm: str = "node",
-        partitioner: str = "hash",
         messages_per_round: int | None = None,
-        seed: int = 0,
     ):
         self.cluster = cluster
         self.paradigm = paradigm
-        self.partitioner = partitioner
         self.messages_per_round = messages_per_round
-        self.seed = seed
 
     def supports(self, graph: BeliefGraph) -> bool:
         return graph.uniform
 
-    def _cut_fraction(self, partition: Partition | None = None) -> float:
-        """Fraction of edges crossing partitions.
-
-        With a measured :class:`~repro.partition.Partition` in hand this
-        is its actual cut; the no-argument form keeps the analytic
-        expectation for random hash partitioning, ``1 − 1/ranks`` —
-        which is why the related work had to reprocess their graphs.
-        """
-        if partition is not None:
-            return partition.cut_fraction
+    def _cut_fraction(self) -> float:
+        """The analytic cut of a random split, ``1 − 1/ranks``: nearly
+        every message crosses the network, which is why the related work
+        had to reprocess their graphs.  :meth:`run` measures the cut of
+        its hash split on the graph instead."""
         return 1.0 - 1.0 / self.cluster.ranks
 
     def run(
@@ -132,25 +144,14 @@ class DistributedBackend(Backend):
         criterion: ConvergenceCriterion | None = None,
         schedule: str | None = None,
         update_rule: str = "sum_product",
-        partition: Partition | None = None,
     ) -> RunResult:
         config = self._loopy_config(self.paradigm, criterion, schedule, update_rule)
         loopy, wall = self._timed(LoopyBP(config).run, graph)
 
         cluster = self.cluster
         b = graph.n_states
-        if partition is None and graph.n_nodes:
-            partition = make_partition(
-                graph,
-                min(cluster.ranks, graph.n_nodes),
-                self.partitioner,
-                seed=self.seed,
-            )
-        cut = self._cut_fraction(partition)
-        # stragglers put the barrier above the mean rank's sweep: use the
-        # partition's measured edge-load imbalance, falling back to the
-        # old ~1.3x degree-tail rule of thumb when nothing was measured
-        straggler = max(partition.balance, 1.0) if partition is not None else 1.3
+        # stragglers put the barrier above the mean rank's sweep
+        cut, straggler = _hash_split(graph, cluster.ranks)
         gather_bytes = 4.0 * b
         modeled = 0.0
         for sweep in loopy.run_stats.per_iteration:
@@ -180,8 +181,6 @@ class DistributedBackend(Backend):
             cluster=cluster.name,
             ranks=cluster.ranks,
             cut_fraction=cut,
-            measured_partition=partition is not None,
-            partitioner=partition.method if partition is not None else self.partitioner,
-            shard_balance=partition.balance if partition is not None else None,
+            shard_balance=straggler,
             schedule=config.schedule,
         )

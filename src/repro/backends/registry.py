@@ -18,11 +18,9 @@ from repro.backends.base import Backend
 from repro.backends.c_backends import CEdgeBackend, CNodeBackend
 from repro.backends.cuda_backends import CudaEdgeBackend, CudaNodeBackend
 from repro.backends.distributed import DistributedBackend
-from repro.backends.multigpu import MultiGpuBackend
 from repro.backends.openacc import OpenACCBackend
 from repro.backends.openmp import OpenMPBackend
 from repro.backends.reference import ReferenceBackend
-from repro.backends.sharded import ShardedCpuBackend
 from repro.core.scheduler import normalize_schedule
 
 __all__ = [
@@ -41,8 +39,6 @@ BACKENDS: dict[str, Callable[..., Backend]] = {
     "openmp": OpenMPBackend,
     "openacc": OpenACCBackend,
     "distributed": DistributedBackend,
-    "sharded": ShardedCpuBackend,
-    "cuda-multi": MultiGpuBackend,
 }
 
 #: the four implementations Credo chooses among (§3.7)

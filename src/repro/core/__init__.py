@@ -26,7 +26,6 @@ from repro.core.scheduler import (
     make_schedule,
 )
 from repro.core.junction import JunctionTree, junction_tree_marginals
-from repro.core.bethe import bethe_free_energy, bethe_log_partition
 
 __all__ = [
     "BeliefStore",
@@ -55,6 +54,4 @@ __all__ = [
     "make_schedule",
     "JunctionTree",
     "junction_tree_marginals",
-    "bethe_free_energy",
-    "bethe_log_partition",
 ]

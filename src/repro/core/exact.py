@@ -89,7 +89,7 @@ def exact_marginals(graph: BeliefGraph) -> np.ndarray:
 
 
 def exact_log_partition(graph: BeliefGraph) -> float:
-    """log Z of the (evidence-restricted) joint — used by Bethe-energy tests."""
+    """log Z of the (evidence-restricted) joint."""
     total = sum(weight for _, weight in _enumerate(graph))
     if total <= 0.0:
         raise ValueError("joint distribution has zero mass")

@@ -17,7 +17,7 @@ Two floors exist because two precisions exist:
     normalization, large enough that ``log`` stays finite in float32.
 
 ``EPS``
-    The float64 floor (``1e-300``) for the exact/junction/Bethe paths,
+    The float64 floor (``1e-300``) for the exact and junction-tree paths,
     where posteriors are compared against enumeration at much tighter
     tolerances.
 """
@@ -28,7 +28,7 @@ import numpy as np
 
 __all__ = ["EPS", "TINY", "TINY32", "safe_log", "safe_divide"]
 
-#: float64 log/division floor (junction tree, reference backend, Bethe energy)
+#: float64 log/division floor (exact enumeration, junction tree, reference backend)
 EPS = 1e-300
 
 #: float32-compatible floor; preserves one-hot evidence to within float32

@@ -56,8 +56,8 @@ class ExecutionPlan:
     @property
     def paradigm(self) -> str:
         """``"node"`` or ``"edge"``, from the backend name.  Backends
-        whose names carry no paradigm suffix (``cuda-multi``,
-        ``sharded``, ``reference``, …) sweep per node."""
+        whose names carry no paradigm suffix (``reference``,
+        ``distributed``, ``openmp``, …) sweep per node."""
         tail = self.backend.rsplit("-", 1)[-1]
         return tail if tail in ("node", "edge") else "node"
 

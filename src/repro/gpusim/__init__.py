@@ -25,14 +25,6 @@ from repro.gpusim.arch import DeviceSpec, GTX1070, V100, A100, DEVICES, get_devi
 from repro.gpusim.device import GpuDevice, GpuOutOfMemoryError
 from repro.gpusim.kernel import KernelCost, launch_cost
 from repro.gpusim.atomics import atomic_cost
-from repro.gpusim.multi import (
-    INTERCONNECTS,
-    NVLINK,
-    PCIE_P2P,
-    InterconnectSpec,
-    MultiGpuDevice,
-    get_interconnect,
-)
 from repro.gpusim.transfer import transfer_time
 
 __all__ = [
@@ -48,10 +40,4 @@ __all__ = [
     "launch_cost",
     "atomic_cost",
     "transfer_time",
-    "InterconnectSpec",
-    "MultiGpuDevice",
-    "INTERCONNECTS",
-    "NVLINK",
-    "PCIE_P2P",
-    "get_interconnect",
 ]

@@ -19,6 +19,10 @@ normalize, residual, scatter, combine:
     the beliefs, so the layout changes storage, never sweep time.
 """
 
+# core/loopy.py imports compiled.py, and compiled.py imports modules of
+# repro.core.  Importing repro.core first means loopy.py loads compiled.py
+# in full, so either package can be imported first.
+import repro.core  # noqa: F401
 from repro.kernels.compiled import CompiledExecutor, cached_executor, make_executor
 from repro.kernels.layout import LAYOUTS, with_layout
 

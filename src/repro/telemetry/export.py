@@ -196,30 +196,18 @@ def trace_lanes(trace: dict) -> dict[str, list[str]]:
 
 
 def summary_table(events: Iterable[SpanEvent] | Tracer) -> str:
-    """Aggregate spans by (lane, name) into an aligned text table.
-
-    Spans that carry ``barrier_idle_s`` (set by the sharded backends on
-    ``backend.run``) get an ``idle_ms`` column; every other row shows
-    ``-``.
-    """
+    """Aggregate spans by (lane, name) into an aligned text table."""
     if isinstance(events, Tracer):
         events = events.events
     groups: dict[tuple[str, str, str], list[float]] = defaultdict(list)
-    idle: dict[tuple[str, str, str], float] = defaultdict(float)
     for event in events:
-        key = (event.domain, event.process, event.name)
-        groups[key].append(event.duration)
-        args = event.args or {}
-        if "barrier_idle_s" in args:
-            idle[key] += float(args["barrier_idle_s"])
+        groups[(event.domain, event.process, event.name)].append(event.duration)
 
-    headers = ("lane", "span", "domain", "count", "total_ms", "mean_ms",
-               "max_ms", "idle_ms")
+    headers = ("lane", "span", "domain", "count", "total_ms", "mean_ms", "max_ms")
     rows = []
     for (domain, process, name), durs in sorted(
         groups.items(), key=lambda kv: (kv[0][0], kv[0][1], -sum(kv[1]))
     ):
-        key = (domain, process, name)
         total = sum(durs)
         rows.append(
             (
@@ -230,7 +218,6 @@ def summary_table(events: Iterable[SpanEvent] | Tracer) -> str:
                 f"{total * 1e3:.3f}",
                 f"{total / len(durs) * 1e3:.3f}",
                 f"{max(durs) * 1e3:.3f}",
-                f"{idle[key] * 1e3:.3f}" if key in idle else "-",
             )
         )
     if not rows:

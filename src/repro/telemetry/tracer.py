@@ -340,9 +340,9 @@ class NullTracer:
 
 NULL_TRACER = NullTracer()
 
-#: the process-wide active tracer; worker threads (shard pools, the serve
-#: worker) read it through :func:`get_tracer`, so enabling tracing on the
-#: main thread covers them too
+#: the process-wide active tracer; worker threads (the serve worker) read
+#: it through :func:`get_tracer`, so enabling tracing on the main thread
+#: covers them too
 _active: Tracer | NullTracer = NULL_TRACER
 
 

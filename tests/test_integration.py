@@ -1,12 +1,10 @@
 """End-to-end integration: the full Credo pipeline across subsystems."""
 
 import numpy as np
-import pytest
 
 from repro.core import LoopyBP, exact_marginals, junction_tree_marginals, observe
 from repro.core.convergence import ConvergenceCriterion
 from repro.credo import Credo
-from repro.credo.persistence import load_selector, save_selector
 from repro.graphs import build_graph
 from repro.io import load_graph, parse_bif, write_mtx_graph
 from repro.io.network import network_to_belief_graph
@@ -46,21 +44,6 @@ class TestFullPipeline:
         np.testing.assert_allclose(jt, exact, atol=1e-9)
         result = LoopyBP(criterion=ConvergenceCriterion(1e-7, 300)).run(graph)
         np.testing.assert_allclose(result.beliefs, exact, atol=1e-3)
-
-    def test_trained_selector_roundtrips_through_disk(self, tmp_path):
-        """train (smoke scale) -> save -> load -> identical dispatch."""
-        credo = Credo(device="gtx1070")
-        credo.train(
-            profile="smoke",
-            subset=("10x40", "1kx4k", "10kx40k"),
-            use_cases=("binary",),
-        )
-        path = tmp_path / "selector.json"
-        save_selector(credo.selector, path)
-        restored = Credo(device="gtx1070", selector=load_selector(path))
-        for abbrev in ("10x40", "10kx40k"):
-            g, _ = build_graph(abbrev, "binary", profile="smoke")
-            assert restored.select(g) == credo.select(g)
 
     def test_file_formats_agree_end_to_end(self, tmp_path):
         """The same network through BIF and MTX paths yields the same

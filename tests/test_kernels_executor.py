@@ -131,7 +131,15 @@ class TestPlanIntegration:
         from repro.credo.runner import ExecutionPlan
 
         assert ExecutionPlan("c-node", "sync").qualified == "c-node:sync"
-        assert ExecutionPlan("sharded", "sync").qualified == "sharded:sync"
+        assert ExecutionPlan("distributed", "sync").qualified == "distributed:sync"
+
+    def test_plan_paradigm_for_unsuffixed_backends(self):
+        from repro.credo.runner import ExecutionPlan
+
+        assert ExecutionPlan("c-edge", "sync").paradigm == "edge"
+        # backends without a -node/-edge suffix sweep per node
+        assert ExecutionPlan("distributed", "sync").paradigm == "node"
+        assert ExecutionPlan("reference", "sync").paradigm == "node"
 
     def test_qualified_spec_round_trips(self):
         from repro.credo.runner import Credo
@@ -163,7 +171,7 @@ class TestPlanIntegration:
         ("sharded:sync@4xbfs", KeyError),
         ("sharded:sync@4xbfs+async~2", KeyError),
         # a registry backend Credo does not dispatch cannot run either
-        ("sharded:sync", KeyError),
+        ("distributed:sync", KeyError),
     ])
     def test_plan_rejects_names_that_cannot_run(self, name, error):
         from repro.credo.runner import Credo

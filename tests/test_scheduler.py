@@ -109,6 +109,28 @@ class TestDeprecationShim:
             LoopyConfig(schedule="residual")
             LoopyBP(schedule="relaxed")
 
+    def test_workqueue_module_is_gone(self):
+        import importlib
+        import sys
+
+        sys.modules.pop("repro.core.workqueue", None)
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.core.workqueue")
+        from repro.core.scheduler import WorkQueue  # canonical home
+
+        assert WorkQueue is not None
+
+    def test_residual_module_is_gone(self):
+        import importlib
+        import sys
+
+        sys.modules.pop("repro.core.residual", None)
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.core.residual")
+        from repro.core.scheduler import ResidualSchedule  # canonical home
+
+        assert ResidualSchedule is not None
+
 
 class TestScheduleUnits:
     def test_normalize_aliases(self):

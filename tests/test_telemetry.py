@@ -234,21 +234,6 @@ class TestChromeExport:
         assert "kernel" in table and "lane" in table
         assert summary_table([]) == "(no spans recorded)"
 
-    def test_summary_table_reports_barrier_idle(self):
-        from repro.telemetry.tracer import SpanEvent
-
-        events = [
-            SpanEvent("backend.run", "backend", 0.0, 0.2, "host", "main",
-                      args={"barrier_idle_s": 0.05}),
-            SpanEvent("bp.sweep", "core", 0.0, 0.1, "host", "main"),
-        ]
-        header, _, *rows = summary_table(events).splitlines()
-        assert header.rstrip().endswith("idle_ms")
-        run_row = next(r for r in rows if "backend.run" in r)
-        sweep_row = next(r for r in rows if "bp.sweep" in r)
-        assert run_row.rstrip().endswith("50.000")
-        assert sweep_row.rstrip().endswith("-")
-
     def test_validator_flags_problems(self):
         bad = {"traceEvents": [
             {"ph": "X", "pid": 9, "tid": 9, "ts": -1, "dur": -2, "name": "x"},
