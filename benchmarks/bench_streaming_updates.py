@@ -42,7 +42,7 @@ N_STATES = 2
 #: couplings are multi-stable — warm and cold starts can land in
 #: different symmetry-broken basins and "parity" stops being defined)
 COUPLING = 0.6
-N_UPDATES = 12
+N_UPDATES = 52
 #: all evidence churn confined to this many nodes in one grid corner —
 #: the localized-delta regime the incremental path is built for
 LOCAL_WINDOW = 16

@@ -17,9 +17,8 @@ import itertools
 import numpy as np
 
 from repro.core.graph import BeliefGraph
-from repro.core.numeric import EPS, safe_log
 
-__all__ = ["exact_marginals", "exact_log_partition"]
+__all__ = ["exact_marginals"]
 
 _MAX_CONFIGS = 2_000_000
 
@@ -86,11 +85,3 @@ def exact_marginals(graph: BeliefGraph) -> np.ndarray:
     if total <= 0.0:
         raise ValueError("joint distribution has zero mass (contradictory evidence?)")
     return (marg / total).astype(np.float64)
-
-
-def exact_log_partition(graph: BeliefGraph) -> float:
-    """log Z of the (evidence-restricted) joint."""
-    total = sum(weight for _, weight in _enumerate(graph))
-    if total <= 0.0:
-        raise ValueError("joint distribution has zero mass")
-    return float(safe_log(total, EPS))

@@ -42,7 +42,7 @@ from repro.core.numeric import TINY32, safe_log
 # :func:`message` runs once per sweep however few edges the sweep holds,
 # so both its clamps call the ufunc itself, the same single pass
 # (``maximum`` then ``minimum`` would take two: 1.18 vs 0.58 ms at 1.6M
-# values).  The lint's RPR101 reads the imported ufunc as ``np.clip``.
+# values).  It is the ufunc ``np.clip`` itself calls, so it rounds the same.
 try:
     from numpy._core.umath import clip as _clip
 except ImportError:  # NumPy < 2

@@ -6,8 +6,9 @@ guarded against structural zeros (hard evidence, deterministic CPTs)
 and an unguarded ``x / m`` with a zeroed message row turns a cavity
 division into ``inf``.  Historically each module carried its own
 ad-hoc literal (``1e-30`` here, ``1e-300`` there); this module is the
-single place those floors are defined, and ``repro.analysis`` rule
-RPR101/RPR102 enforces that new code goes through them.
+single place those floors are defined.  Code that builds a log prior
+and code that later patches it must clamp at the same floor, or the
+patched state no longer equals a cold build of the same graph.
 
 Two floors exist because two precisions exist:
 

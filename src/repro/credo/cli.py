@@ -81,14 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("backends", help="list available backends")
 
-    # "lint" is intercepted in main() before parsing (its options are
-    # owned by repro.analysis); registered here only for --help listing
-    sub.add_parser(
-        "lint",
-        help="run the project-aware static checker (python -m repro.analysis)",
-        add_help=False,
-    )
-
     serve = sub.add_parser(
         "serve", help="serve posterior queries over JSON-lines (stdin or TCP)"
     )
@@ -439,11 +431,6 @@ def _cmd_update(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv[:1] == ["lint"]:
-        from repro.analysis.__main__ import main as lint_main
-
-        return lint_main(argv[1:])
     args = _build_parser().parse_args(argv)
 
     if args.command == "serve":

@@ -3,8 +3,9 @@
 ``execute`` takes one registered model and a list of concurrent queries
 and returns index-aligned outcomes.  The pipeline per batch:
 
-1. resolve + validate evidence against the model's pristine graph (bad
-   queries fail individually, never the batch);
+1. resolve + validate evidence and the requested ``nodes`` against the
+   model's pristine graph (bad queries fail individually, never the
+   batch);
 2. split cache hits out (keyed by graph generation + frozen evidence +
    convergence config + plan);
 3. run the misses — micro-batched through
@@ -45,6 +46,20 @@ class QueryOutcome:
     batch_size: int = 1
     error: str | None = None
     detail: str | None = None
+    #: resolved ids of the requested ``nodes`` (``None``: every node)
+    node_ids: list[int] | None = None
+
+
+def _resolve_node(graph, node) -> int:
+    """``graph.node_id(node)``, rejecting ids outside the graph and ids
+    that are not integers (``node_id`` would truncate ``1.5`` or ``True``
+    to node 1)."""
+    if isinstance(node, bool) or not isinstance(node, (str, int, np.integer)):
+        raise TypeError(f"node {node!r} is neither a name nor an integer id")
+    node_id = graph.node_id(node)
+    if not 0 <= node_id < graph.n_nodes:
+        raise IndexError(f"node {node!r} out of range")
+    return node_id
 
 
 class QueryEngine:
@@ -66,6 +81,7 @@ class QueryEngine:
         mappings or :class:`~repro.serve.protocol.QueryRequest`-likes)
         against ``model``; outcomes align with the input order."""
         outcomes: list[QueryOutcome | None] = [None] * len(queries)
+        node_ids: list[list[int] | None] = [None] * len(queries)
         prepared: list[tuple[int, tuple[tuple[int, int], ...], bool]] = []
         for i, query in enumerate(queries):
             evidence = getattr(query, "evidence", None)
@@ -74,13 +90,20 @@ class QueryEngine:
             use_cache = getattr(query, "use_cache", None)
             if use_cache is None:
                 use_cache = query.get("use_cache", True) if isinstance(query, dict) else True
+            nodes = query.get("nodes") if isinstance(query, dict) else getattr(query, "nodes", None)
             try:
                 frozen = self._resolve_evidence(model, evidence or {})
-            except (KeyError, ValueError, IndexError) as exc:
+            except (KeyError, ValueError, IndexError, TypeError) as exc:
                 outcomes[i] = QueryOutcome(
                     ok=False, error="bad_evidence", detail=str(exc)
                 )
                 continue
+            if nodes is not None:
+                try:
+                    node_ids[i] = [_resolve_node(model.graph, node) for node in nodes]
+                except (KeyError, ValueError, IndexError, TypeError) as exc:
+                    outcomes[i] = QueryOutcome(ok=False, error="bad_nodes", detail=str(exc))
+                    continue
             prepared.append((i, frozen, bool(use_cache)))
 
         plan = model.plan
@@ -113,6 +136,9 @@ class QueryEngine:
                 "serve.cache_hit", cat="serve",
                 args={"model": model.name, "queries": hits},
             )
+        for out, ids in zip(outcomes, node_ids):
+            if out is not None and out.ok:
+                out.node_ids = ids
         return [out if out is not None else QueryOutcome(ok=False, error="internal")
                 for out in outcomes]
 
@@ -123,9 +149,7 @@ class QueryEngine:
             raise ValueError("evidence must map node -> state")
         resolved: dict[int, int] = {}
         for node, state in evidence.items():
-            node_id = graph.node_id(node)
-            if not 0 <= node_id < graph.n_nodes:
-                raise IndexError(f"node {node!r} out of range")
+            node_id = _resolve_node(graph, node)
             state = evidence_state(state)
             dim = int(graph.dims[node_id])
             if not 0 <= state < dim:

@@ -82,7 +82,10 @@ class QueryRequest:
             raise ProtocolError("'nodes' must be a list of names or ids")
         deadline = payload.get("deadline_s")
         if deadline is not None:
-            deadline = float(deadline)
+            try:
+                deadline = float(deadline)
+            except (TypeError, ValueError):
+                raise ProtocolError("'deadline_s' must be a number of seconds") from None
         request_id = payload.get("id")
         if request_id is not None:
             request_id = str(request_id)

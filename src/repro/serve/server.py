@@ -297,10 +297,7 @@ class InferenceServer:
                 detail=outcome.detail,
             )
         graph = model.graph
-        if request.nodes is None:
-            node_ids = range(graph.n_nodes)
-        else:
-            node_ids = [graph.node_id(n) for n in request.nodes]
+        node_ids = range(graph.n_nodes) if outcome.node_ids is None else outcome.node_ids
         posteriors = {
             graph.node_names[i]: [
                 float(v) for v in outcome.posteriors[i, : graph.dims[i]]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.exact import exact_log_partition, exact_marginals
+from repro.core.exact import exact_marginals
 from repro.core.graph import BeliefGraph
 from repro.core.observation import observe
 from repro.core.potentials import attractive_potential
@@ -66,23 +66,3 @@ class TestExactMarginals:
         )
         with pytest.raises(ValueError, match="too large"):
             exact_marginals(g)
-
-
-class TestLogPartition:
-    def test_independent_nodes_log_z_zero(self):
-        # normalized priors, no factors: Z = 1
-        g = BeliefGraph.from_undirected(
-            np.array([[0.3, 0.7], [0.9, 0.1]]),
-            np.empty((0, 2), dtype=np.int64),
-            attractive_potential(2, 0.8),
-        )
-        assert abs(exact_log_partition(g)) < 1e-6  # float32 prior rounding
-
-    def test_matches_manual_sum(self):
-        p0, p1 = [0.6, 0.4], [0.5, 0.5]
-        psi = [[0.9, 0.1], [0.1, 0.9]]
-        z = sum(
-            p0[a] * p1[b] * psi[a][b] for a in range(2) for b in range(2)
-        )
-        g = _two_node_graph(p0, p1, psi)
-        np.testing.assert_allclose(exact_log_partition(g), np.log(z), atol=1e-6)

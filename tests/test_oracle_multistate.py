@@ -158,3 +158,35 @@ def test_bincount_grid_near_exact(loopy_grids_b3, paradigm, schedule, rank_scatt
     _near_exact(loopy_grids_b3, paradigm, schedule)
     rank, bincount = rank_scatters
     assert rank == 0 and bincount > 0
+
+
+#: a banded potential with exact zeros: no state sits next to one two
+#: steps away, so evidence at an end state sends messages with exact-zero
+#: entries, and the next cavity divides by them
+BAND = np.array([[2, 1, 0], [1, 2, 1], [0, 1, 2]], dtype=np.float32)
+
+
+@pytest.mark.parametrize("paradigm,schedule", PLANS)
+def test_zero_potential_entries_match_junction_tree(paradigm, schedule):
+    n = 15
+    priors = np.random.default_rng(0).dirichlet(np.ones(3), size=n)
+    g = BeliefGraph.from_undirected(priors, np.array([[(v - 1) // 2, v] for v in range(1, n)]), BAND)
+    observe(g, 0, 2)
+    observe(g, n - 1, 0)
+    exact = junction_tree_marginals(g)
+    result = LoopyBP(paradigm=paradigm, schedule=schedule, criterion=CRIT).run(g)
+    assert result.converged
+    assert np.abs(np.asarray(result.beliefs) - exact).max() <= TREE_TOL
+
+
+@pytest.mark.parametrize("paradigm,schedule", PLANS)
+def test_evidence_on_an_impossible_state_stays_finite(paradigm, schedule):
+    # row 0 of the potential is all zero, so evidence at state 0 sends an
+    # all-zero message: it must normalize to uniform, not to 0/0
+    psi = np.array([[0, 0, 0], [1, 2, 1], [1, 1, 2]], dtype=np.float32)
+    g = BeliefGraph.from_undirected(np.full((3, 3), 1 / 3), np.array([[0, 1], [1, 2]]), psi)
+    observe(g, 0, 0)
+    result = LoopyBP(paradigm=paradigm, schedule=schedule, criterion=CRIT).run(g)
+    beliefs = np.asarray(result.beliefs)
+    assert result.converged and np.isfinite(beliefs).all()
+    np.testing.assert_allclose(beliefs.sum(axis=1), 1.0, rtol=1e-6)

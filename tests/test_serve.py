@@ -9,6 +9,7 @@ conflicting evidence.
 
 from __future__ import annotations
 
+import io
 import json
 import subprocess
 import sys
@@ -18,12 +19,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.loopy import LoopyBP, LoopyConfig
 from repro.core.convergence import ConvergenceCriterion
 from repro.core.edge_kernel import MIN_CHUNK_EDGES
+from repro.core.loopy import LoopyBP, LoopyConfig
 from repro.core.observation import observe
 from repro.graphs.grids import grid_graph
 from repro.graphs.synthetic import synthetic_graph
+from repro.io.network import BayesianNetwork, Cpt, Variable, network_to_belief_graph
 from repro.serve import (
     AdmissionQueue,
     AdmissionRejected,
@@ -37,6 +39,7 @@ from repro.serve import (
     run_batched,
 )
 from repro.serve.protocol import parse_line
+from repro.serve.transport import _serve_stream
 
 REPO = Path(__file__).parent.parent
 FAMILY_BIF = REPO / "examples" / "family_out.bif"
@@ -212,6 +215,41 @@ class TestEvidenceIsolation:
         # no query leaked evidence into the resident master copy
         assert not graph.observed.any()
 
+    def test_unbatched_queries_answer_as_if_alone(self):
+        # ragged beliefs cannot be micro-batched, so queued queries run
+        # one by one; each must get the answer it gets when sent alone
+        net = BayesianNetwork(name="ragged")
+        net.add_variable(Variable("x", ["a", "b"]))
+        net.add_variable(Variable("y", ["p", "q", "r"]))
+        net.add_cpt(Cpt("x", [], np.array([0.4, 0.6])))
+        net.add_cpt(Cpt("y", ["x"], np.array([[0.5, 0.25, 0.25], [0.1, 0.1, 0.8]])))
+        srv = InferenceServer(ServerConfig(max_batch=4), autostart=False)
+        srv.register_model("r", network_to_belief_graph(net))
+        evidences = [{}, {"x": 0}, {"y": 2}, {"x": 1}]
+        tickets = [srv.submit(QueryRequest(model="r", evidence=ev)) for ev in evidences]
+        srv.start()
+        try:
+            queued = [t.future.result(10) for t in tickets]
+            alone = [srv.query("r", ev, use_cache=False) for ev in evidences]
+        finally:
+            srv.stop()
+        for q, a in zip(queued, alone):
+            assert (q.ok, q.error, q.posteriors) == (a.ok, a.error, a.posteriors)
+        assert not srv.registry.get("r").graph.observed.any()
+
+    def test_batches_of_one_leave_the_master_clean(self):
+        # max_batch=1 sends uniform models down the per-query path too
+        with InferenceServer(ServerConfig(max_batch=1)) as srv:
+            model = srv.register_model("g", small_graph())
+            assert srv.query("g", {"3": 0}).ok
+            free = srv.query("g", {}, use_cache=False)
+            assert not model.graph.observed.any()
+            solo = srv.credo.run(model.graph.copy(), plan=model.plan)
+        for name, probs in free.posteriors.items():
+            np.testing.assert_array_equal(
+                probs, np.asarray(solo.beliefs, dtype=np.float32)[model.graph.node_id(name)]
+            )
+
     def test_bad_evidence_fails_alone(self, server):
         good = server.query("g", {"1": 1})
         bad = server.query("g", {"no_such_node": 0})
@@ -348,6 +386,23 @@ class TestResultCache:
         )
         assert server.stats()["cache"]["hits"] == 1
 
+    @pytest.mark.parametrize("max_batch", [1, 8])
+    def test_engine_outcomes_do_not_alias_the_cache(self, max_batch):
+        # a caller that writes into its outcome must not change what the
+        # next hit for the same key returns
+        srv = InferenceServer(ServerConfig(max_batch=max_batch), autostart=False)
+        model = srv.register_model("g", small_graph())
+        query = {"evidence": {"2": 1}}
+        (miss,) = srv.engine.execute(model, [query])
+        expected = miss.posteriors.copy()
+        miss.posteriors[:] = -1.0
+        (hit,) = srv.engine.execute(model, [query])
+        assert hit.cached
+        np.testing.assert_array_equal(hit.posteriors, expected)
+        hit.posteriors[:] = -1.0
+        (again,) = srv.engine.execute(model, [query])
+        np.testing.assert_array_equal(again.posteriors, expected)
+
     def test_use_cache_false_bypasses(self, server):
         server.query("g", {"4": 0})
         bypass = server.query("g", {"4": 0}, use_cache=False)
@@ -378,6 +433,32 @@ class TestResultCache:
         assert cache.get(keys[0]) is None  # evicted
         assert cache.get(keys[2]) is not None
         assert cache.stats()["evictions"] == 1
+
+    @pytest.mark.parametrize("method", [
+        "get", "put", "invalidate_model", "clear", "__len__", "hit_rate", "stats",
+    ])
+    def test_every_method_waits_for_the_lock(self, method):
+        # request threads and the worker share one cache: a method that
+        # skips the lock can iterate _entries while put resizes it
+        cache = ResultCache(capacity=2)
+        key = cache_key("m", 1, ((0, 0),), 1e-3, 200, "b", "s")
+        cache.put(key, (np.zeros(1), 1, True))
+        calls = {
+            "get": lambda: cache.get(key),
+            "put": lambda: cache.put(key, (np.ones(1), 1, True)),
+            "invalidate_model": lambda: cache.invalidate_model("m"),
+            "clear": cache.clear,
+            "__len__": lambda: len(cache),
+            "hit_rate": lambda: cache.hit_rate,
+            "stats": cache.stats,
+        }
+        caller = threading.Thread(target=calls[method], daemon=True)
+        with cache._lock:
+            caller.start()
+            caller.join(0.1)
+            assert caller.is_alive(), f"{method} ran without the lock"
+        caller.join(10)
+        assert not caller.is_alive()
 
 
 class TestAmortizedSelection:
@@ -470,6 +551,72 @@ class TestProtocol:
     def test_integral_float_wire_state_accepted(self):
         payload = parse_line('{"model": "g", "evidence": {"a": 1.0}}')
         assert QueryRequest.from_payload(payload).evidence == {"a": 1}
+
+
+def _serve_lines(server, payloads, timeout=10.0):
+    """Replies of the stdin loop to ``payloads``, run on a thread joined
+    with ``timeout`` so a hung request fails instead of stalling."""
+    out = io.StringIO()
+    errors = []
+
+    def loop():
+        try:
+            _serve_stream(server, [json.dumps(p) for p in payloads], out)
+        except BaseException as exc:  # recorded for the assertion below
+            errors.append(exc)
+
+    thread = threading.Thread(target=loop, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"no reply within {timeout} s: {out.getvalue()!r}"
+    assert not errors, f"the serve loop died: {errors[0]!r}"
+    return [json.loads(line) for line in out.getvalue().splitlines()]
+
+
+class TestMalformedRequests:
+    """Fault injection: every malformed line gets a typed ``ok: false``
+    reply, and the server goes on answering."""
+
+    @pytest.mark.parametrize(
+        "payload, error",
+        [
+            ({"model": "g", "nodes": ["nope"]}, "bad_nodes"),
+            ({"model": "g", "nodes": [12345]}, "bad_nodes"),
+            ({"model": "g", "nodes": [1.5]}, "bad_nodes"),
+            ({"model": "g", "nodes": [True]}, "bad_nodes"),
+            ({"model": "g", "deadline_s": "soon"}, "bad_request"),
+            ({"model": "g", "deadline_s": [1]}, "bad_request"),
+            ({"op": "frobnicate"}, "unknown_op"),
+            ({"model": "g", "evidence": [0, 1]}, "bad_request"),
+            ({"model": "g", "evidence": {"0": 7}}, "bad_evidence"),
+        ],
+    )
+    def test_bad_line_gets_typed_reply(self, server, payload, error):
+        valid = {"model": "g", "nodes": [0], "id": "after"}
+        bad, after = _serve_lines(server, [payload, valid])
+        assert bad["ok"] is False and bad["error"] == error, bad
+        assert after["ok"] is True and after["id"] == "after", after
+        assert list(after["posteriors"]) == ["0"]
+        assert server._worker.is_alive()
+
+    def test_bad_nodes_fail_alone_in_a_batch(self):
+        srv = InferenceServer(ServerConfig(max_batch=4), autostart=False)
+        srv.register_model("g", small_graph())
+        tickets = [
+            srv.submit(QueryRequest(model="g", evidence={"1": 1}, nodes=nodes))
+            for nodes in (["2", 3], ["nope"], [-1], None)
+        ]
+        srv.start()
+        try:
+            good, name, negative, whole = (t.future.result(10) for t in tickets)
+        finally:
+            srv.stop()
+        assert not name.ok and name.error == "bad_nodes"
+        assert not negative.ok and negative.error == "bad_nodes"
+        assert good.ok and list(good.posteriors) == ["2", "3"]
+        assert whole.ok and good.batch_size == whole.batch_size == 2
+        for node in ("2", "3"):
+            assert good.posteriors[node] == whole.posteriors[node]
 
 
 class TestServeCLI:

@@ -24,11 +24,11 @@ from repro.core.convergence import ConvergenceCriterion
 from repro.core.graph import BeliefGraph
 from repro.core.loopy import LoopyBP, LoopyConfig
 from repro.core.observation import observe
+from repro.core.potentials import attractive_potential
 from repro.core.scheduler import SCHEDULES, make_schedule
 from repro.core.state import LoopyState
 from repro.credo.selector import INCREMENTAL_DIRTY_MAX_FRACTION
-from repro.graphs.grids import grid_graph
-from repro.core.potentials import attractive_potential
+from repro.graphs.grids import grid_edges, grid_graph
 from repro.io.detect import load_graph
 from repro.io.mtx import MtxFormatError, read_mtx_graph, write_mtx_graph
 from repro.kernels.layout import with_layout
@@ -581,6 +581,41 @@ class TestIncrementalEngine:
         full = LoopyBP(cfg).run(eng.graph.copy())
         assert np.abs(np.asarray(inc.beliefs) - np.asarray(full.beliefs)).max() <= 1e-6
         assert inc.edges_swept < full.run_stats.total.edges_processed
+
+    @pytest.mark.parametrize("schedule", ["sync", "work_queue"])
+    @pytest.mark.parametrize("paradigm", PARADIGMS)
+    def test_evidence_patch_matches_a_cold_state(self, schedule, paradigm):
+        # node 7's prior has an exact zero: releasing it must store the
+        # clamped log prior a cold build stores (log TINY32), not -inf
+        g = grid_graph(5, 5, seed=3)
+        g.priors.set(7, np.array([1.0, 0.0], dtype=np.float32))
+        eng = IncrementalEngine(g, tight_config(schedule, paradigm))
+        eng.converge()
+        for delta in (GraphDelta().observe_node("7", 1),
+                      GraphDelta().release_node("7"),
+                      GraphDelta().observe_node("12", 0)):
+            eng.apply(delta)
+        cold = LoopyState(eng.graph)
+        np.testing.assert_array_equal(eng._state.free_mask, cold.free_mask)
+        np.testing.assert_array_equal(eng._state.log_priors, cold.log_priors)
+
+    @pytest.mark.parametrize("schedule", ["sync", "work_queue"])
+    @pytest.mark.parametrize("paradigm", PARADIGMS)
+    def test_structural_delta_migrates_zero_messages(self, schedule, paradigm):
+        # under a banded potential, node 0's evidence at state 2 sends
+        # messages with exact zeros; the migrated state rebuilds its log
+        # messages from them and must clamp as the sweeps do
+        band = np.array([[2, 1, 0], [1, 2, 1], [0, 1, 2]], dtype=np.float32)
+        priors = np.random.default_rng(0).dirichlet(np.ones(3), size=9)
+        g = BeliefGraph.from_undirected(priors, grid_edges(3, 3), band)
+        observe(g, 0, 2)
+        cfg = tight_config(schedule, paradigm)
+        eng = IncrementalEngine(g, cfg)
+        eng.converge()
+        inc = eng.apply(GraphDelta().add_edge("2", "6", band))
+        full = LoopyBP(cfg).run(eng.graph.copy())
+        assert inc.mode == "incremental"
+        assert np.abs(np.asarray(inc.beliefs) - np.asarray(full.beliefs)).max() <= 1e-6
 
     def test_evidence_updates_reuse_lowerings(self):
         cfg = tight_config()
