@@ -4,32 +4,28 @@ The paper profiled both layouts with cachegrind on the synthetic graphs
 up to 100k nodes and found "the AoS approach has circa 56% fewer data
 cache reads and writes", settling on AoS.
 
-We reproduce the cache-access accounting through the layout-aware cost
-model (lines touched per logical access) and check the modeled runtimes
-order the same way.  Layout variants come from the registry in
-``repro.kernels.layout`` (DESIGN.md §13): each graph is built once and
-converted with :func:`with_layout` instead of being rebuilt per layout
-toggle.
+Beliefs here are always one dense float32 array, so layout is a
+cost-model input only: :func:`repro.backends.cpu_cost.cache_lines_per_access`
+gives the lines touched per logical access for ``(layout, width)``.  We
+reproduce the cache-access accounting from it and price one run's
+per-sweep statistics under both layouts, checking the modeled runtimes
+order the same way.
 """
 
-import numpy as np
 import pytest
 
 from harness import format_table, save_result
 from repro.backends.c_backends import CEdgeBackend, CNodeBackend
-from repro.core.beliefs import make_store
+from repro.backends.cpu_cost import I7_7700HQ, cache_lines_per_access, cpu_sweep_time
+from repro.core.loopy import LoopyBP, LoopyConfig
 from repro.graphs.suite import build_graph
-from repro.kernels.layout import LAYOUTS, with_layout
 
 SUBSET = ["10x40", "100x400", "1kx4k", "10kx40k", "100kx400k"]
+PRICED_LAYOUTS = ("aos", "soa")
 
 
 def _lines_per_access(b: int) -> dict[str, float]:
-    dims = np.full(100, b)
-    return {
-        layout: make_store(dims, layout).cache_lines_per_access()
-        for layout in LAYOUTS
-    }
+    return {layout: cache_lines_per_access(layout, b) for layout in PRICED_LAYOUTS}
 
 
 def test_cache_access_ratio():
@@ -49,17 +45,39 @@ def test_cache_access_ratio():
     assert 0.4 < fewer < 0.7  # the paper's ~56 % band
 
 
+def _modeled_by_layout(graph, backend) -> dict[str, float]:
+    """One run's per-sweep statistics priced under each layout, as the
+    C backends price a run."""
+    config = LoopyConfig(paradigm=backend.paradigm, schedule=backend.default_schedule)
+    sweeps = LoopyBP(config).run(graph).run_stats.per_iteration
+    b = graph.n_states
+    return {
+        layout: sum(
+            cpu_sweep_time(
+                I7_7700HQ,
+                sweep,
+                gather_bytes=4.0 * b,
+                cache_lines_per_access=cache_lines_per_access(layout, b),
+            )
+            for sweep in sweeps
+        )
+        for layout in PRICED_LAYOUTS
+    }
+
+
 @pytest.mark.parametrize("paradigm", ["node", "edge"])
 def test_aos_faster_modeled(paradigm):
     backend = CNodeBackend() if paradigm == "node" else CEdgeBackend()
     rows = []
     for abbrev in SUBSET:
-        g_aos, _ = build_graph(abbrev, "binary", profile="quick")
-        g_soa = with_layout(g_aos, "soa")
-        t_aos = backend.run(g_aos).modeled_time
-        t_soa = backend.run(g_soa).modeled_time
+        graph, _ = build_graph(abbrev, "binary", profile="quick")
+        modeled = _modeled_by_layout(graph, backend)
+        t_aos, t_soa = modeled["aos"], modeled["soa"]
         rows.append((abbrev, t_aos, t_soa, f"{t_soa / t_aos:.2f}x"))
         assert t_aos <= t_soa
+        if abbrev == SUBSET[0]:
+            # the backend prices its own runs as AoS
+            assert backend.run(graph).modeled_time == t_aos
     table = format_table(
         ["graph", f"{backend.name} AoS (s)", f"{backend.name} SoA (s)", "SoA/AoS"],
         rows,
@@ -68,22 +86,8 @@ def test_aos_faster_modeled(paradigm):
     save_result(f"E05b_aos_soa_{paradigm}", table)
 
 
-def test_layout_conversion_preserves_posteriors():
-    """Layout is storage only: converting through every registered layout
-    leaves the converged posteriors bitwise unchanged."""
-    base, _ = build_graph("100x400", "binary", profile="quick")
-    reference = CNodeBackend().run(base.copy()).beliefs
-    for layout in LAYOUTS:
-        # copy(): with_layout returns the graph itself when the layout
-        # already matches, and runs update beliefs in place
-        got = CNodeBackend().run(with_layout(base, layout).copy()).beliefs
-        np.testing.assert_array_equal(got, reference)
-
-
-@pytest.mark.parametrize("layout", LAYOUTS)
-def test_benchmark_layout_run(benchmark, layout):
+def test_benchmark_c_node_run(benchmark):
     graph, _ = build_graph("10kx40k", "binary", profile="quick")
-    variant = with_layout(graph, layout)
     benchmark.pedantic(
-        lambda: CNodeBackend().run(variant.copy()), rounds=3, iterations=1
+        lambda: CNodeBackend().run(graph.copy()), rounds=3, iterations=1
     )

@@ -12,7 +12,12 @@ time used for figure reproduction.
 from __future__ import annotations
 
 from repro.backends.base import Backend, RunResult
-from repro.backends.cpu_cost import CpuSpec, I7_7700HQ, cpu_sweep_time
+from repro.backends.cpu_cost import (
+    CpuSpec,
+    I7_7700HQ,
+    cache_lines_per_access,
+    cpu_sweep_time,
+)
 from repro.core.convergence import ConvergenceCriterion
 from repro.core.graph import BeliefGraph
 from repro.core.loopy import LoopyBP
@@ -41,7 +46,7 @@ class _CBackend(Backend):
         config = self._loopy_config(self.paradigm, criterion, schedule, update_rule)
         loopy, wall = self._timed(LoopyBP(config).run, graph)
         gather_bytes = 4.0 * graph.n_states
-        lines = graph.beliefs.cache_lines_per_access()
+        lines = cache_lines_per_access("aos", graph.n_states)
         modeled = sum(
             cpu_sweep_time(
                 self.cpu,
@@ -57,7 +62,6 @@ class _CBackend(Backend):
             wall,
             modeled,
             cpu=self.cpu.name,
-            layout=graph.layout,
             schedule=config.schedule,
         )
 

@@ -5,9 +5,11 @@ logical cores" (§4).  The model is the CPU analogue of the GPU roofline:
 scalar/SIMD compute at a derated peak, streaming traffic at the effective
 single-core bandwidth, and data-dependent gathers paying a cache-miss
 latency each (partially overlapped by out-of-order execution).  The §3.4
-layout experiment plugs in here too: the belief store reports its cache
-lines per access, which scales the gather cost — the AoS design's ~56 %
-fewer cache accesses shows up as proportionally fewer misses.
+layout experiment plugs in here too: :func:`cache_lines_per_access`
+prices a belief layout's lines per gather, which scales the gather cost —
+the AoS design's ~56 % fewer cache accesses shows up as proportionally
+fewer misses.  Layout exists only here: beliefs are always stored as one
+dense float32 array.
 """
 
 from __future__ import annotations
@@ -16,7 +18,16 @@ from dataclasses import dataclass
 
 from repro.core.sweepstats import SweepStats
 
-__all__ = ["CpuSpec", "I7_7700HQ", "XEON_E5_2686", "cpu_sweep_time"]
+__all__ = [
+    "CpuSpec",
+    "I7_7700HQ",
+    "XEON_E5_2686",
+    "cache_lines_per_access",
+    "cpu_sweep_time",
+]
+
+#: Cache-line size assumed by the access-pattern model (bytes).
+CACHE_LINE_BYTES = 64
 
 
 @dataclass(frozen=True)
@@ -67,6 +78,24 @@ XEON_E5_2686 = CpuSpec(
 )
 
 
+def cache_lines_per_access(layout: str, width: int) -> float:
+    """Distinct cache lines touched reading one node's ``width``-state
+    float32 belief vector *and* its state count (§3.4).
+
+    This is the quantity behind the paper's cachegrind observation.
+    ``"aos"`` (the adopted design) packs the vector and a 4-byte count in
+    one record: one contiguous line stream.  ``"soa"`` keeps them in
+    parallel arrays beside an offset array, so one logical access touches
+    the probability segment plus fractions of two index lines.
+    """
+    width = max(width, 1)
+    if layout == "aos":
+        return max(1.0, (width * 4 + 4) / CACHE_LINE_BYTES)
+    if layout == "soa":
+        return 1.3 + max(1.0, (width * 4) / CACHE_LINE_BYTES)
+    raise ValueError(f"unknown belief layout {layout!r} (expected 'aos' or 'soa')")
+
+
 @dataclass(frozen=True)
 class CpuSweepCost:
     """Component breakdown of one sweep's modeled single-thread time."""
@@ -102,9 +131,9 @@ def cpu_sweep_cost(
 ) -> CpuSweepCost:
     """Component costs of one sweep on a single core.
 
-    ``cache_lines_per_access`` comes from the belief-store layout (§3.4):
-    SoA touches more distinct lines per logical access than AoS, raising
-    the effective miss count.
+    ``cache_lines_per_access`` comes from :func:`cache_lines_per_access`
+    for a belief layout (§3.4): SoA touches more distinct lines per
+    logical access than AoS, raising the effective miss count.
     """
     compute = stats.flops / spec.peak_flops
     stream = stats.sequential_bytes / spec.stream_bandwidth

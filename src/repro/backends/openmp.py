@@ -26,7 +26,12 @@ parallel runtime explicitly from those mechanisms:
 from __future__ import annotations
 
 from repro.backends.base import Backend, RunResult
-from repro.backends.cpu_cost import CpuSpec, I7_7700HQ, cpu_sweep_cost
+from repro.backends.cpu_cost import (
+    CpuSpec,
+    I7_7700HQ,
+    cache_lines_per_access,
+    cpu_sweep_cost,
+)
 from repro.core.convergence import ConvergenceCriterion
 from repro.core.graph import BeliefGraph
 from repro.core.loopy import LoopyBP
@@ -89,7 +94,7 @@ class OpenMPBackend(Backend):
             self.cpu,
             sweep,
             gather_bytes=4.0 * graph.n_states,
-            cache_lines_per_access=graph.beliefs.cache_lines_per_access(),
+            cache_lines_per_access=cache_lines_per_access("aos", graph.n_states),
         )
         t = self.threads
         if t == 1:

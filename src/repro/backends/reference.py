@@ -45,7 +45,7 @@ class ReferenceBackend(Backend):
 
         priors = []
         for i in range(n):
-            p = np.asarray(graph.priors.get(i), dtype=np.float64)
+            p = graph.priors[i, : graph.dims[i]].astype(np.float64)
             if graph.observed[i]:
                 p = np.full(int(graph.dims[i]), _TINY)
                 p[int(graph.observed_state[i])] = 1.0
@@ -120,11 +120,10 @@ class ReferenceBackend(Backend):
                 converged = True
                 break
 
-        width = graph.beliefs.width
-        dense = np.zeros((n, width), dtype=np.float32)
+        dense = np.zeros((n, graph.n_states), dtype=np.float32)
         for i in range(n):
             dense[i, : len(beliefs[i])] = beliefs[i]
-            graph.beliefs.set(i, beliefs[i].astype(np.float32))
+        np.copyto(graph.beliefs, dense)
 
         return RunResult(
             backend=self.name,

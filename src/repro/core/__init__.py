@@ -2,12 +2,11 @@
 
 This subpackage implements the paper's primary contribution: loopy belief
 propagation with per-node and per-edge processing paradigms (§3.3), the
-shared joint-probability-matrix refinement (§2.2), AoS/SoA belief storage
-(§3.4), work queues (§3.5), the original three-phase tree algorithm (§2.1)
-and an exact-enumeration oracle used by the test suite.
+shared joint-probability-matrix refinement (§2.2), work queues (§3.5), the
+original three-phase tree algorithm (§2.1) and an exact-enumeration oracle
+used by the test suite.
 """
 
-from repro.core.beliefs import BeliefStore, AoSBeliefStore, SoABeliefStore
 from repro.core.potentials import PotentialStore, SharedPotentialStore, PerEdgePotentialStore
 from repro.core.graph import BeliefGraph
 from repro.core.observation import observe, clear_observations
@@ -28,9 +27,6 @@ from repro.core.scheduler import (
 from repro.core.junction import JunctionTree, junction_tree_marginals
 
 __all__ = [
-    "BeliefStore",
-    "AoSBeliefStore",
-    "SoABeliefStore",
     "PotentialStore",
     "SharedPotentialStore",
     "PerEdgePotentialStore",

@@ -58,7 +58,7 @@ def _enumerate(graph: BeliefGraph):
             raise ValueError(
                 f"graph too large for exact enumeration (> {_MAX_CONFIGS} configurations)"
             )
-    priors = [np.asarray(graph.priors.get(i), dtype=np.float64) for i in range(graph.n_nodes)]
+    priors = graph.priors.astype(np.float64)
     factors = _undirected_factors(graph)
     for assignment in itertools.product(*ranges):
         weight = 1.0
@@ -76,7 +76,7 @@ def exact_marginals(graph: BeliefGraph) -> np.ndarray:
     ``ValueError`` when the joint has zero total mass (contradictory
     evidence) or the state space is too large.
     """
-    marg = np.zeros((graph.n_nodes, graph.beliefs.width), dtype=np.float64)
+    marg = np.zeros((graph.n_nodes, graph.n_states), dtype=np.float64)
     total = 0.0
     for assignment, weight in _enumerate(graph):
         total += weight

@@ -17,7 +17,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.beliefs import BeliefStore, make_store
 from repro.core.potentials import (
     PerEdgePotentialStore,
     PotentialStore,
@@ -29,18 +28,47 @@ __all__ = ["BeliefGraph"]
 _FLOAT = np.float32
 
 
-def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
+def _normalize_rows(matrix: np.ndarray, dims: np.ndarray) -> np.ndarray:
+    """``matrix`` with each row scaled to sum to 1 over its first
+    ``dims[i]`` entries; the padding past them must be zero and stays so.
+
+    Rejects NaN, infinite and negative entries; a row that sums to zero
+    becomes uniform over its states.
+    """
     if not np.isfinite(matrix).all():
         raise ValueError("priors contain NaN or infinite entries")
     if (matrix < 0).any():
         raise ValueError("priors must be non-negative")
-    total = matrix.sum(axis=1, keepdims=True)
+    total = _row_totals(matrix, dims)
     bad = total.reshape(-1) <= 0
     if bad.any():
         matrix = matrix.copy()
-        matrix[bad] = 1.0
-        total = matrix.sum(axis=1, keepdims=True)
-    return (matrix / total).astype(_FLOAT)
+        matrix[bad] = np.arange(matrix.shape[1]) < dims[bad, None]
+        total = _row_totals(matrix, dims)
+    return np.ascontiguousarray(matrix / total, dtype=_FLOAT)
+
+
+def _row_totals(matrix: np.ndarray, dims: np.ndarray) -> np.ndarray:
+    """``(n, 1)`` sums of each row's first ``dims[i]`` entries.  A ragged
+    row is summed as its unpadded vector: trailing zeros past 8 entries
+    would regroup NumPy's pairwise sum and move the last bit."""
+    if (dims == matrix.shape[1]).all():
+        return matrix.sum(axis=1, keepdims=True)
+    return np.array([[row[:d].sum()] for row, d in zip(matrix, dims)], dtype=_FLOAT)
+
+
+def _prior_matrix(priors: np.ndarray | Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """``(matrix, dims)``: the priors as one zero-padded ``(n, width)``
+    float32 matrix beside each node's state count."""
+    if isinstance(priors, np.ndarray) and priors.ndim == 2:
+        matrix = np.asarray(priors, dtype=_FLOAT)
+        return matrix, np.full(len(matrix), matrix.shape[1], dtype=np.int64)
+    rows = [np.asarray(p, dtype=_FLOAT).reshape(-1) for p in priors]
+    dims = np.array([len(r) for r in rows], dtype=np.int64)
+    matrix = np.zeros((len(rows), int(dims.max(initial=0))), dtype=_FLOAT)
+    for i, r in enumerate(rows):
+        matrix[i, : len(r)] = r
+    return matrix, dims
 
 
 class BeliefGraph:
@@ -62,13 +90,16 @@ class BeliefGraph:
     node_names:
         Optional sequence of names; defaults to stringified ids, built on
         first read (see :attr:`node_names`).
-    layout:
-        Belief storage layout: ``"aos"`` (default, the paper's choice),
-        ``"soa"``, or the tile-packed ``"blocked"``.
+
+    ``priors`` and ``beliefs`` are C-contiguous ``(n, n_states)`` float32
+    arrays; a node with ``dims[i] < n_states`` states holds zeros past
+    them.  The paper's AoS-vs-SoA choice (§3.4) changes only the cost
+    model's cache-line count
+    (:func:`repro.backends.cpu_cost.cache_lines_per_access`).
     """
 
-    #: class-level default so clone paths built via ``__new__`` (layout
-    #: conversion, copy) stay consistent even before assigning their own
+    #: class-level default so a clone built via ``__new__`` (copy) stays
+    #: consistent even before assigning its own
     reserved_nbytes: int = 0
 
     def __init__(
@@ -80,11 +111,8 @@ class BeliefGraph:
         *,
         reverse_edge: np.ndarray | None = None,
         node_names: Sequence[str] | None = None,
-        layout: str = "aos",
     ):
-        self._build(
-            priors, src, dst, potentials, reverse_edge, node_names, layout, paired=False
-        )
+        self._build(priors, src, dst, potentials, reverse_edge, node_names, paired=False)
 
     def _build(
         self,
@@ -94,7 +122,6 @@ class BeliefGraph:
         potentials: PotentialStore | np.ndarray,
         reverse_edge: np.ndarray | None,
         node_names: Sequence[str] | None,
-        layout: str,
         *,
         paired: bool,
     ) -> None:
@@ -102,27 +129,17 @@ class BeliefGraph:
         only) promises that edge ``e`` pairs with ``e ^ 1`` and that no
         edge is a self loop, so the out-CSR follows from the in-CSR."""
         # --- nodes -----------------------------------------------------
-        if isinstance(priors, np.ndarray) and priors.ndim == 2:
-            dense_priors = _normalize_rows(np.asarray(priors, dtype=_FLOAT))
-            dims = np.full(len(dense_priors), dense_priors.shape[1], dtype=np.int64)
-        else:
-            rows = [np.asarray(p, dtype=_FLOAT).reshape(-1) for p in priors]
-            dims = np.array([len(r) for r in rows], dtype=np.int64)
-            dense_priors = None
-            self._ragged_priors = [r / max(r.sum(), np.finfo(_FLOAT).tiny) for r in rows]
+        matrix, dims = _prior_matrix(priors)
+        if len(dims) and dims.min() < 1:
+            raise ValueError("every node needs at least one state")
         self.n_nodes = len(dims)
         self.dims = dims
-        self.layout = layout
-
-        self.priors: BeliefStore = make_store(dims, layout)
-        self.beliefs: BeliefStore = make_store(dims, layout)
-        if dense_priors is not None:
-            self.priors.load_dense(dense_priors)
-            self.beliefs.load_dense(dense_priors)
-        else:
-            for i, row in enumerate(self._ragged_priors):
-                self.priors.set(i, row)
-                self.beliefs.set(i, row)
+        #: True when every node has the same number of states
+        self.uniform = bool(len(dims)) and bool((dims == dims[0]).all())
+        #: the uniform fast path's state count (the widest node otherwise)
+        self.n_states = int(dims.max(initial=0))
+        self.priors = _normalize_rows(matrix, dims)
+        self.beliefs = self.priors.copy()
 
         #: None until first read of ``node_names`` on an unnamed graph
         self._node_names: list[str] | None = None
@@ -203,7 +220,6 @@ class BeliefGraph:
         *,
         per_edge_potentials: np.ndarray | None = None,
         node_names: Sequence[str] | None = None,
-        layout: str = "aos",
         dedupe: bool = True,
     ) -> "BeliefGraph":
         """Build a graph from an undirected edge list.
@@ -266,9 +282,7 @@ class BeliefGraph:
             raise ValueError("provide potential or per_edge_potentials")
 
         graph = cls.__new__(cls)
-        graph._build(
-            priors, src, dst, pots, reverse, node_names, layout, paired=True
-        )
+        graph._build(priors, src, dst, pots, reverse, node_names, paired=True)
         return graph
 
     # ------------------------------------------------------------------
@@ -295,16 +309,6 @@ class BeliefGraph:
         return offsets, order
 
     # ------------------------------------------------------------------
-    @property
-    def uniform(self) -> bool:
-        """True when every node has the same number of states."""
-        return self.beliefs.uniform
-
-    @property
-    def n_states(self) -> int:
-        """State count of the uniform fast path (max width otherwise)."""
-        return self.beliefs.width
-
     def in_degree(self) -> np.ndarray:
         return np.diff(self.in_offsets)
 
@@ -332,8 +336,8 @@ class BeliefGraph:
         A graph built without names is named by its stringified ids
         ``"0" … "n-1"``.  That default list is built on first read, not at
         construction: 200k names cost 24–55 ms and ~30 MiB that a run
-        which never prints a name does not need.  :meth:`copy`, layout
-        clones, the streaming builder and structural deltas carry the
+        which never prints a name does not need.  :meth:`copy`, the
+        streaming builder and structural deltas carry the
         unbuilt state along, and :meth:`node_id` resolves default names
         without building the list.
         """
@@ -393,17 +397,13 @@ class BeliefGraph:
 
     def reset_beliefs(self) -> None:
         """Restore beliefs to the priors (and re-clamp observed nodes)."""
-        if self.n_nodes:
-            self.beliefs.copy_rows_from(
-                self.priors, np.arange(self.n_nodes, dtype=np.int64)
-            )
+        np.copyto(self.beliefs, self.priors)
         self._reclamp()
 
     def _reclamp(self) -> None:
-        for i in np.flatnonzero(self.observed):
-            vec = np.zeros(int(self.dims[i]), dtype=_FLOAT)
-            vec[int(self.observed_state[i])] = 1.0
-            self.beliefs.set(i, vec)
+        observed = np.flatnonzero(self.observed)
+        self.beliefs[observed] = 0.0
+        self.beliefs[observed, self.observed_state[observed]] = 1.0
 
     def memory_footprint(self) -> dict[str, int]:
         """Bytes used by the major graph components (for §2.2 analysis).
@@ -428,8 +428,8 @@ class BeliefGraph:
                 sys.getsizeof(k) + v.nbytes for k, v in self._feature_cache.items()
             )
         return {
-            "beliefs": self.beliefs.nbytes(),
-            "priors": self.priors.nbytes(),
+            "beliefs": self.beliefs.nbytes,
+            "priors": self.priors.nbytes,
             "potentials": self.potentials.nbytes(),
             "adjacency": int(
                 self.src.nbytes + self.dst.nbytes + self.reverse_edge.nbytes
@@ -460,7 +460,8 @@ class BeliefGraph:
         clone = BeliefGraph.__new__(BeliefGraph)
         clone.n_nodes = self.n_nodes
         clone.dims = self.dims
-        clone.layout = self.layout
+        clone.uniform = self.uniform
+        clone.n_states = self.n_states
         clone.priors = self.priors.copy()
         clone.beliefs = self.beliefs.copy()
         clone.src = self.src
@@ -484,6 +485,6 @@ class BeliefGraph:
     def __repr__(self) -> str:
         return (
             f"BeliefGraph(n_nodes={self.n_nodes}, n_edges={self.n_edges}, "
-            f"n_states={self.n_states}, layout={self.layout!r}, "
+            f"n_states={self.n_states}, "
             f"shared_potential={self.potentials.shared})"
         )

@@ -193,7 +193,7 @@ class JunctionTree:
                 clique.table *= view
 
         for v in range(graph.n_nodes):
-            prior = np.asarray(graph.priors.get(v), dtype=np.float64)
+            prior = graph.priors[v, : graph.dims[v]].astype(np.float64)
             if graph.observed[v]:
                 prior = np.full(int(graph.dims[v]), _TINY)
                 prior[int(graph.observed_state[v])] = 1.0
@@ -295,7 +295,7 @@ class JunctionTree:
         """Exact node marginals, ``(n, width)`` padded."""
         calibrated = self.calibrate()
         graph = self.graph
-        out = np.zeros((graph.n_nodes, graph.beliefs.width), dtype=np.float64)
+        out = np.zeros((graph.n_nodes, graph.n_states), dtype=np.float64)
         done = np.zeros(graph.n_nodes, dtype=bool)
         for clique, table in zip(self.cliques, calibrated):
             for pos, v in enumerate(clique.variables):

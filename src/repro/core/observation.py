@@ -52,15 +52,14 @@ def observe(graph: BeliefGraph, node: int | str, state: int) -> None:
         raise ValueError(f"state {state} out of range for node with {dim} states")
     graph.observed[node] = True
     graph.observed_state[node] = state
-    vec = np.zeros(dim, dtype=np.float32)
-    vec[state] = 1.0
-    graph.beliefs.set(node, vec)
+    graph.beliefs[node] = 0.0
+    graph.beliefs[node, state] = 1.0
 
 
 def clear_observations(graph: BeliefGraph) -> None:
     """Remove all evidence and restore the affected nodes' priors."""
     idx = np.flatnonzero(graph.observed)
     if len(idx):
-        graph.beliefs.copy_rows_from(graph.priors, idx)
+        graph.beliefs[idx] = graph.priors[idx]
     graph.observed[:] = False
     graph.observed_state[:] = -1

@@ -124,7 +124,8 @@ class LoopyState:
         # the evidence clamped (what ``reset_beliefs`` leaves in a
         # graph): a converged graph's beliefs beside uniform messages
         # would count every neighbour's evidence twice.
-        priors = np.ascontiguousarray(graph.priors.dense(), dtype=_FLOAT)
+        # ``priors`` is the graph's own array until the clamp copies it
+        priors = graph.priors
         self.beliefs = priors.copy()
         observed = graph.observed
         if observed.any():
@@ -473,5 +474,5 @@ class LoopyState:
         return self.out_edge_ids[positions]
 
     def export_beliefs(self) -> None:
-        """Copy the dense beliefs back into the graph's belief store."""
-        self.graph.beliefs.load_dense(self.beliefs)
+        """Copy the beliefs back into the graph's belief array."""
+        np.copyto(self.graph.beliefs, self.beliefs)

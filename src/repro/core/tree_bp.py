@@ -98,12 +98,15 @@ class TreeBP:
     roots: list[int] | None = None
 
     def run(self, graph: BeliefGraph) -> TreeBPResult:
-        n, b = graph.n_nodes, graph.beliefs.width
+        n, b = graph.n_nodes, graph.n_states
         levels = bfs_levels(graph, self.roots)
         run_stats = RunStats()
 
-        priors = np.array(
-            [self._padded(graph.priors.get(i), b) for i in range(n)], dtype=np.float64
+        # floored in float32 as stored; the padding is the float64 floor
+        priors = np.where(
+            np.arange(b) < graph.dims[:, None],
+            np.maximum(graph.priors, _TINY),
+            np.float64(_TINY),
         )
         for i in np.flatnonzero(graph.observed):
             vec = np.full(b, _TINY)
@@ -146,11 +149,8 @@ class TreeBP:
                 break
 
         out = beliefs.astype(np.float32)
-        graph.beliefs.load_dense(out)
-        for i in np.flatnonzero(graph.observed):
-            hot = np.zeros(int(graph.dims[i]), dtype=np.float32)
-            hot[int(graph.observed_state[i])] = 1.0
-            graph.beliefs.set(int(i), hot)
+        np.copyto(graph.beliefs, out)
+        graph._reclamp()
         return TreeBPResult(
             beliefs=out,
             iterations=iteration,
@@ -208,9 +208,3 @@ class TreeBP:
             stats.nodes_processed += 1
             stats.flops += 4 * beliefs.shape[1]
         return beliefs
-
-    @staticmethod
-    def _padded(vec: np.ndarray, width: int) -> np.ndarray:
-        out = np.full(width, _TINY)
-        out[: len(vec)] = np.maximum(vec, _TINY)
-        return out

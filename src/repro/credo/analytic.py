@@ -22,7 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.backends.cpu_cost import CpuSpec, I7_7700HQ, cpu_sweep_time
+from repro.backends.cpu_cost import (
+    CpuSpec,
+    I7_7700HQ,
+    cache_lines_per_access,
+    cpu_sweep_time,
+)
 from repro.core.edge_kernel import chunk_slices
 from repro.core.sweepstats import SweepStats
 from repro.graphs.suite import BenchmarkGraph
@@ -215,10 +220,9 @@ def _estimate_cpu(
 ) -> float:
     sweep = full_sweep_stats(n, m_directed, b, paradigm)
     activity, _ = _activity(model, n, paradigm, schedule)
-    # AoS layout: ~1 cache line per gather for narrow vectors
-    lines = max(1.0, (b * 4 + 4) / 64.0)
     return activity * cpu_sweep_time(
-        cpu, sweep, gather_bytes=4.0 * b, cache_lines_per_access=lines
+        cpu, sweep, gather_bytes=4.0 * b,
+        cache_lines_per_access=cache_lines_per_access("aos", b),
     )
 
 

@@ -193,6 +193,27 @@ def _backend_error(credo, name: str | None) -> bool:
     return False
 
 
+def _graph_error(credo, graph) -> bool:
+    """Print a one-line error when Credo cannot run ``graph`` (a
+    heterogeneous network); True if it did."""
+    try:
+        credo.check_graph(graph)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return True
+    return False
+
+
+def _run_file(credo, args):
+    """Load ``args.path`` and run it; None after a graph error."""
+    from repro.io.detect import load_graph
+
+    graph = load_graph(args.path, args.edge_path)
+    if _graph_error(credo, graph):
+        return None
+    return credo.run(graph, backend=args.backend)
+
+
 def _cmd_profile(args) -> int:
     from repro.core.convergence import ConvergenceCriterion
     from repro.credo.runner import Credo
@@ -209,6 +230,8 @@ def _cmd_profile(args) -> int:
     if _backend_error(credo, args.backend):
         return 2
     graph = load_graph(args.path, args.edge_path)
+    if _graph_error(credo, graph):
+        return 2
 
     tracer = Tracer()
     with use_tracer(tracer):
@@ -501,10 +524,13 @@ def main(argv: list[str] | None = None) -> int:
 
         tracer = Tracer()
         with use_tracer(tracer):
-            result = credo.run_file(args.path, args.edge_path, backend=args.backend)
-        _write_trace(tracer, args.trace)
+            result = _run_file(credo, args)
+        if result is not None:
+            _write_trace(tracer, args.trace)
     else:
-        result = credo.run_file(args.path, args.edge_path, backend=args.backend)
+        result = _run_file(credo, args)
+    if result is None:
+        return 2
     print(f"backend       {result.backend}")
     print(f"schedule      {result.detail.get('schedule', '-')}")
     print(f"iterations    {result.iterations}")

@@ -220,9 +220,12 @@ class Credo:
         ``schedule=`` is given explicitly.
         ``plan`` short-circuits selection entirely (amortized serving
         path); it is mutually exclusive with the other two.  ``executor=``
-        accepts only ``"compiled"``, the one sweep executor.
+        accepts only ``"compiled"``, the one sweep executor.  A graph
+        :meth:`check_graph` rejects raises its ``ValueError`` before any
+        work.
         """
         _check_executor(executor)
+        self.check_graph(graph)
         if plan is not None:
             if backend is not None or schedule is not None:
                 raise ValueError(
@@ -236,6 +239,21 @@ class Credo:
         result = engine.run(graph, criterion=self.criterion, schedule=chosen)
         result.detail["selected"] = base_name
         return result
+
+    def check_graph(self, graph: BeliefGraph) -> None:
+        """Raise ``ValueError`` unless Credo's backends can run ``graph``:
+        all four sweep constant-width beliefs only, so a network whose
+        nodes differ in state count goes to the reference backend.
+
+        :meth:`plan` does not check, so a server can register such a
+        model and fail each of its queries alone."""
+        if graph.n_nodes and not graph.uniform:
+            raise ValueError(
+                "Credo's backends need constant-width beliefs, but this network "
+                f"mixes {int(graph.dims.min())} to {graph.n_states} states per node; "
+                "run it on the 'reference' backend "
+                "(repro.backends.get_backend('reference'))"
+            )
 
     def check_backend(self, name: str) -> tuple[str, str | None]:
         """Split ``"backend[:schedule]"`` as :func:`get_backend` does and

@@ -43,7 +43,7 @@ def why_not_bp(graph: BeliefGraph) -> list[FrameworkLimitation]:
     b = graph.n_states
 
     # 1. vector node state ------------------------------------------------
-    beliefs = graph.beliefs.dense()  # (n, b)
+    beliefs = graph.beliefs  # (n, b); the framework copies it
     demonstrated = "no failure observed"
     try:
         FrontierFramework(csr).run(

@@ -33,7 +33,6 @@ def grid_graph(
     n_states: int = 2,
     seed: int = 0,
     coupling: float = 0.8,
-    layout: str = "aos",
 ) -> BeliefGraph:
     """A lattice belief graph with random priors and an attractive shared
     potential."""
@@ -41,5 +40,5 @@ def grid_graph(
     priors = random_priors(rows * cols, n_states, rng)
     return BeliefGraph.from_undirected(
         priors, grid_edges(rows, cols), attractive_potential(n_states, coupling),
-        layout=layout, dedupe=False,
+        dedupe=False,
     )

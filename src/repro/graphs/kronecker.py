@@ -58,7 +58,6 @@ def kronecker_graph(
     n_states: int = 2,
     seed: int = 0,
     coupling: float = 0.75,
-    layout: str = "aos",
 ) -> BeliefGraph:
     """A kron-g500-style belief graph (``2**log2_nodes`` ids; isolated ids
     remain as unconnected nodes with prior beliefs, as in the MTX files)."""
@@ -68,5 +67,5 @@ def kronecker_graph(
     n_nodes = 1 << log2_nodes
     priors = random_priors(n_nodes, n_states, rng)
     return BeliefGraph.from_undirected(
-        priors, edges, attractive_potential(n_states, coupling), layout=layout
+        priors, edges, attractive_potential(n_states, coupling)
     )

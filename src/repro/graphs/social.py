@@ -62,7 +62,6 @@ def social_graph(
     n_states: int = 2,
     seed: int = 0,
     coupling: float = 0.75,
-    layout: str = "aos",
 ) -> BeliefGraph:
     """A social-network stand-in of approximately ``n_edges`` edges."""
     rng = np.random.default_rng(seed)
@@ -70,5 +69,5 @@ def social_graph(
     edges = preferential_attachment_edges(n_nodes, per_node, rng)
     priors = random_priors(n_nodes, n_states, rng)
     return BeliefGraph.from_undirected(
-        priors, edges, attractive_potential(n_states, coupling), layout=layout
+        priors, edges, attractive_potential(n_states, coupling)
     )

@@ -176,7 +176,6 @@ def build_graph(
     *,
     profile: str | None = None,
     seed: int = 0,
-    layout: str = "aos",
 ) -> tuple[BeliefGraph, float]:
     """Materialize one benchmark graph under a use case.
 
@@ -207,7 +206,7 @@ def build_graph(
         raise ValueError(f"unknown benchmark kind {bench.kind!r}")
 
     priors, potential = _use_case_overlay(use_case, rng, n)
-    graph = BeliefGraph.from_undirected(priors, edges, potential, layout=layout)
+    graph = BeliefGraph.from_undirected(priors, edges, potential)
     return graph, factor
 
 

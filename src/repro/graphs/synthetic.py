@@ -46,7 +46,6 @@ def synthetic_graph(
     n_states: int = 2,
     seed: int = 0,
     coupling: float | None = 0.75,
-    layout: str = "aos",
 ) -> BeliefGraph:
     """Build one ``NxM`` synthetic benchmark graph.
 
@@ -60,4 +59,4 @@ def synthetic_graph(
         potential = random_potential(n_states, rng)
     else:
         potential = attractive_potential(n_states, coupling)
-    return BeliefGraph.from_undirected(priors, edges, potential, layout=layout)
+    return BeliefGraph.from_undirected(priors, edges, potential)

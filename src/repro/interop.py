@@ -23,7 +23,6 @@ def from_networkx(
     default_potential: np.ndarray | None = None,
     prior_attr: str = "prior",
     potential_attr: str = "potential",
-    layout: str = "aos",
 ) -> BeliefGraph:
     """Build a belief graph from an (un)directed networkx graph.
 
@@ -78,11 +77,11 @@ def from_networkx(
     if any_custom:
         return BeliefGraph.from_undirected(
             priors, edge_array, per_edge_potentials=np.stack(mats) if mats else None,
-            node_names=names, layout=layout,
+            node_names=names,
         )
     return BeliefGraph.from_undirected(
         priors, edge_array, potential=default_potential,
-        node_names=names, layout=layout,
+        node_names=names,
     )
 
 
@@ -96,8 +95,8 @@ def to_networkx(graph: BeliefGraph, *, include_potentials: bool = True) -> "nx.G
     for i, name in enumerate(graph.node_names):
         G.add_node(
             name,
-            prior=np.asarray(graph.priors.get(i)).copy(),
-            belief=np.asarray(graph.beliefs.get(i)).copy(),
+            prior=graph.priors[i, : graph.dims[i]].copy(),
+            belief=graph.beliefs[i, : graph.dims[i]].copy(),
         )
     for e in range(graph.n_edges):
         rev = int(graph.reverse_edge[e])

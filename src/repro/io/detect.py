@@ -51,7 +51,6 @@ def load_graph(
     path: str | Path,
     edge_path: str | Path | None = None,
     *,
-    layout: str = "aos",
     stream: bool = False,
     chunk_edges: int = 65536,
 ) -> BeliefGraph:
@@ -72,8 +71,8 @@ def load_graph(
                 f"streaming is only supported for the MTX dual-file format, not {fmt!r}"
             )
         if fmt == "bif":
-            return network_to_belief_graph(parse_bif_file(path), layout=layout)
-        return network_to_belief_graph(parse_xmlbif_file(path), layout=layout)
+            return network_to_belief_graph(parse_bif_file(path))
+        return network_to_belief_graph(parse_xmlbif_file(path))
     if edge_path is None:
         edge_path = path.with_suffix(".edges")
         if not Path(edge_path).exists():
@@ -84,5 +83,5 @@ def load_graph(
     if stream:
         from repro.stream.loader import load_graph_stream  # deferred: io ← stream cycle
 
-        return load_graph_stream(path, edge_path, layout=layout, chunk_edges=chunk_edges)
-    return read_mtx_graph(path, edge_path, layout=layout)
+        return load_graph_stream(path, edge_path, chunk_edges=chunk_edges)
+    return read_mtx_graph(path, edge_path)

@@ -336,7 +336,6 @@ def read_mtx_graph(
     node_path: str | Path,
     edge_path: str | Path,
     *,
-    layout: str = "aos",
     collapse_identical: bool = True,
 ) -> BeliefGraph:
     """Load a belief graph from the dual-file format.
@@ -360,15 +359,15 @@ def read_mtx_graph(
         count += len(pairs)
     if shared is not None:
         return BeliefGraph.from_undirected(
-            priors, edges, potential=shared, layout=layout, dedupe=False
+            priors, edges, potential=shared, dedupe=False
         )
     assert mats is not None
     if collapse_identical and len(mats) and bool((mats == mats[0]).all()):
         return BeliefGraph.from_undirected(
-            priors, edges, potential=mats[0], layout=layout, dedupe=False
+            priors, edges, potential=mats[0], dedupe=False
         )
     return BeliefGraph.from_undirected(
-        priors, edges, per_edge_potentials=mats, layout=layout, dedupe=False
+        priors, edges, per_edge_potentials=mats, dedupe=False
     )
 
 
@@ -414,7 +413,7 @@ def write_mtx_graph(
         out.write(f"%credo beliefs: {b}\n")
         out.write(f"{n} {n} {n}\n")
         ids = np.arange(1, n + 1)
-        _write_rows(out, (ids, ids), graph.priors.dense())
+        _write_rows(out, (ids, ids), graph.priors)
 
     # Undirected edges: one line per directed pair's lower-id member.
     rev = graph.reverse_edge

@@ -147,9 +147,7 @@ class BayesianNetwork:
         return marginals
 
 
-def network_to_belief_graph(
-    network: BayesianNetwork, *, layout: str = "aos"
-) -> BeliefGraph:
+def network_to_belief_graph(network: BayesianNetwork) -> BeliefGraph:
     """Project a Bayesian network onto a pairwise belief graph (§2.1).
 
     Each (parent, child) CPT relation becomes an undirected edge whose
@@ -206,7 +204,6 @@ def network_to_belief_graph(
                 np.empty((0, 2), dtype=np.int64),
                 potential=dummy,
                 node_names=names,
-                layout=layout,
             )
 
     uniform_nodes = len({len(p) for p in priors}) == 1
@@ -217,12 +214,11 @@ def network_to_belief_graph(
             np.asarray(edges, dtype=np.int64),
             per_edge_potentials=np.stack(mats),
             node_names=names,
-            layout=layout,
         )
-    return _ragged_graph(priors, edges, mats, names, layout)
+    return _ragged_graph(priors, edges, mats, names)
 
 
-def _ragged_graph(priors, edges, mats, names, layout) -> BeliefGraph:
+def _ragged_graph(priors, edges, mats, names) -> BeliefGraph:
     """Build a graph with heterogeneous state counts (per-edge ragged
     potentials; served by the reference backend)."""
     from repro.core.potentials import PerEdgePotentialStore
@@ -244,5 +240,4 @@ def _ragged_graph(priors, edges, mats, names, layout) -> BeliefGraph:
         PerEdgePotentialStore(directed),
         reverse_edge=reverse,
         node_names=names,
-        layout=layout,
     )

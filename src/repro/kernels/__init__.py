@@ -11,12 +11,6 @@ normalize, residual, scatter, combine:
     :mod:`repro.core.node_kernel` and :mod:`repro.core.edge_kernel`
     (``tests/test_kernels_executor.py``,
     ``tests/test_property_active_set.py``).
-
-:mod:`repro.kernels.layout`
-    The belief-store layouts (``aos`` / ``soa`` / ``blocked``) and
-    structure-sharing graph conversion, for the storage ablations.
-    Sweeps run on :class:`~repro.core.state.LoopyState`'s dense copy of
-    the beliefs, so the layout changes storage, never sweep time.
 """
 
 # core/loopy.py imports compiled.py, and compiled.py imports modules of
@@ -24,12 +18,9 @@ normalize, residual, scatter, combine:
 # in full, so either package can be imported first.
 import repro.core  # noqa: F401
 from repro.kernels.compiled import CompiledExecutor, cached_executor, make_executor
-from repro.kernels.layout import LAYOUTS, with_layout
 
 __all__ = [
     "CompiledExecutor",
-    "LAYOUTS",
     "cached_executor",
     "make_executor",
-    "with_layout",
 ]

@@ -48,7 +48,7 @@ def replicate_graph(graph: BeliefGraph, k: int) -> BeliefGraph:
     if not graph.uniform:
         raise ValueError("micro-batching requires constant-width beliefs")
     n, m = graph.n_nodes, graph.n_edges
-    priors = np.tile(np.asarray(graph.priors.dense(), dtype=np.float32), (k, 1))
+    priors = np.tile(graph.priors, (k, 1))
     offsets_n = np.repeat(np.arange(k, dtype=np.int64) * n, m)
     src = np.tile(graph.src, k) + offsets_n
     dst = np.tile(graph.dst, k) + offsets_n
@@ -59,11 +59,11 @@ def replicate_graph(graph: BeliefGraph, k: int) -> BeliefGraph:
         pots = SharedPotentialStore(graph.potentials.matrix(0), k * m)
     else:
         pots = PerEdgePotentialStore(np.tile(graph.potentials.stacked(), (k, 1, 1)))
-    union = BeliefGraph(priors, src, dst, pots, reverse_edge=rev, layout=graph.layout)
+    union = BeliefGraph(priors, src, dst, pots, reverse_edge=rev)
     # The constructor normalizes priors again, which moves last bits at
     # b >= 3; the replicas must hold the base graph's rows exactly.
-    union.priors.load_dense(priors)
-    union.beliefs.load_dense(priors)
+    np.copyto(union.priors, priors)
+    np.copyto(union.beliefs, priors)
     return union
 
 

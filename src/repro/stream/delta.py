@@ -216,7 +216,7 @@ def _resolve(graph: BeliefGraph, node: NodeRef) -> int:
 def _release_node(graph: BeliefGraph, nid: int) -> None:
     graph.observed[nid] = False
     graph.observed_state[nid] = -1
-    graph.beliefs.copy_rows_from(graph.priors, np.array([nid], dtype=np.int64))
+    graph.beliefs[nid] = graph.priors[nid]
 
 
 def apply_evidence(graph: BeliefGraph, delta: GraphDelta) -> DeltaResult:
@@ -363,11 +363,11 @@ def _apply_structural(graph: BeliefGraph, delta: GraphDelta) -> DeltaResult:
 
     # -- rebuild node-side arrays --------------------------------------
     priors = np.empty((n_new, b), dtype=_FLOAT)
-    priors[:n_old] = graph.priors.dense()
+    priors[:n_old] = graph.priors
     if prior_rows:
         priors[n_old:] = np.stack(prior_rows)
     beliefs = np.empty((n_new, b), dtype=_FLOAT)
-    beliefs[:n_old] = graph.beliefs.dense()
+    beliefs[:n_old] = graph.beliefs
     observed = np.zeros(n_new, dtype=bool)
     observed[:n_old] = graph.observed
     observed_state = np.full(n_new, -1, dtype=np.int64)
@@ -441,13 +441,12 @@ def _apply_structural(graph: BeliefGraph, delta: GraphDelta) -> DeltaResult:
         pots,
         reverse_edge=rev,
         node_names=names,
-        layout=graph.layout,
     )
 
     # -- carry posteriors and evidence over ----------------------------
     if prior_rows:
-        beliefs[n_old:] = new.priors.dense()[n_old:]
-    new.beliefs.load_dense(beliefs)
+        beliefs[n_old:] = new.priors[n_old:]
+    np.copyto(new.beliefs, beliefs)
     for nid in np.flatnonzero(observed):
         observe(new, int(nid), int(observed_state[nid]))
     for node, state in delta.observe:

@@ -162,7 +162,7 @@ class IncrementalEngine:
             return
         obs = graph.observed[dirty]
         state.free_mask[dirty] = ~obs
-        pri = graph.priors.rows(dirty)
+        pri = graph.priors[dirty]  # a copy: the clamp below writes it
         if obs.any():
             rows = np.flatnonzero(obs)
             pri[rows] = TINY32
@@ -178,10 +178,10 @@ class IncrementalEngine:
 
         Surviving edges carry their messages over via the delta's edge
         map; new edges start uniform.  Beliefs are loaded warm from the
-        graph's belief store (``apply_delta`` preserved them).
+        graph's beliefs (``apply_delta`` preserved them).
         """
         state = LoopyState(res.graph)
-        state.set_beliefs(slice(None), res.graph.beliefs.dense())
+        state.set_beliefs(slice(None), res.graph.beliefs)
         if res.edge_map is not None:
             state.adopt_messages(old, res.edge_map)
         return state

@@ -114,14 +114,12 @@ class StreamingGraphBuilder:
         self,
         n_states: int,
         *,
-        layout: str = "aos",
         expect_nodes: int = 0,
         expect_edges: int = 0,
     ):
         if n_states < 1:
             raise ValueError("n_states must be positive")
         self.n_states = int(n_states)
-        self.layout = layout
         b = self.n_states
         self._priors = GrowableArray((b,), _FLOAT, capacity=max(expect_nodes, 16))
         cap = max(2 * expect_edges, 16)
@@ -141,11 +139,10 @@ class StreamingGraphBuilder:
             raise ValueError("the streaming builder requires constant-width beliefs")
         builder = cls(
             max(graph.n_states, 1),
-            layout=graph.layout,
             expect_nodes=graph.n_nodes,
             expect_edges=graph.n_edges // 2,
         )
-        builder._priors.extend(graph.priors.dense())
+        builder._priors.extend(graph.priors)
         builder._src.extend(graph.src)
         builder._dst.extend(graph.dst)
         builder._rev.extend(graph.reverse_edge)
@@ -350,7 +347,6 @@ class StreamingGraphBuilder:
             pots,
             reverse_edge=self._rev.view,
             node_names=self._names,
-            layout=self.layout,
         )
         graph.reserved_nbytes = self.slack_nbytes
         return graph
@@ -361,7 +357,6 @@ def load_graph_stream(
     node_path: str | Path,
     edge_path: str | Path,
     *,
-    layout: str = "aos",
     chunk_edges: int = DEFAULT_CHUNK_EDGES,
     collapse_identical: bool = True,
 ) -> BeliefGraph:
@@ -376,7 +371,7 @@ def load_graph_stream(
     if chunk_edges < 1:
         raise ValueError("chunk_edges must be positive")
     priors, b = _read_nodes(Path(node_path))
-    builder = StreamingGraphBuilder(b, layout=layout, expect_nodes=len(priors))
+    builder = StreamingGraphBuilder(b, expect_nodes=len(priors))
     builder._priors.extend(priors)
     chunks = _edge_chunks(Path(edge_path), len(priors), b, chunk_edges)
     shared, m = next(chunks)

@@ -75,7 +75,6 @@ def noisy_image_graph(
     truncation: float = 2.0,
     n_levels: int = N_LEVELS,
     seed: int = 0,
-    layout: str = "aos",
 ) -> tuple[BeliefGraph, np.ndarray]:
     """Build the denoising MRF for a 2-D integer image.
 
@@ -98,7 +97,6 @@ def noisy_image_graph(
         priors,
         edges,
         smoothness_potential(n_levels, sigma=smooth_sigma, truncation=truncation),
-        layout=layout,
         dedupe=False,
     )
     return graph, noisy.astype(np.int64)

@@ -65,14 +65,14 @@ def make_tree_graph(seed: int = 0, n_states: int = 2, n_nodes: int = 7) -> Belie
 
 def make_loopy_graph(
     seed: int = 0, n_nodes: int = 12, n_edges: int = 20, n_states: int = 2,
-    coupling: float = 0.7, layout: str = "aos",
+    coupling: float = 0.7,
 ) -> BeliefGraph:
     """A small random graph with cycles."""
     rng = np.random.default_rng(seed)
     edges = rng.integers(0, n_nodes, size=(n_edges, 2))
     priors = rng.dirichlet(np.ones(n_states), size=n_nodes)
     return BeliefGraph.from_undirected(
-        priors, edges, attractive_potential(n_states, coupling), layout=layout
+        priors, edges, attractive_potential(n_states, coupling)
     )
 
 

@@ -1,174 +1,111 @@
-"""Belief-store layouts (paper §3.4): AoS vs SoA behave identically."""
+"""Belief storage (paper §3.4): one padded float32 array per graph, with
+the AoS-vs-SoA layout kept as a cost-model input only."""
 
 import numpy as np
 import pytest
 
-from repro.core.beliefs import (
-    BLOCK_NODES,
-    AoSBeliefStore,
-    SoABeliefStore,
-    make_store,
-)
+from repro.backends.cpu_cost import cache_lines_per_access
+from repro.core.graph import BeliefGraph
+from repro.core.potentials import PerEdgePotentialStore, attractive_potential
 
-LAYOUTS = ["aos", "soa"]
+NO_EDGES = np.empty(0, dtype=np.int64)
 
 
-@pytest.mark.parametrize("layout", LAYOUTS)
-class TestStoreBasics:
-    def test_set_get_roundtrip(self, layout):
-        store = make_store(np.array([2, 2, 2]), layout)
-        vec = np.array([0.3, 0.7], dtype=np.float32)
-        store.set(1, vec)
-        np.testing.assert_allclose(store.get(1), vec)
+def _bare(priors) -> BeliefGraph:
+    """A graph of ``priors`` with no edges."""
+    return BeliefGraph(priors, NO_EDGES, NO_EDGES, PerEdgePotentialStore([]))
 
-    def test_ragged_dims(self, layout):
-        store = make_store(np.array([2, 3, 4]), layout)
-        assert not store.uniform
-        assert store.width == 4
-        store.set(1, np.array([0.2, 0.3, 0.5]))
-        assert len(store.get(1)) == 3
-        assert len(store.get(2)) == 4
 
-    def test_set_wrong_length_raises(self, layout):
-        store = make_store(np.array([2, 2]), layout)
-        with pytest.raises(ValueError):
-            store.set(0, np.array([0.1, 0.2, 0.7]))
+class TestBeliefArrays:
+    def test_ragged_rows_are_zero_padded(self):
+        g = _bare([np.array([1.0, 3.0]), np.array([0.2, 0.3, 0.5]), np.ones(4)])
+        assert not g.uniform and g.n_states == 4
+        for arr in (g.priors, g.beliefs):
+            assert arr.shape == (3, 4) and arr.dtype == np.float32
+            assert arr.flags.c_contiguous
+        np.testing.assert_allclose(g.priors[0], [0.25, 0.75, 0.0, 0.0])
+        np.testing.assert_allclose(g.priors[1], [0.2, 0.3, 0.5, 0.0], rtol=1e-6)
+        np.testing.assert_allclose(g.priors[2], [0.25] * 4)
+        np.testing.assert_array_equal(g.beliefs, g.priors)
+        assert not np.shares_memory(g.beliefs, g.priors)
 
-    def test_fill_uniform(self, layout):
-        store = make_store(np.array([2, 4]), layout)
-        store.fill_uniform()
-        np.testing.assert_allclose(store.get(0), [0.5, 0.5])
-        np.testing.assert_allclose(store.get(1), [0.25] * 4)
+    def test_dense_priors_are_not_aliased(self):
+        raw = np.array([[0.5, 0.5], [0.25, 0.75]], dtype=np.float32)
+        g = BeliefGraph.from_undirected(raw, np.array([[0, 1]]), attractive_potential(2, 0.8))
+        assert not np.shares_memory(g.priors, raw)
+        g.priors[0] = [1.0, 0.0]
+        np.testing.assert_array_equal(raw[0], [0.5, 0.5])
 
-    def test_dense_roundtrip(self, layout):
-        store = make_store(np.array([3, 3]), layout)
-        matrix = np.array([[0.1, 0.2, 0.7], [0.5, 0.25, 0.25]], dtype=np.float32)
-        store.load_dense(matrix)
-        np.testing.assert_allclose(store.dense(), matrix)
+    def test_ragged_rows_normalize_as_if_alone(self):
+        # past 8 entries the padding would regroup NumPy's pairwise sum
+        rng = np.random.default_rng(0)
+        rows = [rng.random(d).astype(np.float32) + 0.01 for d in (3, 5, 7, 11) * 8]
+        g = _bare(rows)
+        for i, row in enumerate(rows):
+            np.testing.assert_array_equal(g.priors[i, : len(row)], _bare(row[None, :]).priors[0])
 
-    def test_copy_is_independent(self, layout):
-        store = make_store(np.array([2, 2]), layout)
-        store.set(0, np.array([0.9, 0.1]))
-        clone = store.copy()
-        clone.set(0, np.array([0.1, 0.9]))
-        np.testing.assert_allclose(store.get(0), [0.9, 0.1])
+    @pytest.mark.parametrize(
+        "priors",
+        [[np.array([0.5, 0.5]), np.array([])], np.zeros((2, 0))],
+        ids=["ragged", "dense"],
+    )
+    def test_rejects_zero_state_node(self, priors):
+        with pytest.raises(ValueError, match="at least one state"):
+            _bare(priors)
 
-    def test_iter_and_len(self, layout):
-        store = make_store(np.array([2, 2, 2]), layout)
-        store.fill_uniform()
-        assert len(store) == 3
-        assert sum(1 for _ in store) == 3
+    def test_empty_graph(self):
+        g = _bare([])
+        assert g.n_nodes == 0 and g.n_states == 0 and not g.uniform
+        assert g.priors.shape[0] == g.beliefs.shape[0] == 0
 
-    def test_bytes_per_node_positive(self, layout):
-        store = make_store(np.array([2, 2]), layout)
-        assert store.bytes_per_node() > 0
+    def test_single_state_node(self):
+        g = _bare([np.array([3.0]), np.array([1.0, 1.0])])
+        np.testing.assert_allclose(g.priors[0], [1.0, 0.0])
+        np.testing.assert_allclose(g.priors[1], [0.5, 0.5])
+
+    def test_copy_is_independent(self):
+        g = _bare([np.array([0.9, 0.1]), np.array([0.2, 0.3, 0.5])])
+        clone = g.copy()
+        clone.beliefs[0, :2] = [0.1, 0.9]
+        clone.priors[1, :3] = 0.0
+        np.testing.assert_allclose(g.beliefs[0, :2], [0.9, 0.1], rtol=1e-6)
+        np.testing.assert_allclose(g.priors[1, :3], [0.2, 0.3, 0.5], rtol=1e-6)
+        assert clone.dims is g.dims and clone.uniform == g.uniform
+
+
+#: one bad row beside a good one, as ragged and as uniform width
+BAD_ROWS = {"nan": [np.nan, 1.0], "negative": [-1.0, 2.0], "zero_sum": [0.0, 0.0]}
+
+
+class TestPriorValidation:
+    """Ragged priors pass the checks the dense route applies."""
+
+    @pytest.mark.parametrize("ragged", [True, False], ids=["ragged", "uniform"])
+    @pytest.mark.parametrize("bad", ["nan", "negative"])
+    def test_invalid_rows_raise(self, bad, ragged):
+        other = [0.2, 0.3, 0.5] if ragged else [0.2, 0.8]
+        with pytest.raises(ValueError, match="priors"):
+            _bare([np.array(BAD_ROWS[bad]), np.array(other)])
+
+    @pytest.mark.parametrize("ragged", [True, False], ids=["ragged", "uniform"])
+    def test_zero_sum_row_becomes_uniform_over_its_states(self, ragged):
+        other = [0.2, 0.3, 0.5] if ragged else [0.2, 0.8]
+        g = _bare([np.array(BAD_ROWS["zero_sum"]), np.array(other)])
+        np.testing.assert_array_equal(g.priors[0, :2], [0.5, 0.5])
+        assert not g.priors[0, 2:].any()
 
 
 class TestLayoutSpecifics:
-    def test_factory_types(self):
-        assert isinstance(make_store(np.array([2]), "aos"), AoSBeliefStore)
-        assert isinstance(make_store(np.array([2]), "soa"), SoABeliefStore)
-
-    def test_factory_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown belief layout"):
-            make_store(np.array([2]), "interleaved")
-
-    def test_rejects_zero_state_node(self):
-        with pytest.raises(ValueError):
-            make_store(np.array([2, 0]), "aos")
-
-    def test_soa_dense_is_view_when_uniform(self):
-        store = SoABeliefStore(np.array([2, 2]))
-        assert store.dense_is_view()
-        dense = store.dense()
-        dense[0, 0] = 0.25
-        assert store.get(0)[0] == np.float32(0.25)
-
-    def test_aos_dense_is_copy(self):
-        store = AoSBeliefStore(np.array([2, 2]))
-        assert not store.dense_is_view()
-
     def test_aos_touches_fewer_lines_than_soa(self):
         """The §3.4 result: AoS needs ~56 % fewer cache accesses."""
-        for width in (2, 3, 32):
-            dims = np.full(10, width)
-            aos = AoSBeliefStore(dims)
-            soa = SoABeliefStore(dims)
-            assert aos.cache_lines_per_access() < soa.cache_lines_per_access()
+        for width in (1, 2, 3, 32):
+            assert cache_lines_per_access("aos", width) < cache_lines_per_access("soa", width)
 
-    def test_aos_soa_dense_agree(self):
-        dims = np.array([3, 3, 3])
-        data = np.random.default_rng(0).random((3, 3)).astype(np.float32)
-        aos, soa = AoSBeliefStore(dims), SoABeliefStore(dims)
-        aos.load_dense(data)
-        soa.load_dense(data)
-        np.testing.assert_allclose(aos.dense(), soa.dense())
+    def test_aos_is_one_record_per_node(self):
+        # a width-w record is 4w bytes of float32 plus a 4-byte count
+        assert cache_lines_per_access("aos", 2) == 1.0
+        assert cache_lines_per_access("aos", 32) == (32 * 4 + 4) / 64
 
-
-ALL_LAYOUTS = ["aos", "soa", "blocked"]
-#: uniform widths around the AoS record sizes, plus a ragged store that
-#: spans more than one blocked tile
-DIMS = [
-    np.full(5, 1),
-    np.full(2 * BLOCK_NODES + 3, 2),
-    np.full(7, 8),
-    np.array([2, 3, 4] * BLOCK_NODES + [1]),
-]
-
-
-def random_matrix(dims, seed=0):
-    """A dense ``(n, width)`` matrix with each row's padding zeroed."""
-    rng = np.random.default_rng(seed)
-    matrix = rng.random((len(dims), int(dims.max()))).astype(np.float32)
-    matrix[np.arange(matrix.shape[1]) >= dims[:, None]] = 0.0
-    return matrix
-
-
-@pytest.mark.parametrize("dims", DIMS, ids=["w1", "w2", "w8", "ragged"])
-@pytest.mark.parametrize("layout", ALL_LAYOUTS)
-class TestStoreBytes:
-    """The bulk paths that move raw bytes: copy, load_dense/dense, rows."""
-
-    def test_load_dense_roundtrip_is_bit_exact(self, layout, dims):
-        store = make_store(dims, layout)
-        matrix = random_matrix(dims)
-        store.load_dense(matrix)
-        np.testing.assert_array_equal(store.dense(), matrix)
-        for i in range(len(dims)):
-            np.testing.assert_array_equal(store.get(i), matrix[i, : dims[i]])
-
-    def test_copy_is_independent_and_equal(self, layout, dims):
-        store = make_store(dims, layout)
-        store.load_dense(random_matrix(dims, seed=1))
-        before = store.dense()
-        clone = store.copy()
-        assert type(clone) is type(store)
-        np.testing.assert_array_equal(clone.dense(), before)
-        clone.load_dense(random_matrix(dims, seed=2))
-        clone.set(0, np.full(dims[0], 0.5, dtype=np.float32))
-        np.testing.assert_array_equal(store.dense(), before)
-        store.set(1, np.zeros(dims[1], dtype=np.float32))
-        assert not np.array_equal(clone.get(1), store.get(1))
-
-    def test_rows_equal_dense_rows(self, layout, dims):
-        store = make_store(dims, layout)
-        matrix = random_matrix(dims, seed=3)
-        store.load_dense(matrix)
-        nodes = np.array([len(dims) - 1, 0, 2, 0], dtype=np.int64)
-        got = store.rows(nodes)
-        assert got.dtype == np.float32
-        np.testing.assert_array_equal(got, store.dense()[nodes])
-        got[:] = -1.0  # a fresh array, not a view into the store
-        np.testing.assert_array_equal(store.dense(), matrix)
-        assert store.rows(np.empty(0, dtype=np.int64)).shape == (0, matrix.shape[1])
-
-
-@pytest.mark.parametrize("dims", DIMS[:3], ids=["w1", "w2", "w8"])
-def test_aos_copy_and_load_keep_dim_field(dims):
-    store = AoSBeliefStore(dims)
-    store.load_dense(random_matrix(dims))
-    clone = store.copy()
-    clone.load_dense(random_matrix(dims, seed=4))
-    for s in (store, clone):
-        np.testing.assert_array_equal(s.records["dim"], dims)
-    assert not np.shares_memory(clone.records, store.records)
+    def test_rejects_unknown_layout(self):
+        with pytest.raises(ValueError, match="unknown belief layout"):
+            cache_lines_per_access("blocked", 2)

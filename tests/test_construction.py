@@ -24,7 +24,6 @@ from repro.core.state import LoopyState
 from repro.credo import features
 from repro.io.detect import load_graph
 from repro.io.mtx import read_mtx_graph, write_mtx_graph
-from repro.kernels.layout import with_layout
 from repro.stream import GraphDelta, StreamingGraphBuilder, apply_delta
 
 SETTINGS = dict(
@@ -151,7 +150,6 @@ class TestLazyNames:
     def test_clones_and_the_stream_builder_do_not_build(self):
         g = _unnamed()
         assert g.copy().lazy_names
-        assert with_layout(g, "soa").lazy_names
         assert StreamingGraphBuilder.from_graph(g).build().lazy_names
         assert apply_delta(g, GraphDelta().observe_node("3", 1)).graph.lazy_names
         grown = apply_delta(g, GraphDelta().add_node().add_edge("10", "0")).graph
@@ -166,8 +164,7 @@ class TestLazyNames:
             _priors(10), edges, attractive_potential(2, 0.8), node_names=names
         )
         assert not g.lazy_names and g.node_names == names
-        for clone in (g.copy(), with_layout(g, "blocked"),
-                      StreamingGraphBuilder.from_graph(g).build()):
+        for clone in (g.copy(), StreamingGraphBuilder.from_graph(g).build()):
             assert clone.node_names == names
         named = apply_delta(_unnamed(), GraphDelta().add_node(name="probe")).graph
         assert named.node_names == [str(i) for i in range(10)] + ["probe"]
@@ -201,7 +198,7 @@ class TestLazyNames:
             for name in ("src", "dst", "reverse_edge", "in_offsets", "in_edge_ids",
                          "out_offsets", "out_edge_ids"):
                 np.testing.assert_array_equal(getattr(back, name), getattr(g, name))
-            np.testing.assert_array_equal(back.priors.dense(), g.priors.dense())
+            np.testing.assert_array_equal(back.priors, g.priors)
             assert back.node_names == g.node_names
 
 

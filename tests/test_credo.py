@@ -18,6 +18,15 @@ from repro.credo.training import TrainingRow, fits_vram_paper_scale
 from repro.graphs import build_graph, synthetic_graph
 from tests.conftest import make_loopy_graph
 
+#: a 2-state root and a 3-state child: beliefs of two widths
+MIXED_BIF = """
+network mixed {}
+variable a { type discrete [ 2 ] { t, f }; }
+variable b { type discrete [ 3 ] { x, y, z }; }
+probability ( a ) { table 0.4, 0.6; }
+probability ( b | a ) { table 0.2, 0.3, 0.5, 0.3, 0.3, 0.4; }
+"""
+
 
 class TestFeatures:
     def test_five_features(self):
@@ -166,6 +175,15 @@ class TestRunner:
         result = Credo().run_file(tmp_path / "g.nodes", tmp_path / "g.edges")
         assert result.converged
 
+    def test_heterogeneous_graph_names_the_reference_backend(self):
+        from repro.io.bif import parse_bif
+        from repro.io.network import network_to_belief_graph
+
+        g = network_to_belief_graph(parse_bif(MIXED_BIF))
+        for call in (Credo().check_graph, Credo().run):
+            with pytest.raises(ValueError, match="'reference' backend"):
+                call(g)
+
 
 class TestCli:
     def test_backends_command(self, capsys):
@@ -215,6 +233,19 @@ class TestCli:
         assert captured.out == ""
         [line] = captured.err.splitlines()
         assert line.startswith(f"error: --backend {backend!r}: ") and reason in line
+
+    @pytest.mark.parametrize("command", ["run", "profile"])
+    def test_heterogeneous_network_is_a_usage_error(self, tmp_path, capsys, command):
+        from repro.credo.cli import main
+
+        bif = tmp_path / "mixed.bif"
+        bif.write_text(MIXED_BIF)
+        assert main([command, str(bif)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ") and "constant-width" in line
+        assert "'reference'" in line
 
 
 class TestCliConvert:

@@ -29,7 +29,7 @@ class TestSynthetic:
         g1 = synthetic_graph(100, 400, seed=7)
         g2 = synthetic_graph(100, 400, seed=7)
         np.testing.assert_array_equal(g1.src, g2.src)
-        np.testing.assert_allclose(g1.priors.dense(), g2.priors.dense())
+        np.testing.assert_allclose(g1.priors, g2.priors)
 
     def test_states_parameter(self):
         g = synthetic_graph(50, 200, n_states=3, seed=1)

@@ -99,24 +99,24 @@ class TestState:
     def test_priors_normalized_on_ingest(self):
         raw = np.array([[2.0, 2.0], [1.0, 3.0]])
         g = BeliefGraph.from_undirected(raw, np.array([[0, 1]]), attractive_potential(2, 0.8))
-        np.testing.assert_allclose(g.priors.dense().sum(axis=1), 1.0, atol=1e-6)
+        np.testing.assert_allclose(g.priors.sum(axis=1), 1.0, atol=1e-6)
 
     def test_reset_beliefs_restores_priors(self):
         g = BeliefGraph.from_undirected(
             _priors(3), np.array([[0, 1], [1, 2]]), attractive_potential(2, 0.8)
         )
-        g.beliefs.set(0, np.array([1.0, 0.0], dtype=np.float32))
+        g.beliefs[0] = np.array([1.0, 0.0], dtype=np.float32)
         g.reset_beliefs()
-        np.testing.assert_allclose(g.beliefs.get(0), g.priors.get(0))
+        np.testing.assert_allclose(g.beliefs[0], g.priors[0])
 
     def test_copy_isolates_beliefs_and_observations(self):
         g = BeliefGraph.from_undirected(
             _priors(3), np.array([[0, 1], [1, 2]]), attractive_potential(2, 0.8)
         )
         clone = g.copy()
-        clone.beliefs.set(0, np.array([1.0, 0.0], dtype=np.float32))
+        clone.beliefs[0] = np.array([1.0, 0.0], dtype=np.float32)
         clone.observed[1] = True
-        assert not np.allclose(g.beliefs.get(0), clone.beliefs.get(0))
+        assert not np.allclose(g.beliefs[0], clone.beliefs[0])
         assert not g.observed[1]
 
     def test_metadata_fields(self):
@@ -137,6 +137,8 @@ class TestState:
             "beliefs", "priors", "potentials", "adjacency", "metadata", "reserved",
         }
         assert all(v > 0 for k, v in fp.items() if k not in ("metadata", "reserved"))
+        # one (n, b) float32 array each
+        assert fp["beliefs"] == fp["priors"] == 10 * 2 * 4
         # the lazy caches are empty until first use, then counted
         assert fp["metadata"] == 0
         # a batch-constructed graph is tightly packed; only the streaming

@@ -23,8 +23,8 @@ class TestFromNetworkx:
         G.add_node("b")
         G.add_edge("a", "b", potential=np.array([[0.8, 0.2], [0.2, 0.8]]))
         g = from_networkx(G)
-        np.testing.assert_allclose(g.priors.get(0), [0.9, 0.1], atol=1e-6)
-        np.testing.assert_allclose(g.priors.get(1), [0.5, 0.5], atol=1e-6)
+        np.testing.assert_allclose(g.priors[0], [0.9, 0.1], atol=1e-6)
+        np.testing.assert_allclose(g.priors[1], [0.5, 0.5], atol=1e-6)
         np.testing.assert_allclose(
             g.potentials.matrix(0), [[0.8, 0.2], [0.2, 0.8]], atol=1e-6
         )

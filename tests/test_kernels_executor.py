@@ -5,15 +5,12 @@ against the per-call reference kernels (``core/node_kernel``,
 ``core/edge_kernel``, reached through ``tests.conftest``'s interpreted
 adapter) — the parity grid here is the contract: schedules × paradigms ×
 evidence × state widths, posteriors compared with ``assert_array_equal``
-(no tolerance).  The rest covers the belief-store layouts (conversion,
-blocked store, footprint truthfulness) and the ``executor=`` keyword
-Credo keeps.
+(no tolerance).  The rest covers the ``executor=`` keyword Credo keeps.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.beliefs import BLOCK_NODES, make_store
 from repro.core.convergence import ConvergenceCriterion
 from repro.core.edge_kernel import chunk_slices
 from repro.core.graph import BeliefGraph
@@ -22,7 +19,7 @@ from repro.core.observation import observe
 from repro.core.potentials import attractive_potential
 from repro.core.state import LoopyState
 from repro.graphs.grids import grid_edges
-from repro.kernels import LAYOUTS, CompiledExecutor, make_executor, with_layout
+from repro.kernels import CompiledExecutor, make_executor
 from repro.kernels.compiled import _in_edge_ranks
 from tests.conftest import (
     assert_bitwise_run,
@@ -87,43 +84,6 @@ class TestParityGrid:
             paradigm=paradigm, schedule=schedule, criterion=CRIT,
         ).run(_graph(True)))
         assert_bitwise_run(got, ref)
-
-
-class TestLayouts:
-    @pytest.mark.parametrize("layout", LAYOUTS)
-    def test_with_layout_preserves_values(self, layout):
-        g = make_loopy_graph(seed=5, n_nodes=33, n_edges=70, n_states=3)
-        conv = with_layout(g, layout)
-        assert conv.layout == layout
-        np.testing.assert_array_equal(conv.beliefs.dense(), g.beliefs.dense())
-        np.testing.assert_array_equal(conv.priors.dense(), g.priors.dense())
-        # structure is shared, not copied
-        assert conv.src is g.src and conv.potentials is g.potentials
-        back = with_layout(conv, g.layout)
-        np.testing.assert_array_equal(back.beliefs.dense(), g.beliefs.dense())
-
-    def test_with_layout_same_layout_is_identity(self):
-        g = make_loopy_graph(seed=5)
-        assert with_layout(g, g.layout) is g
-
-    def test_blocked_store_roundtrip(self):
-        rng = np.random.default_rng(0)
-        n = 3 * BLOCK_NODES + 5  # deliberately ragged: a partial tail tile
-        dims = np.full(n, 4)
-        dense = rng.random((n, 4)).astype(np.float32)
-        store = make_store(dims, "blocked")
-        store.load_dense(dense)
-        np.testing.assert_array_equal(store.dense(), dense)
-        np.testing.assert_array_equal(store.get(n - 1), dense[n - 1])
-        store.set(2, np.array([0.1, 0.2, 0.3, 0.4], dtype=np.float32))
-        assert store.dense()[2, 1] == np.float32(0.2)
-
-    @pytest.mark.parametrize("layout", LAYOUTS)
-    def test_memory_footprint_tracks_layout(self, layout):
-        g = with_layout(make_loopy_graph(seed=3, n_nodes=50, n_edges=100), layout)
-        fp = g.memory_footprint()
-        assert fp["beliefs"] == g.beliefs.nbytes()
-        assert fp["priors"] == g.priors.nbytes()
 
 
 class TestPlanIntegration:

@@ -65,7 +65,7 @@ class TestCorrectness:
     def test_updates_graph_in_place(self):
         g = make_loopy_graph(seed=16)
         result = LoopyBP().run(g)
-        np.testing.assert_allclose(g.beliefs.dense(), result.beliefs, atol=1e-6)
+        np.testing.assert_allclose(g.beliefs, result.beliefs, atol=1e-6)
 
     def test_broadcast_rule_converges(self):
         g = make_loopy_graph(seed=17)

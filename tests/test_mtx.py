@@ -20,7 +20,7 @@ class TestRoundtrip:
         g2 = read_mtx_graph(*paths)
         assert g2.n_nodes == g.n_nodes and g2.n_edges == g.n_edges
         assert g2.potentials.shared
-        np.testing.assert_allclose(g2.priors.dense(), g.priors.dense(), atol=1e-5)
+        np.testing.assert_allclose(g2.priors, g.priors, atol=1e-5)
         np.testing.assert_allclose(
             g2.potentials.matrix(0), g.potentials.matrix(0), atol=1e-5
         )

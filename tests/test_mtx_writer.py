@@ -62,4 +62,4 @@ def test_golden_files_read_back(name):
     graph, _ = golden_cases()[name]
     back = read_mtx_graph(GOLDEN / f"{name}.mtx", GOLDEN / f"{name}.edges")
     assert back.n_nodes == graph.n_nodes
-    np.testing.assert_allclose(back.priors.dense(), graph.priors.dense(), atol=1e-7)
+    np.testing.assert_allclose(back.priors, graph.priors, atol=1e-7)

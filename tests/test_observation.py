@@ -10,7 +10,7 @@ from tests.conftest import make_tree_graph
 class TestObserve:
     def test_clamps_to_one_hot(self, tree_graph):
         observe(tree_graph, 2, 1)
-        np.testing.assert_allclose(tree_graph.beliefs.get(2), [0.0, 1.0])
+        np.testing.assert_allclose(tree_graph.beliefs[2], [0.0, 1.0])
         assert tree_graph.observed[2]
         assert tree_graph.observed_state[2] == 1
 
@@ -32,10 +32,10 @@ class TestObserve:
             observe(tree_graph, 99, 0)
 
     def test_clear_restores_priors(self, tree_graph):
-        prior = tree_graph.priors.get(1).copy()
+        prior = tree_graph.priors[1].copy()
         observe(tree_graph, 1, 0)
         clear_observations(tree_graph)
-        np.testing.assert_allclose(tree_graph.beliefs.get(1), prior)
+        np.testing.assert_allclose(tree_graph.beliefs[1], prior)
         assert not tree_graph.observed.any()
 
 

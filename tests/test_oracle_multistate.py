@@ -15,6 +15,8 @@ runs in against exact answers instead:
 Each case also asserts that the rank route ran, so a gate that closed
 would not pass unseen.  A 3×3 grid at b = 3 (in-degree 4 > b) checks the
 ``bincount`` route the same way, and that the rank route stayed shut.
+Damped node and edge plans (``sync`` and ``work_queue``) face the same
+oracles on the trees and the b = 4 grids.
 """
 
 import numpy as np
@@ -46,6 +48,19 @@ LOOPY_BOUND = 1e-2
 #: trees float32 rounding leaves a 1–2e-6 limit cycle (8 of 400 sync runs
 #: at 1e-6 never stopped, seeds 0–49), so the runs stop at 1e-5
 CRIT = ConvergenceCriterion(threshold=1e-5, max_iterations=500)
+
+#: damping mixes half of each old message into the new one
+DAMPING = 0.5
+
+#: damped runs stop ten times tighter: at 1e-5 they stopped up to 1.50e-5
+#: from the junction tree (binary-b3, seeds 0–49), since each sweep now
+#: moves only half-way.  At 1e-6 all 800 damped tree runs (seeds 0–49, both
+#: families, with and without evidence, four plans) stopped, the b = 8
+#: limit cycle gone, within 1.78e-6 of the junction tree and after at
+#: most 37 sweeps; the damped b = 4 grids (seeds 0–199, four plans) all
+#: stopped within 2.90e-4 of brute force, inside ``LOOPY_BOUND``.
+DAMPED_CRIT = ConvergenceCriterion(threshold=1e-6, max_iterations=500)
+DAMPED_PLANS = [(p, s) for p in ("node", "edge") for s in ("sync", "work_queue")]
 
 
 @pytest.fixture
@@ -136,9 +151,12 @@ def loopy_grids_b3():
     return _loopy_grids(3)
 
 
-def _near_exact(grids, paradigm, schedule):
+def _near_exact(grids, paradigm, schedule, damping=0.0):
+    crit = DAMPED_CRIT if damping else CRIT
     for g, exact in grids:
-        result = LoopyBP(paradigm=paradigm, schedule=schedule, criterion=CRIT).run(g.copy())
+        result = LoopyBP(
+            paradigm=paradigm, schedule=schedule, criterion=crit, damping=damping
+        ).run(g.copy())
         assert result.converged
         assert np.abs(np.asarray(result.beliefs) - exact).max() <= LOOPY_BOUND
 
@@ -149,6 +167,28 @@ def test_loopy_grid_near_exact(loopy_grids, paradigm, schedule, rank_scatters):
         assert np.diff(g.in_offsets).max() <= g.n_states
     _near_exact(loopy_grids, paradigm, schedule)
     assert rank_scatters[0] > 0
+
+
+@pytest.mark.parametrize("paradigm,schedule", DAMPED_PLANS)
+@pytest.mark.parametrize("tree", sorted(TREES))
+def test_damped_trees_match_junction_tree(tree, paradigm, schedule):
+    for seed in range(2):
+        for evidence in (False, True):
+            g = TREES[tree](seed)
+            if evidence:
+                observe(g, 5, 1)
+                observe(g, g.n_nodes - 1, g.n_states - 1)
+            exact = junction_tree_marginals(g)
+            result = LoopyBP(
+                paradigm=paradigm, schedule=schedule, criterion=DAMPED_CRIT, damping=DAMPING
+            ).run(g)
+            assert result.converged
+            assert np.abs(np.asarray(result.beliefs) - exact).max() <= TREE_TOL
+
+
+@pytest.mark.parametrize("paradigm,schedule", DAMPED_PLANS)
+def test_damped_loopy_grid_near_exact(loopy_grids, paradigm, schedule):
+    _near_exact(loopy_grids, paradigm, schedule, damping=DAMPING)
 
 
 @pytest.mark.parametrize("paradigm,schedule", PLANS)

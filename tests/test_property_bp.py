@@ -123,17 +123,3 @@ class TestInvariants:
         damped = LoopyBP(damping=damping, criterion=crit).run(graph.copy())
         if plain.converged and damped.converged:
             np.testing.assert_allclose(plain.beliefs, damped.beliefs, atol=5e-3)
-
-
-class TestStoreLayoutEquivalence:
-    @given(st.integers(min_value=0, max_value=2**31 - 1))
-    @settings(**SETTINGS)
-    def test_aos_and_soa_identical_results(self, seed):
-        from tests.conftest import make_loopy_graph
-
-        crit = ConvergenceCriterion(threshold=1e-6, max_iterations=300)
-        g_aos = make_loopy_graph(seed=seed, layout="aos")
-        g_soa = make_loopy_graph(seed=seed, layout="soa")
-        r_aos = LoopyBP(criterion=crit).run(g_aos)
-        r_soa = LoopyBP(criterion=crit).run(g_soa)
-        np.testing.assert_allclose(r_aos.beliefs, r_soa.beliefs, atol=1e-5)

@@ -57,7 +57,7 @@ class TestMtxRoundtrip:
         assert loaded.n_nodes == graph.n_nodes
         assert loaded.n_edges == graph.n_edges
         np.testing.assert_allclose(
-            loaded.priors.dense(), graph.priors.dense(), atol=1e-5
+            loaded.priors, graph.priors, atol=1e-5
         )
         for e in range(graph.n_edges):
             np.testing.assert_allclose(
@@ -212,7 +212,7 @@ def mtx_texts(draw, min_edges=0):
 
 def _graph_arrays(g):
     return {
-        "priors": g.priors.dense(), "src": g.src, "dst": g.dst, "rev": g.reverse_edge,
+        "priors": g.priors, "src": g.src, "dst": g.dst, "rev": g.reverse_edge,
         "in_offsets": g.in_offsets, "in_edge_ids": g.in_edge_ids,
         "out_offsets": g.out_offsets, "out_edge_ids": g.out_edge_ids,
         "potentials": np.asarray(g.potentials.stacked()),

@@ -86,5 +86,5 @@ class TestParserRoundtrips:
             graph, criterion=ConvergenceCriterion(max_iterations=30)
         )
         for i in range(graph.n_nodes):
-            total = float(np.asarray(graph.beliefs.get(i)).sum())
+            total = float(np.asarray(graph.beliefs[i]).sum())
             assert abs(total - 1.0) < 1e-3

@@ -165,14 +165,14 @@ class TestBatchedRunnerParity:
 
     def test_master_graph_untouched(self):
         graph = small_graph()
-        before = np.array(graph.beliefs.dense(), copy=True)
+        before = np.array(graph.beliefs, copy=True)
         run_batched(
             graph,
             LoopyConfig(paradigm="edge", schedule="residual"),
             [[(1, 0)], [(1, 2)]],
         )
         assert not graph.observed.any()
-        np.testing.assert_array_equal(graph.beliefs.dense(), before)
+        np.testing.assert_array_equal(graph.beliefs, before)
 
 
 class TestEvidenceIsolation:

@@ -157,7 +157,7 @@ class TestLoopyState:
         state = LoopyState(loopy_graph)
         state.beliefs[0] = (0.9, 0.1)
         state.export_beliefs()
-        np.testing.assert_allclose(loopy_graph.beliefs.get(0), [0.9, 0.1], atol=1e-6)
+        np.testing.assert_allclose(loopy_graph.beliefs[0], [0.9, 0.1], atol=1e-6)
 
     def test_shared_vs_stacked_potentials_equivalent(self):
         g_shared = make_loopy_graph(seed=9)

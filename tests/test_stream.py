@@ -31,7 +31,6 @@ from repro.credo.selector import INCREMENTAL_DIRTY_MAX_FRACTION
 from repro.graphs.grids import grid_edges, grid_graph
 from repro.io.detect import load_graph
 from repro.io.mtx import MtxFormatError, read_mtx_graph, write_mtx_graph
-from repro.kernels.layout import with_layout
 from repro.stream import (
     DeltaJournal,
     GraphDelta,
@@ -62,7 +61,7 @@ def assert_graphs_identical(a: BeliefGraph, b: BeliefGraph):
     assert np.array_equal(a.src, b.src)
     assert np.array_equal(a.dst, b.dst)
     assert np.array_equal(a.reverse_edge, b.reverse_edge)
-    assert np.array_equal(a.priors.dense(), b.priors.dense())
+    assert np.array_equal(a.priors, b.priors)
     assert np.array_equal(a.potentials.stacked(), b.potentials.stacked())
     assert a.potentials.shared == b.potentials.shared
     assert np.array_equal(a.observed, b.observed)
@@ -74,7 +73,7 @@ def graph_bytes(g: BeliefGraph) -> tuple[bytes, ...]:
     """The bytes of a graph's priors, beliefs and evidence."""
     return tuple(
         np.ascontiguousarray(a).tobytes()
-        for a in (g.priors.dense(), g.beliefs.dense(), g.observed, g.observed_state)
+        for a in (g.priors, g.beliefs, g.observed, g.observed_state)
     )
 
 
@@ -337,23 +336,22 @@ class TestGraphDelta:
         assert res.graph.src is g.src  # copy() shares structure arrays
         assert res.graph.observed[4] and not g.observed[4]
 
-    @pytest.mark.parametrize("layout", ["aos", "soa", "blocked"])
-    def test_evidence_delta_never_mutates_input(self, layout):
-        g = with_layout(grid_graph(4, 5, seed=1), layout)
+    def test_evidence_delta_never_mutates_input(self):
+        g = grid_graph(4, 5, seed=1)
         observe(g, 3, 0)
         LoopyBP(tight_config()).run(g)
-        before = (g.priors.dense(), g.beliefs.dense(), g.observed.copy(),
+        before = (g.priors.copy(), g.beliefs.copy(), g.observed.copy(),
                   g.observed_state.copy(), list(g.node_names))
         res = apply_delta(g, GraphDelta().observe_node("7", 1).release_node("3"))
-        after = (g.priors.dense(), g.beliefs.dense(), g.observed, g.observed_state,
+        after = (g.priors, g.beliefs, g.observed, g.observed_state,
                  g.node_names)
         for a, b in zip(before, after):
             np.testing.assert_array_equal(a, b)
         assert res.graph.observed[7] and not res.graph.observed[3]
-        assert res.graph.beliefs.get(7)[1] == 1.0
+        assert res.graph.beliefs[7, 1] == 1.0
         # the released node restarts from its prior in the new graph only
-        np.testing.assert_array_equal(res.graph.beliefs.get(3), g.priors.get(3))
-        assert not np.array_equal(g.beliefs.get(3), g.priors.get(3))
+        np.testing.assert_array_equal(res.graph.beliefs[3], g.priors[3])
+        assert not np.array_equal(g.beliefs[3], g.priors[3])
 
     def test_rejected_evidence_delta_leaves_graph_untouched(self):
         # every node and state is checked before the first write, so an
@@ -377,7 +375,7 @@ class TestGraphDelta:
         new = res.graph
         assert len(new.in_edges(4)) == 0 and len(new.out_edges(4)) == 0
         assert not new.observed[4]
-        np.testing.assert_allclose(new.priors.dense()[4], 0.5)
+        np.testing.assert_allclose(new.priors[4], 0.5)
 
     @pytest.mark.parametrize(
         "build, match",
@@ -588,7 +586,7 @@ class TestIncrementalEngine:
         # node 7's prior has an exact zero: releasing it must store the
         # clamped log prior a cold build stores (log TINY32), not -inf
         g = grid_graph(5, 5, seed=3)
-        g.priors.set(7, np.array([1.0, 0.0], dtype=np.float32))
+        g.priors[7] = np.array([1.0, 0.0], dtype=np.float32)
         eng = IncrementalEngine(g, tight_config(schedule, paradigm))
         eng.converge()
         for delta in (GraphDelta().observe_node("7", 1),
@@ -650,10 +648,9 @@ class TestIncrementalEngine:
         for ref, got in zip(reference, run()):
             assert_bitwise_run(got, ref)
 
-    @pytest.mark.parametrize("layout", ["aos", "soa", "blocked"])
-    def test_patched_evidence_equals_dense_state(self, layout):
+    def test_patched_evidence_equals_dense_state(self):
         # the patch reads only the dirty rows of the priors; it must leave
-        # the state a fresh LoopyState would build from the dense priors
+        # the state a fresh LoopyState would build from all of them
         deltas = [
             GraphDelta().observe_node("7", 1),
             GraphDelta().release_node("7").observe_node("12", 0),
@@ -661,7 +658,7 @@ class TestIncrementalEngine:
             GraphDelta().observe_node("3", 1).release_node("3"),
             GraphDelta().release_node("7").release_node("12"),
         ]
-        g = with_layout(grid_graph(5, 5, seed=3), layout)
+        g = grid_graph(5, 5, seed=3)
         eng = IncrementalEngine(g, tight_config("residual", "edge", threshold=1e-8))
         eng.converge()
         for delta in deltas:
@@ -673,7 +670,7 @@ class TestIncrementalEngine:
             np.testing.assert_array_equal(state.free_mask, fresh.free_mask)
             observed = np.flatnonzero(eng.graph.observed)
             np.testing.assert_array_equal(state.beliefs[observed], fresh.beliefs[observed])
-            np.testing.assert_array_equal(eng.graph.beliefs.dense(), state.beliefs)
+            np.testing.assert_array_equal(eng.graph.beliefs, state.beliefs)
         assert not eng.graph.observed.any()
 
     def test_corner_delta_reconverges_in_few_rounds(self):

@@ -69,7 +69,7 @@ class TestTreeBPExactness:
     def test_writes_beliefs_back_to_graph(self):
         g = make_tree_graph(seed=34)
         result = TreeBP().run(g)
-        np.testing.assert_allclose(g.beliefs.dense(), result.beliefs, atol=1e-6)
+        np.testing.assert_allclose(g.beliefs, result.beliefs, atol=1e-6)
 
 
 class TestTreeBPOnCycles:

@@ -1,5 +1,6 @@
 """Failure-injection tests: malformed inputs must fail loudly."""
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -9,6 +10,8 @@ from repro.core.potentials import (
     SharedPotentialStore,
     attractive_potential,
 )
+from repro.interop import from_networkx
+from repro.io.detect import load_graph
 from repro.io.mtx import MtxFormatError, read_mtx_graph
 from repro.stream.loader import load_graph_stream
 
@@ -40,7 +43,7 @@ class TestGraphValidation:
         g = BeliefGraph.from_undirected(
             priors, np.array([[0, 1]]), attractive_potential(2, 0.8)
         )
-        np.testing.assert_allclose(g.priors.get(0), [0.5, 0.5])
+        np.testing.assert_allclose(g.priors[0], [0.5, 0.5])
 
     def test_mismatched_src_dst(self):
         with pytest.raises(ValueError, match="equal length"):
@@ -129,17 +132,93 @@ class TestSuiteIteration:
             assert factor == 1.0
 
 
-class TestBeliefStoreEdgeCases:
-    def test_empty_store(self):
-        from repro.core.beliefs import make_store
+#: a bad prior row per fault, as each loader's text spells it
+BAD_PRIORS = {"nan": ["nan", "1"], "negative": ["-0.5", "1.5"], "zero_sum": ["0", "0"]}
 
-        store = make_store(np.array([], dtype=np.int64), "aos")
-        assert len(store) == 0
-        assert store.dense().shape[0] == 0
 
-    def test_single_state_node(self):
-        from repro.core.beliefs import make_store
+def _bif(row: list[str], ragged: bool) -> str:
+    b_states, b_table = (("x, y, z", "0.2, 0.3, 0.5, 0.3, 0.3, 0.4") if ragged
+                         else ("x, y", "0.9, 0.1, 0.2, 0.8"))
+    return f"""
+    network n {{}}
+    variable a {{ type discrete [ 2 ] {{ t, f }}; }}
+    variable b {{ type discrete [ {b_states.count(",") + 1} ] {{ {b_states} }}; }}
+    probability ( a ) {{ table {", ".join(row)}; }}
+    probability ( b | a ) {{ table {b_table}; }}
+    """
 
-        store = make_store(np.array([1, 2]), "soa")
-        store.fill_uniform()
-        np.testing.assert_allclose(store.get(0), [1.0])
+
+def _xmlbif(row: list[str], ragged: bool) -> str:
+    b_outcomes, b_table = (("xyz", "0.2 0.3 0.5 0.3 0.3 0.4") if ragged
+                           else ("xy", "0.9 0.1 0.2 0.8"))
+    outcomes = "".join(f"<OUTCOME>{o}</OUTCOME>" for o in b_outcomes)
+    return f"""<?xml version="1.0"?>
+<BIF VERSION="0.3"><NETWORK><NAME>n</NAME>
+<VARIABLE TYPE="nature"><NAME>a</NAME><OUTCOME>t</OUTCOME><OUTCOME>f</OUTCOME></VARIABLE>
+<VARIABLE TYPE="nature"><NAME>b</NAME>{outcomes}</VARIABLE>
+<DEFINITION><FOR>a</FOR><TABLE>{" ".join(row)}</TABLE></DEFINITION>
+<DEFINITION><FOR>b</FOR><GIVEN>a</GIVEN><TABLE>{b_table}</TABLE></DEFINITION>
+</NETWORK></BIF>
+"""
+
+
+def _write_mtx(tmp_path, row: list[str]):
+    nodes, edges = tmp_path / "g.nodes", tmp_path / "g.edges"
+    nodes.write_text(
+        "%%MatrixMarket matrix coordinate real general\n%credo beliefs: 2\n"
+        f"2 2 2\n1 1 {' '.join(row)}\n2 2 0.3 0.7\n"
+    )
+    edges.write_text(
+        "%%MatrixMarket matrix coordinate real general\n"
+        "%credo shared-potential: 0.8 0.2 0.2 0.8\n2 2 1\n1 2\n"
+    )
+    return nodes, edges
+
+
+def _load(fmt: str, row: list[str], ragged: bool, tmp_path) -> BeliefGraph:
+    if fmt == "mtx":
+        return read_mtx_graph(*_write_mtx(tmp_path, row))
+    if fmt == "mtx-stream":
+        return load_graph(*_write_mtx(tmp_path, row), stream=True)
+    if fmt in ("bif", "xmlbif"):
+        path = tmp_path / f"net.{'xml' if fmt == 'xmlbif' else 'bif'}"
+        path.write_text(_bif(row, ragged) if fmt == "bif" else _xmlbif(row, ragged))
+        return load_graph(path)
+    G = nx.Graph()
+    G.add_node("a", prior=[float(v) for v in row])
+    G.add_edge("a", "b")
+    return from_networkx(G)
+
+
+LOADER_CASES = [
+    (fmt, bad, ragged)
+    for fmt in ("mtx", "mtx-stream", "bif", "xmlbif", "networkx")
+    for bad in BAD_PRIORS
+    for ragged in ((False, True) if fmt in ("bif", "xmlbif") else (False,))
+]
+
+
+@pytest.mark.parametrize(
+    "fmt, bad, ragged", LOADER_CASES,
+    ids=[f"{f}-{b}-{'ragged' if r else 'uniform'}" for f, b, r in LOADER_CASES],
+)
+def test_loader_rejects_or_repairs_a_bad_prior(fmt, bad, ragged, tmp_path):
+    """Every loader, uniform or ragged, treats a NaN, negative or
+    zero-sum prior as the dense route does: a ``ValueError``, or (zero
+    sum only) a uniform prior."""
+    try:
+        g = _load(fmt, BAD_PRIORS[bad], ragged, tmp_path)
+    except ValueError:
+        return
+    assert bad == "zero_sum", f"{fmt} loaded a {bad} prior: {g.priors[0]}"
+    np.testing.assert_array_equal(g.priors[0, : g.dims[0]], [0.5, 0.5])
+    assert not g.priors[0, g.dims[0]:].any()
+
+
+@pytest.mark.parametrize("fmt, ragged", sorted({(f, r) for f, _, r in LOADER_CASES}))
+def test_loader_cases_load_a_good_prior(fmt, ragged, tmp_path):
+    """The control: the same files with a valid prior load, so every
+    rejection above comes from the prior."""
+    g = _load(fmt, ["0.25", "0.75"], ragged, tmp_path)
+    assert g.uniform != ragged
+    np.testing.assert_allclose(g.priors[0, :2], [0.25, 0.75], rtol=1e-6)
